@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from guidelab.diagnostics import delta_norm_curve, trajectory_bias_probe
+from guidelab.diagnostics import trajectory_bias_probe
 from guidelab.experiment import parse_config
-from guidelab.guidance import GuidanceConfig
-from guidelab.sampler import run_single_branch
+from guidelab.guidance import GuidanceConfig, row_norms
+from guidelab.sampler import run_single_batch
 
 
 def main():
@@ -35,14 +35,11 @@ def main():
     seeds = config.seeds[: args.seeds]
     guidance = GuidanceConfig("NP", w=config.guidance.w)
 
-    curves = []
-    for seed in seeds:
-        tr = run_single_branch(config.world, config.positive_condition,
-                               config.negative_condition, config.schedule,
-                               guidance, seed)
-        curves.append([val for _, val in delta_norm_curve(tr)])
-    delta_mean = np.mean(curves, axis=0)
-    ts = [t for t, _ in delta_norm_curve(tr)]
+    batch = run_single_batch(config.world, config.positive_condition,
+                             config.negative_condition, config.schedule,
+                             guidance, seeds)
+    delta_mean = np.array([row_norms(d).mean() for d in batch.delta])
+    ts = list(batch.steps)
 
     gaps = trajectory_bias_probe(config.world, config.positive_condition,
                                  config.negative_condition, config.schedule,

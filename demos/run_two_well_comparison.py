@@ -12,14 +12,14 @@ import argparse
 import json
 from pathlib import Path
 
-from guidelab.experiment import STRATEGY_ORDER, parse_config, strategy_comparison
+from guidelab.experiment import parse_config, strategy_comparison
+from guidelab.guidance import STRATEGIES
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", type=Path,
                     default=Path(__file__).parent / "configs" / "two_well.json")
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
     with open(args.config) as fh:
@@ -27,10 +27,10 @@ def main():
 
     print(f"world: {config.world.num_components} components, "
           f"{config.schedule.num_steps} steps, {len(config.seeds)} seeds")
-    table = strategy_comparison(config, jobs=args.jobs)
+    table = strategy_comparison(config)
 
     print(f"{'strategy':<10} {'counterfactual mass':>20} {'stderr':>10}")
-    for name in STRATEGY_ORDER:
+    for name in STRATEGIES:
         row = table[name]
         print(f"{name:<10} {row['mass_mean']:>20.4f} {row['mass_stderr']:>10.4f}")
 

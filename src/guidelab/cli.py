@@ -23,15 +23,15 @@ import numpy as np
 
 from guidelab.diagnostics import build_report, report_to_json, series_to_csv
 from guidelab.experiment import (
-    STRATEGY_ORDER,
     ConfigError,
     ExperimentConfig,
     load_config,
     config_hash,
-    final_state,
     run_strategy,
     strategy_comparison,
 )
+from guidelab.guidance import STRATEGIES
+from guidelab.oracle import assign_components
 from guidelab.par import (
     LlmEndpointConfig,
     MockTransport,
@@ -71,23 +71,17 @@ def _write_manifest(out_dir: Path, command: str, raw_config: dict, seeds, artifa
         fh.write("\n")
 
 
-def _mode_label(x: np.ndarray, config: ExperimentConfig) -> str:
-    world = config.world
-    diff = x[None, :] - world.means
-    log_comp = (
-        -0.5 * np.sum(diff * diff / world.cov_diags, axis=1)
-        - 0.5 * np.sum(np.log(world.cov_diags), axis=1)
-        + np.log(world.weights)
-    )
-    k = int(np.argmax(log_comp))
-    for label, idx in config.mass_labels.items():
-        if k in idx:
-            return label
-    return str(k)
+def _mode_labels(samples: np.ndarray, config: ExperimentConfig) -> list:
+    """The mass label of each sample's most responsible component (the index if unlabelled)."""
+    labels = []
+    for k in assign_components(config.world, samples):
+        k = int(k)
+        labels.append(next((label for label, idx in config.mass_labels.items() if k in idx), str(k)))
+    return labels
 
 
 def _vec(v):
-    return None if v is None else [float(c) for c in v]
+    return None if v is None else v.tolist()
 
 
 def _trajectory_lines(seed: int, result) -> list:
@@ -118,7 +112,7 @@ def cmd_sample(config_path, out_dir=None, jobs=1, seed_base=None, strict=False) 
     """Run the configured strategy over the seeds; write samples + trajectories."""
     try:
         config = _prepare(config_path, out_dir, seed_base)
-        results = [(seed, run_strategy(config, config.guidance.strategy, seed)) for seed in config.seeds]
+        result = run_strategy(config, config.guidance.strategy, config.seeds)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"sample: error: {exc}", file=sys.stderr)
         return 2
@@ -127,15 +121,15 @@ def cmd_sample(config_path, out_dir=None, jobs=1, seed_base=None, strict=False) 
     with open(config.out_dir / "samples.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed"] + [f"x{i}" for i in range(config.world.dim)] + ["mode"])
-        for seed, result in results:
-            x = final_state(result)
-            writer.writerow([seed] + [repr(float(c)) for c in x] + [_mode_label(x, config)])
+        finals = result.finals
+        for seed, x, label in zip(result.seeds, finals, _mode_labels(finals, config)):
+            writer.writerow([seed] + [repr(float(c)) for c in x] + [label])
     artifacts.append("samples.csv")
 
     if "jsonl" in config.formats:
         with open(config.out_dir / "trajectories.jsonl", "w") as fh:
-            for seed, result in results:
-                for line in _trajectory_lines(seed, result):
+            for i, seed in enumerate(result.seeds):
+                for line in _trajectory_lines(seed, result.trajectory(i)):
                     fh.write(line + "\n")
         artifacts.append("trajectories.jsonl")
 
@@ -149,7 +143,7 @@ def cmd_compare_guidance(config_path, out_dir=None, jobs=1, seed_base=None, stri
         config = _prepare(config_path, out_dir, seed_base)
         if config.negative is None:
             raise ConfigError("comparison runs need a 'negative' condition binding")
-        table = strategy_comparison(config, jobs=jobs)
+        table = strategy_comparison(config)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"compare-guidance: error: {exc}", file=sys.stderr)
         return 2
@@ -157,12 +151,12 @@ def cmd_compare_guidance(config_path, out_dir=None, jobs=1, seed_base=None, stri
     with open(config.out_dir / "comparison.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["strategy", "counterfactual_mass_mean", "counterfactual_mass_stderr", "seeds"])
-        for strategy in STRATEGY_ORDER:
+        for strategy in STRATEGIES:
             row = table[strategy]
             writer.writerow([strategy, repr(row["mass_mean"]), repr(row["mass_stderr"]), row["seeds"]])
 
     _write_manifest(config.out_dir, "compare-guidance", config.raw, config.seeds, ["comparison.csv"])
-    for strategy in STRATEGY_ORDER:
+    for strategy in STRATEGIES:
         print(f"{strategy:<9} counterfactual mass {table[strategy]['mass_mean']:.4f}"
               f" +/- {table[strategy]['mass_stderr']:.4f} over {table[strategy]['seeds']} seeds")
     return 0
@@ -318,7 +312,8 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the experiment JSON config")
     common.add_argument("--out", default=None, help="output directory (overrides config output.directory)")
-    common.add_argument("--jobs", type=int, default=1, help="parallelism bound for independent runs")
+    common.add_argument("--jobs", type=int, default=1,
+                        help="parallelism bound over prompts (par-generate); seed sweeps run as one batch")
     common.add_argument("--seed-base", type=int, default=None,
                         help="replace the seed base (count+base configs) or offset an explicit seed list")
     common.add_argument("--strict", action="store_true",

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from guidelab.guidance import GuidanceConfig
-from guidelab.oracle import Condition, GmmWorld, epsilon_oracle, log_density_and_score, noised_mixture
-from guidelab.sampler import Trajectory, run_single_branch
+from guidelab.guidance import GuidanceConfig, row_norms
+from guidelab.oracle import Condition, GmmWorld, assign_components, epsilon_oracle
+from guidelab.sampler import Trajectory, TrajectoryBatch, run_single_batch
 from guidelab.schedule import NoiseSchedule
 
 __all__ = [
@@ -83,7 +83,8 @@ def jacobian_fd(world: GmmWorld, cond: Condition, schedule: NoiseSchedule, x: np
     """Dense Jacobian of the noise prediction at (x, t) by central differences.
 
     J[i, j] = d eps_i / d x_j at step size h. Restricted to small
-    dimensions; the column loop does 2*dim oracle calls.
+    dimensions; the 2*dim probe points x +/- h e_j go to the oracle as
+    one batch.
     """
     if h <= 0:
         raise ValueError(f"finite-difference step h must be > 0, got {h}")
@@ -91,14 +92,11 @@ def jacobian_fd(world: GmmWorld, cond: Condition, schedule: NoiseSchedule, x: np
     dim = world.dim
     if dim > MAX_FD_DIM:
         raise ValueError(f"dense finite differences limited to dim <= {MAX_FD_DIM}, got {dim}")
-    J = np.empty((dim, dim))
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = h
-        hi = epsilon_oracle(world, cond, schedule, x + e, t)
-        lo = epsilon_oracle(world, cond, schedule, x - e, t)
-        J[:, j] = (hi - lo) / (2.0 * h)
-    return J
+    steps = h * np.eye(dim)
+    eps = epsilon_oracle(world, cond, schedule, np.concatenate([x + steps, x - steps]), t)
+    # column j is (eps(x + h e_j) - eps(x - h e_j)) / 2h; copied to C order, because the
+    # BLAS products in leading_eigen round differently on a transposed layout
+    return ((eps[:dim] - eps[dim:]) / (2.0 * h)).T.copy()
 
 
 def leading_eigen(J: np.ndarray, iters: int = 200, tol: float = 1e-10) -> tuple:
@@ -165,18 +163,40 @@ def mode_mass(samples, world: GmmWorld, label_sets: dict) -> dict:
         claimed.extend(int(i) for i in idx)
     if sorted(claimed) != list(range(world.num_components)):
         raise ValueError(f"label_sets {label_sets} do not partition components 0..{world.num_components - 1}")
-    diff = X[:, None, :] - world.means[None]
-    log_comp = (
-        -0.5 * np.sum(diff * diff / world.cov_diags[None], axis=2)
-        - 0.5 * np.sum(np.log(world.cov_diags), axis=1)[None]
-        + np.log(world.weights)[None]
-    )
-    assign = np.argmax(log_comp, axis=1)
+    assign = assign_components(world, X)
     out = {}
     for label, idx in label_sets.items():
         members = np.asarray(sorted(int(i) for i in idx))
         out[label] = float(np.mean(np.isin(assign, members)))
     return out
+
+
+def _check_shared_latent(cfg: GuidanceConfig, seeds) -> list:
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("the bias probe needs at least one seed")
+    if cfg.strategy not in ("NP", "SDN"):
+        raise ValueError(f"bias probe needs a shared-latent strategy with a negative condition, got {cfg.strategy}")
+    return seeds
+
+
+def _bias_gap(world: GmmWorld, p_minus: Condition, schedule: NoiseSchedule, coupled: TrajectoryBatch) -> list:
+    """Seed-mean bias gap of a coupled NP/SDN batch against decoupled references.
+
+    The raw negative prediction on the coupled latent at step t is the
+    coupled run's recorded eps_neg; on the reference latent it is the
+    reference run's recorded conditional prediction. Per-seed gaps are
+    added one seed at a time, in seed order, not by a pairwise np.sum,
+    so each step's sum rounds exactly as a loop over seeds does.
+    """
+    ref_cfg = GuidanceConfig(strategy="CFG", w=1.0, lambda_=coupled.config.lambda_, eps_stab=coupled.config.eps_stab)
+    reference = run_single_batch(world, p_minus, None, schedule, ref_cfg, coupled.seeds, deterministic=True)
+    per_step = np.array([row_norms(shared - own) for shared, own in zip(coupled.eps_neg, reference.eps_pos)])
+    gaps = np.zeros(len(per_step))
+    for seed_gaps in per_step.T:
+        gaps += seed_gaps
+    gaps /= len(coupled.seeds)
+    return [(t, float(gap)) for t, gap in zip(coupled.steps, gaps)]
 
 
 def trajectory_bias_probe(
@@ -198,23 +218,9 @@ def trajectory_bias_probe(
     identically zero series when p_plus == p_minus. Runs in
     deterministic mode so the two runs share no noise bookkeeping.
     """
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("trajectory_bias_probe needs at least one seed")
-    if cfg.strategy not in ("NP", "SDN"):
-        raise ValueError(f"bias probe needs a shared-latent strategy with a negative condition, got {cfg.strategy}")
-    ref_cfg = GuidanceConfig(strategy="CFG", w=1.0, lambda_=cfg.lambda_, eps_stab=cfg.eps_stab)
-    T = schedule.num_steps
-    gaps = np.zeros(T)
-    for seed in seeds:
-        coupled = run_single_branch(world, p_plus, p_minus, schedule, cfg, seed, deterministic=True)
-        reference = run_single_branch(world, p_minus, None, schedule, ref_cfg, seed, deterministic=True)
-        for i, t in enumerate(range(T, 0, -1)):
-            en_shared = epsilon_oracle(world, p_minus, schedule, coupled.states[i], t)
-            en_own = epsilon_oracle(world, p_minus, schedule, reference.states[i], t)
-            gaps[i] += np.linalg.norm(en_shared - en_own)
-    gaps /= len(seeds)
-    return [(t, float(gaps[i])) for i, t in enumerate(range(T, 0, -1))]
+    seeds = _check_shared_latent(cfg, seeds)
+    coupled = run_single_batch(world, p_plus, p_minus, schedule, cfg, seeds, deterministic=True)
+    return _bias_gap(world, p_minus, schedule, coupled)
 
 
 def build_report(
@@ -230,36 +236,29 @@ def build_report(
 ) -> DiagnosticsReport:
     """Assemble the full diagnostic report for a shared-latent run.
 
-    delta_norms and bias_gap are seed-averaged; the spectral series
-    (leading eigenpair and suppression projection) follow one
-    representative seed's latent path, since eigenvectors do not
-    average across seeds.
+    delta_norms and bias_gap are seed-averaged over one coupled batch;
+    the spectral series (leading eigenpair and suppression projection)
+    follow one representative seed's latent path, since eigenvectors do
+    not average across seeds.
     """
-    seeds = list(seeds)
-    trajs = [run_single_branch(world, p_plus, p_minus, schedule, cfg, s, deterministic=True) for s in seeds]
-    T = schedule.num_steps
-    curves = np.array([[val for _, val in delta_norm_curve(tr)] for tr in trajs])
-    delta_norms = [(t, float(curves[:, i].mean())) for i, t in enumerate(range(T, 0, -1))]
+    seeds = _check_shared_latent(cfg, seeds)
+    coupled = run_single_batch(world, p_plus, p_minus, schedule, cfg, seeds, deterministic=True)
+    delta_norms = [(t, float(row_norms(d).mean())) for t, d in zip(coupled.steps, coupled.delta)]
 
-    probe = trajectory_bias_probe(world, p_plus, p_minus, schedule, cfg, seeds)
-
-    rep = trajs[eigen_seed_index]
     leading_eigs = []
     suppression = []
-    for i, t in enumerate(range(T, 0, -1)):
-        J = jacobian_fd(world, p_plus, schedule, rep.states[i], t, fd_h)
+    for i, t in enumerate(coupled.steps):
+        J = jacobian_fd(world, p_plus, schedule, coupled.states[i, eigen_seed_index], t, fd_h)
         lam, v = leading_eigen(J)
         leading_eigs.append((t, lam, v))
-        suppression.append((t, suppression_projection(v, rep.records[i].delta, cfg.w)))
+        suppression.append((t, suppression_projection(v, coupled.delta[i, eigen_seed_index], cfg.w)))
 
-    finals = np.stack([tr.final for tr in trajs])
-    masses = mode_mass(finals, world, label_sets)
     return DiagnosticsReport(
         delta_norms=delta_norms,
         leading_eigs=leading_eigs,
         suppression_proj=suppression,
-        mode_masses=masses,
-        bias_gap=probe,
+        mode_masses=mode_mass(coupled.finals, world, label_sets),
+        bias_gap=_bias_gap(world, p_minus, schedule, coupled),
     )
 
 

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from guidelab.guidance import STRATEGIES, GuidanceConfig
-from guidelab.oracle import Condition, GmmWorld
-from guidelab.sampler import run_dual_branch, run_single_branch
+from guidelab.oracle import Condition, GmmWorld, assign_components
+from guidelab.sampler import run_dual_batch, run_single_batch
 from guidelab.schedule import NoiseSchedule, make_linear_schedule
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "run_strategy",
     "strategy_comparison",
 ]
-
-STRATEGY_ORDER = ("CFG", "NP", "SDN", "TDD_ONLY", "SDG")
 
 # The bundled two-well world. Separation between the component means is
 # wide enough that the normalized dual-branch strategies empty the
@@ -254,62 +252,51 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def run_strategy(config: ExperimentConfig, strategy: str, seed: int):
-    """Run one seed under one strategy and return its trajectory bundle.
+def run_strategy(config: ExperimentConfig, strategy: str, seeds):
+    """Run one strategy over seeds, all of them as one batch.
 
-    Single-latent strategies return a Trajectory; dual-branch ones a
-    DualTrajectory. The CFG row needs no negative condition; the rest
-    use the config's negative binding.
+    A sequence of seeds gives a TrajectoryBatch for single-latent
+    strategies and a DualTrajectoryBatch for dual-branch ones; one int
+    seed gives that seed's Trajectory or DualTrajectory. The CFG row
+    needs no negative condition; the rest use the config's negative
+    binding.
     """
+    if isinstance(seeds, (int, np.integer)):
+        return run_strategy(config, strategy, [seeds]).trajectory(0)
     g = config.guidance
     cfg = GuidanceConfig(strategy=strategy, w=g.w, lambda_=g.lambda_, eps_stab=g.eps_stab)
     pos = config.positive_condition
     neg = config.negative_condition
     if strategy == "CFG":
-        return run_single_branch(config.world, pos, None, config.schedule, cfg, seed,
-                                 deterministic=config.deterministic)
+        return run_single_batch(config.world, pos, None, config.schedule, cfg, seeds,
+                                deterministic=config.deterministic)
     if neg is None:
         raise ConfigError(f"strategy {strategy} requires a 'negative' condition binding")
-    if strategy in ("NP", "SDN"):
-        return run_single_branch(config.world, pos, neg, config.schedule, cfg, seed,
-                                 deterministic=config.deterministic)
-    return run_dual_branch(config.world, pos, neg, config.schedule, cfg, seed,
-                           deterministic=config.deterministic)
+    runner = run_single_batch if strategy in ("NP", "SDN") else run_dual_batch
+    return runner(config.world, pos, neg, config.schedule, cfg, seeds, deterministic=config.deterministic)
 
 
 def final_state(result) -> np.ndarray:
-    """The sample a run produced: the (plus branch) final state."""
+    """The sample a one-seed run produced: the (plus branch) final state."""
     return result.plus.final if hasattr(result, "plus") else result.final
 
 
-def strategy_comparison(config: ExperimentConfig, strategies=STRATEGY_ORDER, jobs: int = 1) -> dict:
+def strategy_comparison(config: ExperimentConfig, strategies=STRATEGIES) -> dict:
     """Counterfactual-mode mass per strategy over the config's seeds.
 
     Returns {strategy: {"mass_mean", "mass_stderr", "seeds", "finals"}}.
-    The counterfactual label must be present in config.mass_labels.
+    Each strategy runs all seeds as one batch. The counterfactual label
+    must be present in config.mass_labels.
     """
     if "counterfactual" not in config.mass_labels:
         raise ConfigError("field 'mass_labels' must define a 'counterfactual' label for comparison runs")
-
-    def one_strategy(strategy):
-        finals = np.stack([final_state(run_strategy(config, strategy, s)) for s in config.seeds])
-        cf = np.asarray(sorted(config.mass_labels["counterfactual"]))
-        diff = finals[:, None, :] - config.world.means[None]
-        log_comp = (
-            -0.5 * np.sum(diff * diff / config.world.cov_diags[None], axis=2)
-            - 0.5 * np.sum(np.log(config.world.cov_diags), axis=1)[None]
-            + np.log(config.world.weights)[None]
-        )
-        assign = np.argmax(log_comp, axis=1)
-        per_seed = np.isin(assign, cf).astype(float)
+    cf = np.asarray(sorted(config.mass_labels["counterfactual"]))
+    table = {}
+    for strategy in strategies:
+        finals = run_strategy(config, strategy, config.seeds).finals.copy()
+        per_seed = np.isin(assign_components(config.world, finals), cf).astype(float)
         n = len(per_seed)
         stderr = float(per_seed.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        return {"mass_mean": float(per_seed.mean()), "mass_stderr": stderr, "seeds": n, "finals": finals}
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one_strategy, strategies))
-        return dict(zip(strategies, rows))
-    return {s: one_strategy(s) for s in strategies}
+        table[strategy] = {"mass_mean": float(per_seed.mean()), "mass_stderr": stderr, "seeds": n,
+                           "finals": finals}
+    return table

@@ -28,6 +28,7 @@ __all__ = [
     "sdg_combine",
     "tdd_only_combine",
     "branch_guided_eps",
+    "row_norms",
 ]
 
 STRATEGIES = ("CFG", "NP", "SDN", "TDD_ONLY", "SDG")
@@ -70,6 +71,18 @@ def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple:
     return a, b
 
 
+def row_norms(a: np.ndarray):
+    """Euclidean norm of each row of a (N, dim) batch, or of a single (dim,) vector.
+
+    Each row gets its own 1-D np.linalg.norm, so a row's norm is bit for
+    bit the norm of that vector alone; np.linalg.norm(a, axis=-1) sums
+    in a different order and can differ in the last bits.
+    """
+    if a.ndim == 1:
+        return np.linalg.norm(a)
+    return np.array([np.linalg.norm(row) for row in a])
+
+
 def cfg_combine(eps_uncond: np.ndarray, eps_cond: np.ndarray, w: float) -> np.ndarray:
     """Classifier-free guidance: eps_uncond + w * (eps_cond - eps_uncond).
 
@@ -98,13 +111,14 @@ def sdn_combine(eps_pos: np.ndarray, eps_neg: np.ndarray, lam: float, eps_stab: 
     The correction is lam * delta / (||delta|| + eps_stab), so its norm
     is lam * ||delta|| / (||delta|| + eps_stab): capped by lam,
     essentially equal to lam whenever ||delta|| dominates eps_stab, and
-    vanishing smoothly as delta -> 0.
+    vanishing smoothly as delta -> 0. For (N, dim) batches each row is
+    normalized by its own norm.
     """
     if eps_stab <= 0:
         raise ValueError(f"eps_stab must be > 0, got {eps_stab}")
     eps_pos, eps_neg = _check_pair(eps_pos, eps_neg)
     delta = eps_pos - eps_neg
-    return eps_pos + lam * delta / (np.linalg.norm(delta) + eps_stab)
+    return eps_pos + lam * delta / (row_norms(delta)[..., None] + eps_stab)
 
 
 def sdg_combine(eps_plus: np.ndarray, eps_minus: np.ndarray, lam: float, eps_stab: float) -> np.ndarray:
@@ -129,7 +143,7 @@ def branch_guided_eps(
     t: int,
     w: float,
 ) -> np.ndarray:
-    """CFG-guided prediction of one branch on its own latent.
+    """CFG-guided prediction of one branch on its own latent (dim,) or latents (N, dim).
 
     Anchored at the conditional prediction: eps_c + w * (eps_c - eps_null),
     which equals cfg_combine(eps_null, eps_c, w + 1). With the full

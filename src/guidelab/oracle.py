@@ -23,6 +23,7 @@ __all__ = [
     "noised_mixture",
     "log_density_and_score",
     "epsilon_oracle",
+    "assign_components",
     "as_denoiser",
 ]
 
@@ -153,35 +154,60 @@ def noised_mixture(world: GmmWorld, cond: Condition, schedule: NoiseSchedule, t:
 
 
 def log_density_and_score(mixture: NoisedMixture, x: np.ndarray) -> tuple:
-    """Log-density and its gradient at x, via stable log-sum-exp responsibilities."""
+    """Log-density and its gradient at x, via stable log-sum-exp responsibilities.
+
+    x is one point of shape (dim,) or a batch of shape (N, dim). One
+    point gives a float and a (dim,) score; a batch gives (N,)
+    log-densities and an (N, dim) score whose rows equal the one-point
+    results bit for bit, because every row goes through the same
+    operations in the same order.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (mixture.dim,):
+    if x.ndim not in (1, 2) or x.shape[-1] != mixture.dim:
         raise ValueError(f"x shape {x.shape} incompatible with mixture dim {mixture.dim}")
     means, covs = mixture.means, mixture.cov_diags
-    diff = means - x[None, :]
+    diff = means - np.atleast_2d(x)[:, None, :]
     # per-component Gaussian log densities, diagonal covariance
     log_comp = (
-        -0.5 * np.sum(diff * diff / covs, axis=1)
+        -0.5 * np.sum(diff * diff / covs, axis=2)
         - 0.5 * np.sum(np.log(covs), axis=1)
         - 0.5 * mixture.dim * np.log(2.0 * np.pi)
         + np.log(mixture.weights)
     )
-    m = log_comp.max()
-    log_density = m + np.log(np.sum(np.exp(log_comp - m)))
+    m = log_comp.max(axis=1, keepdims=True)
+    log_density = m + np.log(np.sum(np.exp(log_comp - m), axis=1, keepdims=True))
     resp = np.exp(log_comp - log_density)
-    score = np.sum(resp[:, None] * diff / covs, axis=0)
-    return float(log_density), score
+    score = np.sum(resp[:, :, None] * diff / covs, axis=1)
+    if x.ndim == 1:
+        return float(log_density[0, 0]), score[0]
+    return log_density[:, 0], score
 
 
 def epsilon_oracle(world: GmmWorld, cond: Condition, schedule: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
     """Bayes-optimal noise prediction for the conditioned world at (x, t).
 
     Uses the identity eps*(x, t) = -sqrt(1 - alpha_bar_t) * score of the
-    noised conditional marginal. Deterministic and exact.
+    noised conditional marginal. Deterministic and exact. x is one point
+    (dim,) or a batch (N, dim); the result has the same shape.
     """
     mixture = noised_mixture(world, cond, schedule, t)
     _, score = log_density_and_score(mixture, x)
     return -np.sqrt(1.0 - schedule.alpha_bar(t)) * score
+
+
+def assign_components(world: GmmWorld, samples: np.ndarray) -> np.ndarray:
+    """Index of the most responsible component for each row of samples (N, dim).
+
+    Hard argmax of log w_k + log N(x; mu_k, diag(sigma_k^2)) on the
+    un-noised world; the shared -dim/2 log(2 pi) term is left out.
+    """
+    diff = np.atleast_2d(np.asarray(samples, dtype=np.float64))[:, None, :] - world.means[None]
+    log_comp = (
+        -0.5 * np.sum(diff * diff / world.cov_diags[None], axis=2)
+        - 0.5 * np.sum(np.log(world.cov_diags), axis=1)[None]
+        + np.log(world.weights)[None]
+    )
+    return np.argmax(log_comp, axis=1)
 
 
 def as_denoiser(world: GmmWorld, schedule: NoiseSchedule) -> Callable:

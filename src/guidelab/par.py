@@ -23,8 +23,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Optional
 
-import requests
-
 __all__ = [
     "ANALYSIS_MARKER",
     "COUNTERFACTUAL_MARKER",
@@ -391,6 +389,10 @@ class HttpTransport:
         self.temperature = temperature
 
     def __call__(self, messages: list, cfg: LlmEndpointConfig) -> str:
+        # imported here: requests takes about as long to import as the rest of the CLI,
+        # and only live par runs need it
+        import requests
+
         token = os.environ.get(cfg.api_key_env)
         if not token:
             raise TransportError(f"environment variable {cfg.api_key_env} is not set")

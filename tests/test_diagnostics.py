@@ -24,7 +24,7 @@ from guidelab.diagnostics import (
     trajectory_bias_probe,
 )
 from guidelab.guidance import GuidanceConfig
-from guidelab.oracle import Condition, GmmWorld
+from guidelab.oracle import Condition, GmmWorld, epsilon_oracle
 from guidelab.sampler import run_single_branch
 from guidelab.schedule import make_linear_schedule
 
@@ -291,3 +291,75 @@ def test_series_to_csv_round_trip(tmp_path):
         st, sval = line.split(",")
         assert int(st) == t
         assert float(sval) == val
+
+
+def test_build_report_shares_the_coupled_batch(monkeypatch):
+    # One coupled batch feeds the delta norms, the spectra and the bias
+    # gap; only the decoupled reference batch is run besides it, so the
+    # report costs 2 x seeds trajectories and its gap equals the probe's.
+    import guidelab.diagnostics as diag
+
+    s = make_linear_schedule(10, 0.05, 0.25)
+    run = diag.run_single_batch
+    seen = []
+
+    def counting(*args, **kwargs):
+        batch = run(*args, **kwargs)
+        seen.append(len(batch.seeds))
+        return batch
+
+    monkeypatch.setattr(diag, "run_single_batch", counting)
+    args = (MIX, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("NP"), [4, 0, 2])
+    rep = build_report(*args, label_sets={"A": [0, 2], "B": [1]})
+    assert seen == [3, 3]
+    assert rep.bias_gap == trajectory_bias_probe(*args)
+    curves = [delta_norm_curve(run_single_branch(*args[:5], seed)) for seed in (4, 0, 2)]
+    for i, (t, val) in enumerate(rep.delta_norms):
+        assert val == float(np.mean([c[i][1] for c in curves]))
+
+
+def test_build_report_rejects_cfg():
+    s = make_linear_schedule(5, 0.05, 0.2)
+    with pytest.raises(ValueError):
+        build_report(MIX, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("CFG"), [0],
+                     {"A": [0, 2], "B": [1]})
+
+
+def test_jacobian_batch_equals_column_loop():
+    # The 2*dim probe points go to the oracle as one batch; each column
+    # must equal its own pair of one-point calls, and J comes back in C
+    # order because the eigen solver's BLAS products depend on layout.
+    s = make_linear_schedule(10, 0.05, 0.25)
+    rng = np.random.default_rng(91)
+    h = 1e-5
+    for _ in range(5):
+        x = rng.normal(scale=2.0, size=2)
+        t = int(rng.integers(1, 11))
+        J = jacobian_fd(MIX, Condition.subset([0, 1]), s, x, t, h)
+        assert J.flags.c_contiguous
+        for j in range(2):
+            e = np.zeros(2)
+            e[j] = h
+            hi = epsilon_oracle(MIX, Condition.subset([0, 1]), s, x + e, t)
+            lo = epsilon_oracle(MIX, Condition.subset([0, 1]), s, x - e, t)
+            assert np.array_equal(J[:, j], (hi - lo) / (2.0 * h))
+
+
+def test_bias_probe_equals_seed_by_seed_accumulation():
+    # Reference: the probe's definition run one seed at a time, each
+    # seed's per-step gap added in seed order.
+    s = make_linear_schedule(10, 0.05, 0.25)
+    p_plus, p_minus = Condition.subset([0, 2]), Condition.subset([1])
+    cfg = GuidanceConfig("SDN")
+    seeds = list(range(3, 23))
+    gaps = np.zeros(10)
+    for seed in seeds:
+        coupled = run_single_branch(MIX, p_plus, p_minus, s, cfg, seed)
+        reference = run_single_branch(MIX, p_minus, None, s, GuidanceConfig("CFG", w=1.0), seed)
+        for i, t in enumerate(range(10, 0, -1)):
+            shared = epsilon_oracle(MIX, p_minus, s, coupled.states[i], t)
+            own = epsilon_oracle(MIX, p_minus, s, reference.states[i], t)
+            gaps[i] += np.linalg.norm(shared - own)
+    gaps /= len(seeds)
+    expect = [(t, float(gaps[i])) for i, t in enumerate(range(10, 0, -1))]
+    assert trajectory_bias_probe(MIX, p_plus, p_minus, s, cfg, seeds) == expect

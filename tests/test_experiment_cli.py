@@ -25,6 +25,8 @@ from guidelab.experiment import (
     strategy_comparison,
 )
 
+from guidelab.guidance import STRATEGIES
+
 from test_par import FIXTURES
 
 
@@ -147,13 +149,18 @@ def test_run_strategy_dispatch():
         run_strategy(parse_config(raw), "NP", 0)
 
 
-def test_strategy_comparison_parallel_matches_serial():
-    cfg = parse_config(small_config())
-    serial = strategy_comparison(cfg)
-    parallel = strategy_comparison(cfg, jobs=3)
-    for strategy in serial:
-        assert serial[strategy]["mass_mean"] == parallel[strategy]["mass_mean"]
-        np.testing.assert_array_equal(serial[strategy]["finals"], parallel[strategy]["finals"])
+def test_strategy_comparison_batch_matches_per_seed():
+    # Each strategy runs its seeds as one batch; every final must equal
+    # the final of that seed run alone, and the masses follow from them.
+    raw = small_config()
+    raw["run"]["seeds"] = [5, 0, 3]
+    cfg = parse_config(raw)
+    table = strategy_comparison(cfg)
+    assert tuple(table) == STRATEGIES
+    for strategy, row in table.items():
+        for seed, final in zip(cfg.seeds, row["finals"]):
+            np.testing.assert_array_equal(final, final_state(run_strategy(cfg, strategy, seed)))
+        assert row["seeds"] == 3
 
 
 def test_cmd_sample_writes_artifacts(tmp_path):

@@ -8,6 +8,7 @@ from guidelab.guidance import (
     branch_guided_eps,
     cfg_combine,
     np_combine,
+    row_norms,
     sdg_combine,
     sdn_combine,
     tdd_only_combine,
@@ -224,3 +225,20 @@ def test_guidance_config_validation():
         GuidanceConfig(strategy="SDN", eps_stab=0.0)
     with pytest.raises(ValueError):
         GuidanceConfig(strategy="CFG", w=float("nan"))
+
+
+def test_normalized_rules_batch_rows_equal_single_vectors():
+    # Each row of a batch is normalized by its own 1-D norm, so a row's
+    # result equals the rule applied to that row alone, bit for bit.
+    rng = np.random.default_rng(111)
+    for _ in range(30):
+        dim = int(rng.integers(1, 17))
+        a = rng.normal(scale=3.0, size=(12, dim))
+        b = rng.normal(scale=3.0, size=(12, dim))
+        norms = row_norms(a - b)
+        got = sdn_combine(a, b, 30.0, 1e-8)
+        got_sdg = sdg_combine(a, b, 30.0, 1e-8)
+        for i in range(12):
+            assert norms[i] == np.linalg.norm(a[i] - b[i])
+            assert np.array_equal(got[i], sdn_combine(a[i], b[i], 30.0, 1e-8))
+            assert np.array_equal(got_sdg[i], sdg_combine(a[i], b[i], 30.0, 1e-8))

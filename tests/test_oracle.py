@@ -6,6 +6,8 @@ package implementation. Scores are then checked against central finite
 differences of that reference.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -16,6 +18,7 @@ from guidelab.oracle import (
     GmmWorld,
     NoisedMixture,
     as_denoiser,
+    assign_components,
     epsilon_oracle,
     log_density_and_score,
     noised_mixture,
@@ -248,3 +251,65 @@ def test_score_dimension_mismatch():
     m = NoisedMixture(means=np.zeros((1, 2)), cov_diags=np.ones((1, 2)), weights=np.array([1.0]), t=1)
     with pytest.raises(ValueError):
         log_density_and_score(m, np.zeros(3))
+
+
+def one_point_eps(world, cond, schedule, x, t):
+    """The prediction at one point, each operation written out in the package's order."""
+    m = noised_mixture(world, cond, schedule, t)
+    diff = m.means - x[None, :]
+    log_comp = (
+        -0.5 * np.sum(diff * diff / m.cov_diags, axis=1)
+        - 0.5 * np.sum(np.log(m.cov_diags), axis=1)
+        - 0.5 * m.dim * np.log(2.0 * np.pi)
+        + np.log(m.weights)
+    )
+    top = log_comp.max()
+    log_density = top + np.log(np.sum(np.exp(log_comp - top)))
+    resp = np.exp(log_comp - log_density)
+    score = np.sum(resp[:, None] * diff / m.cov_diags, axis=0)
+    return -np.sqrt(1.0 - schedule.alpha_bar(t)) * score, log_density
+
+
+def test_batched_oracle_equals_row_by_row_exactly():
+    # A batch of points must give each row bit for bit what that point
+    # gives alone; seed sweeps run batched and their artifacts must not
+    # depend on how many seeds share a batch.
+    rng = np.random.default_rng(71)
+    s = make_linear_schedule(20, 0.03, 0.2)
+    for trial in range(60):
+        world = random_world(rng, dim=int(rng.integers(1, 17)), num_components=int(rng.integers(1, 9)))
+        k = world.num_components
+        cond = Condition.null() if trial % 2 else Condition.subset(
+            rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False))
+        X = rng.normal(scale=4.0, size=(int(rng.integers(1, 40)), world.dim))
+        t = int(rng.integers(1, 21))
+        eps = epsilon_oracle(world, cond, s, X, t)
+        logp, score = log_density_and_score(noised_mixture(world, cond, s, t), X)
+        assert eps.shape == score.shape == X.shape and logp.shape == (len(X),)
+        for i, x in enumerate(X):
+            expect, expect_logp = one_point_eps(world, cond, s, x, t)
+            assert np.array_equal(eps[i], expect)
+            assert np.array_equal(eps[i], epsilon_oracle(world, cond, s, x, t))
+            assert logp[i] == expect_logp
+
+
+def test_oracle_rejects_bad_batch_shapes():
+    world = GmmWorld(means=np.zeros((2, 2)), cov_diags=np.ones((2, 2)), weights=np.array([0.5, 0.5]))
+    s = make_linear_schedule(5, 0.1, 0.2)
+    for bad in (np.zeros((4, 3)), np.zeros((2, 4, 2)), np.zeros(())):
+        with pytest.raises(ValueError, match=re.escape(str(bad.shape))):
+            epsilon_oracle(world, Condition.null(), s, bad, 1)
+
+
+def test_assign_components_matches_scipy_argmax():
+    # Hard assignment against argmax of log w_k + a scipy Gaussian logpdf per component.
+    rng = np.random.default_rng(101)
+    for _ in range(10):
+        world = random_world(rng, dim=3, num_components=4)
+        X = rng.normal(scale=4.0, size=(25, 3))
+        ref = [
+            int(np.argmax([np.log(world.weights[k]) + multivariate_normal.logpdf(
+                x, mean=world.means[k], cov=np.diag(world.cov_diags[k])) for k in range(4)]))
+            for x in X
+        ]
+        np.testing.assert_array_equal(assign_components(world, X), ref)

@@ -6,6 +6,9 @@ monkeypatched requests.post, never a live socket.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -424,3 +427,14 @@ def test_http_transport_error_paths(monkeypatch):
     monkeypatch.setattr(requests, "post", lambda *a, **kw: FakeResponse(payload={"nope": []}))
     with pytest.raises(TransportError):
         HttpTransport()(msgs, cfg)
+
+
+def test_cli_import_leaves_requests_unloaded():
+    # Only a live HttpTransport call needs requests; every other command
+    # skips its import cost.
+    import guidelab
+
+    code = "import sys, guidelab.cli; print('requests' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(guidelab.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -11,7 +11,13 @@ import pytest
 
 from guidelab.guidance import GuidanceConfig
 from guidelab.oracle import Condition, GmmWorld, epsilon_oracle
-from guidelab.sampler import ancestral_coeffs, run_dual_branch, run_single_branch
+from guidelab.sampler import (
+    ancestral_coeffs,
+    run_dual_batch,
+    run_dual_branch,
+    run_single_batch,
+    run_single_branch,
+)
 from guidelab.schedule import NoiseSchedule, make_linear_schedule
 
 from conftest import random_world
@@ -245,3 +251,59 @@ def test_dual_runs_on_random_worlds():
             np.testing.assert_array_equal(r.delta, r.eps_pos - r.eps_neg)
             dn = np.linalg.norm(r.delta)
             assert np.linalg.norm(r.correction) == pytest.approx(30.0 * dn / (dn + 1e-8), abs=1e-10)
+
+
+def assert_same_path(batch, i, alone):
+    """Seed i of a batch run against the same seed run alone: states and records bit for bit."""
+    view = batch.trajectory(i)
+    assert view.seed == alone.seed == batch.seeds[i]
+    assert len(view.states) == len(alone.states)
+    for got, expect in zip(view.states, alone.states):
+        assert np.array_equal(got, expect)
+    assert np.array_equal(batch.finals[i], alone.final)
+    assert [r.t for r in view.records] == [r.t for r in alone.records]
+    for got, expect in zip(view.records, alone.records):
+        for name in ("eps_pos", "eps_neg", "delta", "correction", "x_after"):
+            a, b = getattr(got, name), getattr(expect, name)
+            assert (a is None) == (b is None), name
+            assert a is None or np.array_equal(a, b), name
+
+
+def test_batch_equals_per_seed_runs_all_strategies():
+    # Every strategy, both sampling modes, on a 3-D 4-component world:
+    # seed i of one batch must reproduce the one-seed run exactly.
+    world = random_world(np.random.default_rng(81), dim=3, num_components=4)
+    s = make_linear_schedule(12, 0.05, 0.25)
+    plus, neg = Condition.subset([0, 1, 2]), Condition.subset([2, 3])
+    seeds = [7, 0, 3, 11, 5]
+    for deterministic in (True, False):
+        for strategy in ("CFG", "NP", "SDN"):
+            cfg = GuidanceConfig(strategy)
+            p_neg = None if strategy == "CFG" else neg
+            batch = run_single_batch(world, plus, p_neg, s, cfg, seeds, deterministic=deterministic)
+            assert batch.states.shape == (13, 5, 3)
+            for i, seed in enumerate(seeds):
+                alone = run_single_branch(world, plus, p_neg, s, cfg, seed, deterministic=deterministic)
+                assert_same_path(batch, i, alone)
+        for strategy in ("TDD_ONLY", "SDG"):
+            cfg = GuidanceConfig(strategy)
+            batch = run_dual_batch(world, plus, neg, s, cfg, seeds, deterministic=deterministic)
+            for i, seed in enumerate(seeds):
+                alone = run_dual_branch(world, plus, neg, s, cfg, seed, deterministic=deterministic)
+                assert alone.shared_seed == seed
+                assert_same_path(batch.plus, i, alone.plus)
+                assert_same_path(batch.minus, i, alone.minus)
+
+
+def test_batch_rows_follow_the_seeding_contract():
+    # Row i of x_T is the first draw of default_rng(seeds[i]), whatever
+    # the other seeds in the batch are.
+    s = make_linear_schedule(4, 0.05, 0.2)
+    seeds = [3, 1, 2]
+    batch = run_single_batch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("CFG"), seeds)
+    for i, seed in enumerate(seeds):
+        np.testing.assert_array_equal(batch.states[0, i], np.random.default_rng(seed).standard_normal(2))
+    with pytest.raises(ValueError):
+        run_single_batch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("CFG"), [])
+    with pytest.raises(ValueError):
+        run_dual_batch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("SDG"), [])
