@@ -4,10 +4,11 @@ Everything runs against exact conditional score oracles for Gaussian
 mixture worlds, so there is no trained denoiser anywhere: every epsilon
 prediction is computed in closed form. On top of that sit the guidance
 combination rules (classifier-free guidance, negative prompting, and the
-synchronized decoupled family), a small ancestral sampler that can run
-one or two coupled trajectories, spectral diagnostics for the oracle
-Jacobian, and a counterfactual-prompt generation pipeline that talks to
-a chat-completions endpoint (or a mock transport for offline work).
+synchronized decoupled family), a small ancestral sampler that steps a
+whole seed sweep of one or two coupled latents as one array, spectral
+diagnostics for the oracle Jacobian, and a counterfactual-prompt
+generation pipeline that talks to a chat-completions endpoint (or a
+mock transport for offline work).
 """
 
 from guidelab.schedule import NoiseSchedule, make_linear_schedule, forward_step, forward_marginal
@@ -23,12 +24,11 @@ from guidelab.guidance import (
 )
 from guidelab.sampler import (
     SamplerStepCoeffs,
-    StepRecord,
-    Trajectory,
-    DualTrajectory,
+    TrajectoryBatch,
+    DualTrajectoryBatch,
     ancestral_coeffs,
-    run_single_branch,
-    run_dual_branch,
+    run_single_batch,
+    run_dual_batch,
 )
 from guidelab.diagnostics import (
     DiagnosticsReport,
@@ -72,12 +72,11 @@ __all__ = [
     "tdd_only_combine",
     "branch_guided_eps",
     "SamplerStepCoeffs",
-    "StepRecord",
-    "Trajectory",
-    "DualTrajectory",
+    "TrajectoryBatch",
+    "DualTrajectoryBatch",
     "ancestral_coeffs",
-    "run_single_branch",
-    "run_dual_branch",
+    "run_single_batch",
+    "run_dual_batch",
     "DiagnosticsReport",
     "delta_norm_curve",
     "jacobian_fd",

@@ -13,7 +13,9 @@ status 0 only if everything requested succeeded.
 
 import argparse
 import csv
+import functools
 import hashlib
+import inspect
 import json
 import sys
 import warnings
@@ -25,13 +27,16 @@ from guidelab.diagnostics import build_report, report_to_json, series_to_csv
 from guidelab.experiment import (
     ConfigError,
     ExperimentConfig,
-    load_config,
     config_hash,
+    load_config,
+    output_dir,
+    read_config,
     run_strategy,
     strategy_comparison,
 )
 from guidelab.guidance import STRATEGIES
 from guidelab.oracle import assign_components
+from guidelab.sampler import DualTrajectoryBatch
 from guidelab.par import (
     LlmEndpointConfig,
     MockTransport,
@@ -48,6 +53,33 @@ __all__ = [
     "cmd_schedule_dump",
     "main",
 ]
+
+# Subcommand name -> (name of its cmd_* function, help text, extra argparse arguments), filled by @_command.
+COMMANDS = {}
+
+
+def _command(name: str, help_text: str, *extra):
+    """Register a command; its config and input errors become "<name>: error: ..." and exit 2.
+
+    Under the keyword argument strict=True a RuntimeWarning is such an error too.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def run(*args, **kwargs):
+            try:
+                with warnings.catch_warnings():
+                    if kwargs.get("strict"):
+                        warnings.simplefilter("error", RuntimeWarning)
+                    return body(*args, **kwargs)
+            except (ConfigError, ValueError, OSError, RuntimeWarning) as exc:
+                print(f"{name}: error: {exc}", file=sys.stderr)
+                return 2
+
+        COMMANDS[name] = (body.__name__, help_text, extra)
+        return run
+
+    return register
 
 
 def _sha256(path: Path) -> str:
@@ -80,26 +112,18 @@ def _mode_labels(samples: np.ndarray, config: ExperimentConfig) -> list:
     return labels
 
 
-def _vec(v):
-    return None if v is None else v.tolist()
-
-
-def _trajectory_lines(seed: int, result) -> list:
-    branches = [("plus", result.plus), ("minus", result.minus)] if hasattr(result, "plus") else [("single", result)]
-    lines = []
-    for branch_name, traj in branches:
-        for rec in traj.records:
-            lines.append(json.dumps({
-                "seed": seed,
-                "branch": branch_name,
-                "t": rec.t,
-                "eps_pos": _vec(rec.eps_pos),
-                "eps_neg": _vec(rec.eps_neg),
-                "delta": _vec(rec.delta),
-                "correction": _vec(rec.correction),
-                "x_after": _vec(rec.x_after),
-            }, sort_keys=True))
-    return lines
+def _trajectory_lines(result):
+    """One JSON line per seed, branch and step, in that nesting order, read from the (T, N, dim) arrays."""
+    dual = isinstance(result, DualTrajectoryBatch)
+    branches = [("plus", result.plus), ("minus", result.minus)] if dual else [("single", result)]
+    for i, seed in enumerate(result.seeds):
+        for branch_name, b in branches:
+            fields = {"eps_pos": b.eps_pos, "eps_neg": b.eps_neg, "delta": b.delta,
+                      "correction": b.correction, "x_after": b.states[1:]}
+            rows = {key: None if a is None else a[:, i].tolist() for key, a in fields.items()}
+            for j, t in enumerate(b.steps):
+                record = {key: None if r is None else r[j] for key, r in rows.items()}
+                yield json.dumps({"seed": seed, "branch": branch_name, "t": t, **record}, sort_keys=True)
 
 
 def _prepare(config_path, out_dir, seed_base) -> ExperimentConfig:
@@ -108,45 +132,33 @@ def _prepare(config_path, out_dir, seed_base) -> ExperimentConfig:
     return config
 
 
-def cmd_sample(config_path, out_dir=None, jobs=1, seed_base=None, strict=False) -> int:
+@_command("sample", "run the configured strategy over the seed sweep")
+def cmd_sample(config_path, out_dir=None, seed_base=None, *, strict=False) -> int:
     """Run the configured strategy over the seeds; write samples + trajectories."""
-    try:
-        config = _prepare(config_path, out_dir, seed_base)
-        result = run_strategy(config, config.guidance.strategy, config.seeds)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"sample: error: {exc}", file=sys.stderr)
-        return 2
+    config = _prepare(config_path, out_dir, seed_base)
+    result = run_strategy(config, config.guidance.strategy, config.seeds)
 
-    artifacts = []
     with open(config.out_dir / "samples.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed"] + [f"x{i}" for i in range(config.world.dim)] + ["mode"])
         finals = result.finals
         for seed, x, label in zip(result.seeds, finals, _mode_labels(finals, config)):
             writer.writerow([seed] + [repr(float(c)) for c in x] + [label])
-    artifacts.append("samples.csv")
+    with open(config.out_dir / "trajectories.jsonl", "w") as fh:
+        for line in _trajectory_lines(result):
+            fh.write(line + "\n")
 
-    if "jsonl" in config.formats:
-        with open(config.out_dir / "trajectories.jsonl", "w") as fh:
-            for i, seed in enumerate(result.seeds):
-                for line in _trajectory_lines(seed, result.trajectory(i)):
-                    fh.write(line + "\n")
-        artifacts.append("trajectories.jsonl")
-
-    _write_manifest(config.out_dir, "sample", config.raw, config.seeds, artifacts)
+    _write_manifest(config.out_dir, "sample", config.raw, config.seeds, ["samples.csv", "trajectories.jsonl"])
     return 0
 
 
-def cmd_compare_guidance(config_path, out_dir=None, jobs=1, seed_base=None, strict=False) -> int:
+@_command("compare-guidance", "compare all strategies on one world")
+def cmd_compare_guidance(config_path, out_dir=None, seed_base=None, *, strict=False) -> int:
     """All five strategies on the same world/seeds; one comparison table."""
-    try:
-        config = _prepare(config_path, out_dir, seed_base)
-        if config.negative is None:
-            raise ConfigError("comparison runs need a 'negative' condition binding")
-        table = strategy_comparison(config)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"compare-guidance: error: {exc}", file=sys.stderr)
-        return 2
+    config = _prepare(config_path, out_dir, seed_base)
+    if config.negative is None:
+        raise ConfigError("comparison runs need a 'negative' condition binding")
+    table = strategy_comparison(config)
 
     with open(config.out_dir / "comparison.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -162,31 +174,23 @@ def cmd_compare_guidance(config_path, out_dir=None, jobs=1, seed_base=None, stri
     return 0
 
 
-def cmd_diagnose_lag(config_path, out_dir=None, jobs=1, seed_base=None, strict=False) -> int:
+@_command("diagnose-lag", "emit lag/bias/spectral diagnostic curves")
+def cmd_diagnose_lag(config_path, out_dir=None, seed_base=None, *, strict=False) -> int:
     """Discrepancy-norm, spectral, and trajectory-bias curves for an NP/SDN run."""
-    try:
-        config = _prepare(config_path, out_dir, seed_base)
-        if config.guidance.strategy not in ("NP", "SDN"):
-            raise ConfigError(
-                f"diagnose-lag needs guidance.strategy NP or SDN, got '{config.guidance.strategy}'"
-            )
-        if config.negative is None:
-            raise ConfigError("diagnose-lag needs a 'negative' condition binding")
-        with warnings.catch_warnings():
-            if strict:
-                warnings.simplefilter("error")
-            report = build_report(
-                config.world,
-                config.positive_condition,
-                config.negative_condition,
-                config.schedule,
-                config.guidance,
-                config.seeds,
-                config.mass_labels or {"all": list(range(config.world.num_components))},
-            )
-    except (ConfigError, ValueError, OSError, RuntimeWarning) as exc:
-        print(f"diagnose-lag: error: {exc}", file=sys.stderr)
-        return 2
+    config = _prepare(config_path, out_dir, seed_base)
+    if config.guidance.strategy not in ("NP", "SDN"):
+        raise ConfigError(f"diagnose-lag needs guidance.strategy NP or SDN, got '{config.guidance.strategy}'")
+    if config.negative is None:
+        raise ConfigError("diagnose-lag needs a 'negative' condition binding")
+    report = build_report(
+        config.world,
+        config.positive_condition,
+        config.negative_condition,
+        config.schedule,
+        config.guidance,
+        config.seeds,
+        config.mass_labels or {"all": list(range(config.world.num_components))},
+    )
 
     out = config.out_dir
     series_to_csv(out / "delta_norms.csv", report.delta_norms, "delta_norm")
@@ -228,10 +232,9 @@ def cmd_diagnose_lag(config_path, out_dir=None, jobs=1, seed_base=None, strict=F
 
 def _endpoint_from_config(raw: dict, mock: bool) -> LlmEndpointConfig:
     par = raw.get("par")
-    if par is None:
-        if not mock:
-            raise ConfigError("field 'par' (endpoint settings) is required without --mock")
-        par = {"base_url": "http://localhost:0", "model": "mock-model"}
+    if par is None and not mock:
+        raise ConfigError("field 'par' (endpoint settings) is required without --mock")
+    par = par or {}
     try:
         return LlmEndpointConfig(
             base_url=str(par.get("base_url", "http://localhost:0")),
@@ -244,27 +247,26 @@ def _endpoint_from_config(raw: dict, mock: bool) -> LlmEndpointConfig:
         raise ConfigError(f"field 'par' invalid: {exc}") from exc
 
 
-def cmd_par_generate(config_path, prompts_path, out_dir=None, mock=None, jobs=1, strict=False) -> int:
-    """Generate counterfactual records for each prompt in a file."""
-    try:
-        config = _prepare(config_path, out_dir, None)
-        with open(config_path) as fh:
-            raw = json.load(fh)
-        endpoint = _endpoint_from_config(raw, mock is not None)
-        with open(prompts_path, encoding="utf-8") as fh:
-            prompts = [line.strip() for line in fh if line.strip()]
-        transport = MockTransport.from_dir(mock) if mock is not None else HttpTransport()
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"par-generate: error: {exc}", file=sys.stderr)
-        return 2
+@_command("par-generate", "generate counterfactual prompt records",
+          (("prompts_path",), {"metavar": "prompts", "help": "file with one user prompt per line"}),
+          (("--mock",), {"default": None, "help": "fixture directory for the mock transport"}))
+def cmd_par_generate(config_path, prompts_path, out_dir=None, mock=None, jobs=1, *, strict=False) -> int:
+    """Generate counterfactual records for each prompt in a file; the config needs only 'par' and 'output'."""
+    raw = read_config(config_path)
+    out = output_dir(raw, out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    endpoint = _endpoint_from_config(raw, mock is not None)
+    with open(prompts_path, encoding="utf-8") as fh:
+        prompts = [line.strip() for line in fh if line.strip()]
+    transport = MockTransport.from_dir(mock) if mock is not None else HttpTransport()
 
     if not prompts:
         print("par-generate: warning: prompts file is empty, nothing to do", file=sys.stderr)
-        _write_manifest(config.out_dir, "par-generate", config.raw, [], [])
+        _write_manifest(out, "par-generate", raw, [], [])
         return 0
 
-    corpus = config.out_dir / "corpus.jsonl"
-    quarantine = config.out_dir / "quarantine.jsonl"
+    corpus = out / "corpus.jsonl"
+    quarantine = out / "quarantine.jsonl"
     results = generate_batch(
         endpoint,
         default_template(),
@@ -275,29 +277,21 @@ def cmd_par_generate(config_path, prompts_path, out_dir=None, mock=None, jobs=1,
         jobs=jobs,
     )
 
-    hard_fail = False
-    transport_fail = False
-    for prompt, status, detail in results:
+    for prompt, status, _ in results:
         print(f"{status:<19} {prompt}")
-        if status != "ok":
-            hard_fail = True
-            if status == "transport_error":
-                transport_fail = True
+    statuses = {status for _, status, _ in results}
 
     artifacts = [p.name for p in (corpus, quarantine) if p.exists()]
-    _write_manifest(config.out_dir, "par-generate", config.raw, [], artifacts)
-    if transport_fail or (hard_fail and strict):
+    _write_manifest(out, "par-generate", raw, [], artifacts)
+    if "transport_error" in statuses or (strict and statuses != {"ok"}):
         return 1
     return 0
 
 
-def cmd_schedule_dump(config_path, out_dir=None, jobs=1, seed_base=None, strict=False) -> int:
+@_command("schedule-dump", "dump the resolved noise schedule")
+def cmd_schedule_dump(config_path, out_dir=None, seed_base=None, *, strict=False) -> int:
     """Write the resolved noise schedule as a (t, beta, alpha_bar) table."""
-    try:
-        config = _prepare(config_path, out_dir, seed_base)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"schedule-dump: error: {exc}", file=sys.stderr)
-        return 2
+    config = _prepare(config_path, out_dir, seed_base)
     s = config.schedule
     with open(config.out_dir / "schedule.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -310,8 +304,10 @@ def cmd_schedule_dump(config_path, out_dir=None, jobs=1, seed_base=None, strict=
 
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="path to the experiment JSON config")
-    common.add_argument("--out", default=None, help="output directory (overrides config output.directory)")
+    common.add_argument("--config", dest="config_path", metavar="CONFIG", required=True,
+                        help="path to the experiment JSON config")
+    common.add_argument("--out", dest="out_dir", metavar="OUT", default=None,
+                        help="output directory (overrides config output.directory)")
     common.add_argument("--jobs", type=int, default=1,
                         help="parallelism bound over prompts (par-generate); seed sweeps run as one batch")
     common.add_argument("--seed-base", type=int, default=None,
@@ -321,24 +317,16 @@ def main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(prog="guidelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("sample", parents=[common], help="run the configured strategy over the seed sweep")
-    sub.add_parser("compare-guidance", parents=[common], help="compare all strategies on one world")
-    sub.add_parser("diagnose-lag", parents=[common], help="emit lag/bias/spectral diagnostic curves")
-    p_par = sub.add_parser("par-generate", parents=[common], help="generate counterfactual prompt records")
-    p_par.add_argument("prompts", help="file with one user prompt per line")
-    p_par.add_argument("--mock", default=None, help="fixture directory for the mock transport")
-    sub.add_parser("schedule-dump", parents=[common], help="dump the resolved noise schedule")
+    for name, (_, help_text, extra) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flags, options in extra:
+            p.add_argument(*flags, **options)
 
-    args = parser.parse_args(argv)
-    if args.command == "sample":
-        return cmd_sample(args.config, args.out, args.jobs, args.seed_base, args.strict)
-    if args.command == "compare-guidance":
-        return cmd_compare_guidance(args.config, args.out, args.jobs, args.seed_base, args.strict)
-    if args.command == "diagnose-lag":
-        return cmd_diagnose_lag(args.config, args.out, args.jobs, args.seed_base, args.strict)
-    if args.command == "par-generate":
-        return cmd_par_generate(args.config, args.prompts, args.out, args.mock, args.jobs, args.strict)
-    return cmd_schedule_dump(args.config, args.out, args.jobs, args.seed_base, args.strict)
+    args = vars(parser.parse_args(argv))
+    # looked up at call time, so a rebound cmd_* (a test double, a tracing wrapper) is what runs
+    run = globals()[COMMANDS[args.pop("command")][0]]
+    accepted = inspect.signature(run).parameters
+    return run(**{key: value for key, value in args.items() if key in accepted})
 
 
 if __name__ == "__main__":

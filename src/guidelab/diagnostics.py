@@ -12,7 +12,6 @@ occupancy metrics round out the picture.
 """
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from guidelab.guidance import GuidanceConfig, row_norms
 from guidelab.oracle import Condition, GmmWorld, assign_components, epsilon_oracle
-from guidelab.sampler import Trajectory, TrajectoryBatch, run_single_batch
+from guidelab.sampler import TrajectoryBatch, ancestral_coeffs, run_single_batch
 from guidelab.schedule import NoiseSchedule
 
 __all__ = [
@@ -37,6 +36,9 @@ __all__ = [
 ]
 
 MAX_FD_DIM = 16
+# Central-difference step of the report's Jacobians, and the seed whose latent path the spectra follow.
+FD_H = 1e-5
+EIGEN_SEED_INDEX = 0
 
 
 @dataclass(frozen=True)
@@ -65,18 +67,15 @@ class DiagnosticsReport:
                 raise ValueError(f"mode mass for {label!r} is {frac}, outside [0, 1]")
 
 
-def delta_norm_curve(traj: Trajectory) -> list:
-    """Per-step discrepancy norms (t, ||delta_t||), t descending from T.
+def delta_norm_curve(batch: TrajectoryBatch) -> list:
+    """Seed-mean discrepancy norms (t, mean_i ||delta_t,i||), t descending from T.
 
-    Reads the recorded deltas directly, so the curve agrees with the
-    StepRecords bit for bit.
+    Reads the recorded deltas directly; for one seed each value is
+    exactly that seed's ||delta_t||.
     """
-    curve = []
-    for rec in traj.records:
-        if rec.delta is None:
-            raise ValueError(f"trajectory strategy {traj.config.strategy} recorded no discrepancy at t={rec.t}")
-        curve.append((rec.t, float(np.linalg.norm(rec.delta))))
-    return curve
+    if batch.delta is None:
+        raise ValueError(f"trajectory strategy {batch.config.strategy} recorded no discrepancy")
+    return [(t, float(row_norms(d).mean())) for t, d in zip(batch.steps, batch.delta)]
 
 
 def jacobian_fd(world: GmmWorld, cond: Condition, schedule: NoiseSchedule, x: np.ndarray, t: int, h: float) -> np.ndarray:
@@ -181,19 +180,25 @@ def _check_shared_latent(cfg: GuidanceConfig, seeds) -> list:
 
 
 def _bias_gap(world: GmmWorld, p_minus: Condition, schedule: NoiseSchedule, coupled: TrajectoryBatch) -> list:
-    """Seed-mean bias gap of a coupled NP/SDN batch against decoupled references.
+    """Seed-mean bias gap of a deterministic coupled NP/SDN batch against decoupled references.
 
     The raw negative prediction on the coupled latent at step t is the
-    coupled run's recorded eps_neg; on the reference latent it is the
-    reference run's recorded conditional prediction. Per-seed gaps are
-    added one seed at a time, in seed order, not by a pairwise np.sum,
-    so each step's sum rounds exactly as a loop over seeds does.
+    coupled run's recorded eps_neg. The reference latent starts at the
+    coupled x_T and follows the raw conditional chain
+    x <- a_t x + b_t eps(p_minus, x, t); its prediction is the one it
+    steps on. Per-seed gaps are added one seed at a time, in seed order,
+    not by a pairwise np.sum, so each step's sum rounds exactly as a
+    loop over seeds does.
     """
-    ref_cfg = GuidanceConfig(strategy="CFG", w=1.0, lambda_=coupled.config.lambda_, eps_stab=coupled.config.eps_stab)
-    reference = run_single_batch(world, p_minus, None, schedule, ref_cfg, coupled.seeds, deterministic=True)
-    per_step = np.array([row_norms(shared - own) for shared, own in zip(coupled.eps_neg, reference.eps_pos)])
+    x = coupled.states[0]
+    per_step = []
+    for shared, t in zip(coupled.eps_neg, coupled.steps):
+        own = epsilon_oracle(world, p_minus, schedule, x, t)
+        per_step.append(row_norms(shared - own))
+        coeffs = ancestral_coeffs(schedule, t)
+        x = coeffs.a_t * x + coeffs.b_t * own
     gaps = np.zeros(len(per_step))
-    for seed_gaps in per_step.T:
+    for seed_gaps in np.array(per_step).T:
         gaps += seed_gaps
     gaps /= len(coupled.seeds)
     return [(t, float(gap)) for t, gap in zip(coupled.steps, gaps)]
@@ -231,8 +236,6 @@ def build_report(
     cfg: GuidanceConfig,
     seeds,
     label_sets: dict,
-    fd_h: float = 1e-5,
-    eigen_seed_index: int = 0,
 ) -> DiagnosticsReport:
     """Assemble the full diagnostic report for a shared-latent run.
 
@@ -243,18 +246,17 @@ def build_report(
     """
     seeds = _check_shared_latent(cfg, seeds)
     coupled = run_single_batch(world, p_plus, p_minus, schedule, cfg, seeds, deterministic=True)
-    delta_norms = [(t, float(row_norms(d).mean())) for t, d in zip(coupled.steps, coupled.delta)]
 
     leading_eigs = []
     suppression = []
     for i, t in enumerate(coupled.steps):
-        J = jacobian_fd(world, p_plus, schedule, coupled.states[i, eigen_seed_index], t, fd_h)
+        J = jacobian_fd(world, p_plus, schedule, coupled.states[i, EIGEN_SEED_INDEX], t, FD_H)
         lam, v = leading_eigen(J)
         leading_eigs.append((t, lam, v))
-        suppression.append((t, suppression_projection(v, coupled.delta[i, eigen_seed_index], cfg.w)))
+        suppression.append((t, suppression_projection(v, coupled.delta[i, EIGEN_SEED_INDEX], cfg.w)))
 
     return DiagnosticsReport(
-        delta_norms=delta_norms,
+        delta_norms=delta_norm_curve(coupled),
         leading_eigs=leading_eigs,
         suppression_proj=suppression,
         mode_masses=mode_mass(coupled.finals, world, label_sets),
@@ -280,9 +282,3 @@ def series_to_csv(path, series, value_header: str = "value") -> None:
         writer.writerow(["t", value_header])
         for t, val in series:
             writer.writerow([t, repr(float(val))])
-
-
-def report_to_json_file(path, report: DiagnosticsReport) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_to_json(report), fh, indent=2)
-        fh.write("\n")

@@ -26,6 +26,8 @@ __all__ = [
     "DEFAULT_CONFIG",
     "default_config",
     "parse_config",
+    "read_config",
+    "output_dir",
     "load_config",
     "config_hash",
     "run_strategy",
@@ -57,7 +59,7 @@ DEFAULT_CONFIG = {
     "schedule": {"num_steps": 50, "beta_start": 0.03, "beta_end": 0.10},
     "guidance": {"strategy": "SDG", "w": 6.0, "lambda": 30.0, "eps_stab": 1e-8},
     "run": {"seeds": {"count": 64, "base": 0}, "deterministic": True},
-    "output": {"directory": "runs/two_well", "formats": ["csv", "jsonl"]},
+    "output": {"directory": "runs/two_well"},
 }
 
 
@@ -76,7 +78,6 @@ class ExperimentConfig:
 
     world: GmmWorld
     conditions: dict
-    condition_records: dict
     positive: str
     negative: str
     schedule: NoiseSchedule
@@ -85,7 +86,6 @@ class ExperimentConfig:
     deterministic: bool
     mass_labels: dict
     out_dir: Path
-    formats: tuple
     raw: dict
 
     @property
@@ -107,22 +107,19 @@ def _parse_world(raw) -> GmmWorld:
     comps = _need(raw, "components", "world.")
     if not isinstance(comps, list) or not comps:
         raise ConfigError("field 'world.components' must be a nonempty list")
-    pairs = []
-    for i, comp in enumerate(comps):
-        mean = _need(comp, "mean", f"world.components[{i}].")
-        cov = _need(comp, "cov_diag", f"world.components[{i}].")
-        pairs.append((mean, cov))
+    means = [_need(comp, "mean", f"world.components[{i}].") for i, comp in enumerate(comps)]
+    covs = [_need(comp, "cov_diag", f"world.components[{i}].") for i, comp in enumerate(comps)]
     weights = _need(raw, "weights", "world.")
     try:
-        return GmmWorld.from_components(pairs, weights)
+        return GmmWorld(means=means, cov_diags=covs, weights=weights)
     except ValueError as exc:
         raise ConfigError(f"field 'world' invalid: {exc}") from exc
 
 
-def _parse_conditions(raw, world: GmmWorld) -> tuple:
+def _parse_conditions(raw, world: GmmWorld) -> dict:
     if not isinstance(raw, dict) or not raw:
         raise ConfigError("field 'conditions' must be a nonempty mapping")
-    conditions, records = {}, {}
+    conditions = {}
     for name, spec in raw.items():
         comps = _need(spec, "components", f"conditions.{name}.")
         try:
@@ -131,9 +128,7 @@ def _parse_conditions(raw, world: GmmWorld) -> tuple:
         except ValueError as exc:
             raise ConfigError(f"field 'conditions.{name}' invalid: {exc}") from exc
         conditions[name] = cond
-        if "record_id" in spec:
-            records[name] = str(spec["record_id"])
-    return conditions, records
+    return conditions
 
 
 def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
@@ -146,7 +141,7 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
     """
     raw = json.loads(json.dumps(raw))
     world = _parse_world(_need(raw, "world", ""))
-    conditions, records = _parse_conditions(_need(raw, "conditions", ""), world)
+    conditions = _parse_conditions(_need(raw, "conditions", ""), world)
 
     positive = _need(raw, "positive", "")
     if positive not in conditions:
@@ -214,16 +209,9 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
     mass_raw = raw.get("mass_labels", {})
     mass_labels = {str(k): tuple(int(i) for i in v) for k, v in mass_raw.items()}
 
-    out = _need(raw, "output", "")
-    directory = Path(out_dir) if out_dir is not None else Path(_need(out, "directory", "output."))
-    if out_dir is not None:
-        raw["output"]["directory"] = str(directory)
-    formats = tuple(out.get("formats", ["csv", "jsonl"]))
-
     return ExperimentConfig(
         world=world,
         conditions=conditions,
-        condition_records=records,
         positive=positive,
         negative=negative,
         schedule=schedule,
@@ -231,19 +219,31 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
         seeds=tuple(seeds),
         deterministic=deterministic,
         mass_labels=mass_labels,
-        out_dir=directory,
-        formats=formats,
+        out_dir=output_dir(raw, out_dir),
         raw=raw,
     )
 
 
-def load_config(path, out_dir=None, seed_base=None) -> ExperimentConfig:
+def output_dir(raw: dict, out_dir=None) -> Path:
+    """The run's output directory: out_dir if given (recorded in raw), else output.directory."""
+    out = _need(raw, "output", "")
+    if out_dir is None:
+        return Path(_need(out, "directory", "output."))
+    out["directory"] = str(Path(out_dir))
+    return Path(out_dir)
+
+
+def read_config(path) -> dict:
+    """The raw config dict of a JSON file."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return parse_config(raw, out_dir=out_dir, seed_base=seed_base)
+
+
+def load_config(path, out_dir=None, seed_base=None) -> ExperimentConfig:
+    return parse_config(read_config(path), out_dir=out_dir, seed_base=seed_base)
 
 
 def config_hash(raw: dict) -> str:
@@ -253,16 +253,12 @@ def config_hash(raw: dict) -> str:
 
 
 def run_strategy(config: ExperimentConfig, strategy: str, seeds):
-    """Run one strategy over seeds, all of them as one batch.
+    """Run one strategy over a list of seeds, all of them as one batch.
 
-    A sequence of seeds gives a TrajectoryBatch for single-latent
-    strategies and a DualTrajectoryBatch for dual-branch ones; one int
-    seed gives that seed's Trajectory or DualTrajectory. The CFG row
-    needs no negative condition; the rest use the config's negative
-    binding.
+    Gives a TrajectoryBatch for single-latent strategies and a
+    DualTrajectoryBatch for dual-branch ones. The CFG row needs no
+    negative condition; the rest use the config's negative binding.
     """
-    if isinstance(seeds, (int, np.integer)):
-        return run_strategy(config, strategy, [seeds]).trajectory(0)
     g = config.guidance
     cfg = GuidanceConfig(strategy=strategy, w=g.w, lambda_=g.lambda_, eps_stab=g.eps_stab)
     pos = config.positive_condition
@@ -276,12 +272,7 @@ def run_strategy(config: ExperimentConfig, strategy: str, seeds):
     return runner(config.world, pos, neg, config.schedule, cfg, seeds, deterministic=config.deterministic)
 
 
-def final_state(result) -> np.ndarray:
-    """The sample a one-seed run produced: the (plus branch) final state."""
-    return result.plus.final if hasattr(result, "plus") else result.final
-
-
-def strategy_comparison(config: ExperimentConfig, strategies=STRATEGIES) -> dict:
+def strategy_comparison(config: ExperimentConfig) -> dict:
     """Counterfactual-mode mass per strategy over the config's seeds.
 
     Returns {strategy: {"mass_mean", "mass_stderr", "seeds", "finals"}}.
@@ -292,7 +283,7 @@ def strategy_comparison(config: ExperimentConfig, strategies=STRATEGIES) -> dict
         raise ConfigError("field 'mass_labels' must define a 'counterfactual' label for comparison runs")
     cf = np.asarray(sorted(config.mass_labels["counterfactual"]))
     table = {}
-    for strategy in strategies:
+    for strategy in STRATEGIES:
         finals = run_strategy(config, strategy, config.seeds).finals.copy()
         per_seed = np.isin(assign_components(config.world, finals), cf).astype(float)
         n = len(per_seed)

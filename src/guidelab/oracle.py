@@ -10,7 +10,7 @@ branch semantics of classifier-free guidance.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "log_density_and_score",
     "epsilon_oracle",
     "assign_components",
-    "as_denoiser",
 ]
 
 
@@ -57,17 +56,6 @@ class GmmWorld:
             raise ValueError(f"weights sum to {weights.sum()}, expected 1 within 1e-12")
         if np.any(covs <= 0):
             raise ValueError("cov_diag entries must be strictly positive")
-
-    @classmethod
-    def from_components(cls, components: Sequence[tuple], weights) -> "GmmWorld":
-        """Build from a list of (mean, cov_diag) pairs."""
-        means = np.stack([np.asarray(m, dtype=np.float64) for m, _ in components])
-        covs = np.stack([np.asarray(c, dtype=np.float64) for _, c in components])
-        return cls(means=means, cov_diags=covs, weights=weights)
-
-    @property
-    def components(self) -> list:
-        return [(self.means[k].copy(), self.cov_diags[k].copy()) for k in range(self.num_components)]
 
     @property
     def num_components(self) -> int:
@@ -121,10 +109,6 @@ class NoisedMixture:
     cov_diags: np.ndarray
     weights: np.ndarray
     t: int = field(default=0)
-
-    @property
-    def components(self) -> list:
-        return [(self.means[k].copy(), self.cov_diags[k].copy()) for k in range(self.means.shape[0])]
 
     @property
     def dim(self) -> int:
@@ -208,16 +192,3 @@ def assign_components(world: GmmWorld, samples: np.ndarray) -> np.ndarray:
         + np.log(world.weights)[None]
     )
     return np.argmax(log_comp, axis=1)
-
-
-def as_denoiser(world: GmmWorld, schedule: NoiseSchedule) -> Callable:
-    """Package the oracle as a denoiser callable (x, cond, t) -> eps.
-
-    Exposed so a learned stand-in with the same signature could be
-    swapped in without touching downstream code.
-    """
-
-    def denoiser(x: np.ndarray, cond: Condition, t: int) -> np.ndarray:
-        return epsilon_oracle(world, cond, schedule, x, t)
-
-    return denoiser

@@ -16,12 +16,12 @@ auditable.
 
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 __all__ = [
     "ANALYSIS_MARKER",
@@ -87,6 +87,8 @@ class FormatViolation(ValueError):
     The missing attribute names the first absent marker or subfield.
     """
 
+    status = "format_violation"
+
     def __init__(self, missing: str, detail: str = ""):
         self.missing = missing
         msg = f"format violation: missing {missing}"
@@ -98,9 +100,13 @@ class FormatViolation(ValueError):
 class TransportError(RuntimeError):
     """Raised when the endpoint cannot be reached or returns garbage."""
 
+    status = "transport_error"
+
 
 class ValidationFailure(RuntimeError):
     """Raised when a parsed record fails the quality heuristics."""
+
+    status = "validation_failure"
 
     def __init__(self, reasons):
         self.reasons = list(reasons)
@@ -321,18 +327,18 @@ def _normalize(text: str) -> str:
     return " ".join("".join(ch if ch.isalnum() else " " for ch in text.lower()).split())
 
 
-def validate_record(rec: CounterfactualRecord, entity_threshold: int = 1) -> ValidationReport:
+def validate_record(rec: CounterfactualRecord) -> ValidationReport:
     """Run the lexical quality heuristics; reports, never throws.
 
-    Checks: (a) the counterfactual shares at least entity_threshold
-    content words with the user prompt, (b) it carries a
+    Checks: (a) the counterfactual shares at least one content word
+    with the user prompt, (b) it carries a
     negation/violation marker or at least differs from a naive
     restatement, (c) it does not repeat the user prompt.
     """
     shared = _content_words(rec.user_prompt) & _content_words(rec.counterfactual)
     overlap = ValidationCheck(
         name="entity_overlap",
-        passed=len(shared) >= entity_threshold,
+        passed=bool(shared),
         reason=(f"shared content words: {sorted(shared)}" if shared else "no shared content words"),
     )
     cf_lower = rec.counterfactual.lower()
@@ -433,61 +439,33 @@ def record_from_json(d: dict) -> CounterfactualRecord:
     )
 
 
-def _append_jsonl(path, obj: dict, lock: Optional[threading.Lock] = None) -> None:
-    line = json.dumps(obj, sort_keys=True)
-    if lock is None:
-        with open(path, "a") as fh:
-            fh.write(line + "\n")
-    else:
-        with lock:
-            with open(path, "a") as fh:
-                fh.write(line + "\n")
+# The failures a generation call can end in; each class names its status.
+_FAILURES = (TransportError, FormatViolation, ValidationFailure)
 
 
-def _call_with_retries(cfg, template, user_prompt, transport, retry_on_format, sleep, clock):
+def _append_jsonl(path, obj: dict) -> None:
+    with open(path, "a") as fh:
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def _call_with_retries(cfg, template, user_prompt, transport, sleep, clock) -> CounterfactualRecord:
+    """Call the endpoint, retrying transport errors with backoff, and parse the response."""
     messages = build_instruction(template, user_prompt)
-    attempts = 1 + cfg.max_retries
-    last_exc = None
-    for attempt in range(attempts):
+    for attempt in range(1 + cfg.max_retries):
         if attempt > 0:
             sleep(0.5 * 2 ** (attempt - 1))
         try:
             text = transport(messages, cfg)
+            break
         except TransportError as exc:
             last_exc = exc
-            continue
-        try:
-            return parse_response(text, template, user_prompt=user_prompt,
-                                  model_id=cfg.model, created_at=clock())
-        except FormatViolation as exc:
-            if not retry_on_format:
-                raise
-            last_exc = exc
-            continue
-    raise last_exc
+    else:
+        raise last_exc
+    return parse_response(text, template, user_prompt=user_prompt, model_id=cfg.model, created_at=clock())
 
 
-def generate(
-    cfg: LlmEndpointConfig,
-    template: ParTemplate,
-    user_prompt: str,
-    transport: Callable,
-    corpus_path=None,
-    quarantine_path=None,
-    retry_on_format: bool = False,
-    sleep: Callable = time.sleep,
-    clock: Callable = _utc_now,
-) -> CounterfactualRecord:
-    """Build the instruction, call the endpoint, parse, validate, persist.
-
-    Transport errors are retried up to cfg.max_retries with exponential
-    backoff; format violations are not retried unless retry_on_format
-    is set. A record failing validation is appended to quarantine_path
-    with its reasons and ValidationFailure is raised; a passing record
-    is appended to corpus_path. Pass a fixed clock for byte-reproducible
-    records.
-    """
-    rec = _call_with_retries(cfg, template, user_prompt, transport, retry_on_format, sleep, clock)
+def _persist(rec: CounterfactualRecord, corpus_path, quarantine_path) -> CounterfactualRecord:
+    """Validate a record, then append it to the corpus, or to the quarantine and raise ValidationFailure."""
     report = validate_record(rec)
     if not report.passed:
         reasons = [f"{c.name}: {c.reason}" for c in report.failures()]
@@ -499,6 +477,28 @@ def generate(
     return rec
 
 
+def generate(
+    cfg: LlmEndpointConfig,
+    template: ParTemplate,
+    user_prompt: str,
+    transport: Callable,
+    corpus_path=None,
+    quarantine_path=None,
+    sleep: Callable = time.sleep,
+    clock: Callable = _utc_now,
+) -> CounterfactualRecord:
+    """Build the instruction, call the endpoint, parse, validate, persist.
+
+    Transport errors are retried up to cfg.max_retries with exponential
+    backoff; format violations are not retried. A record failing
+    validation is appended to quarantine_path with its reasons and
+    ValidationFailure is raised; a passing record is appended to
+    corpus_path. Pass a fixed clock for byte-reproducible records.
+    """
+    rec = _call_with_retries(cfg, template, user_prompt, transport, sleep, clock)
+    return _persist(rec, corpus_path, quarantine_path)
+
+
 def generate_batch(
     cfg: LlmEndpointConfig,
     template: ParTemplate,
@@ -507,7 +507,6 @@ def generate_batch(
     corpus_path=None,
     quarantine_path=None,
     jobs: int = 1,
-    retry_on_format: bool = False,
     sleep: Callable = time.sleep,
     clock: Callable = _utc_now,
 ) -> list:
@@ -516,44 +515,24 @@ def generate_batch(
     Returns one (prompt, status, detail) tuple per prompt with status
     in {ok, transport_error, format_violation, validation_failure}.
     Endpoint calls may run concurrently; corpus and quarantine appends
-    happen in the submitting thread, so the files stay well-formed.
+    happen in the submitting thread, in prompt order, so the files stay
+    well-formed.
     """
     def call_one(prompt):
-        return _call_with_retries(cfg, template, prompt, transport, retry_on_format, sleep, clock)
+        return _call_with_retries(cfg, template, prompt, transport, sleep, clock)
 
-    def settle(prompt, outcome):
-        if isinstance(outcome, TransportError):
-            return (prompt, "transport_error", str(outcome))
-        if isinstance(outcome, FormatViolation):
-            return (prompt, "format_violation", str(outcome))
-        rec = outcome
-        report = validate_record(rec)
-        if not report.passed:
-            reasons = [f"{c.name}: {c.reason}" for c in report.failures()]
-            if quarantine_path is not None:
-                _append_jsonl(quarantine_path, {"record": record_to_json(rec), "reasons": reasons})
-            return (prompt, "validation_failure", "; ".join(reasons))
-        if corpus_path is not None:
-            _append_jsonl(corpus_path, record_to_json(rec))
+    def settle(prompt, call):
+        try:
+            rec = _persist(call(), corpus_path, quarantine_path)
+        except _FAILURES as exc:
+            return (prompt, exc.status, str(exc))
         return (prompt, "ok", rec.counterfactual)
 
-    results = []
     if jobs <= 1:
-        for prompt in user_prompts:
-            try:
-                results.append(settle(prompt, call_one(prompt)))
-            except (TransportError, FormatViolation) as exc:
-                results.append(settle(prompt, exc))
-        return results
+        return [settle(p, partial(call_one, p)) for p in user_prompts]
 
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(call_one, p) for p in user_prompts]
-        for prompt, fut in zip(user_prompts, futures):
-            try:
-                outcome = fut.result()
-            except (TransportError, FormatViolation) as exc:
-                outcome = exc
-            results.append(settle(prompt, outcome))
-    return results
+        return [settle(p, fut.result) for p, fut in zip(user_prompts, futures)]

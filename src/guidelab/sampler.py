@@ -11,8 +11,7 @@ sample of what the negative condition would generate.
 Both runners step a whole seed sweep at once: the latents of N seeds
 form one (N, dim) array, and each oracle call and combine rule acts on
 every row. Rows never mix, so a seed's path is bit for bit the path it
-takes when run alone; run_single_branch and run_dual_branch are the
-N=1 views of the batched runners.
+takes in a one-seed run.
 
 Seeding contract: rng = numpy.random.default_rng(seed) for each seed;
 the initial latent x_T is the first draw. Deterministic mode draws
@@ -40,16 +39,11 @@ from guidelab.schedule import NoiseSchedule
 
 __all__ = [
     "SamplerStepCoeffs",
-    "StepRecord",
-    "Trajectory",
-    "DualTrajectory",
     "TrajectoryBatch",
     "DualTrajectoryBatch",
     "ancestral_coeffs",
     "run_single_batch",
     "run_dual_batch",
-    "run_single_branch",
-    "run_dual_branch",
 ]
 
 
@@ -63,51 +57,13 @@ class SamplerStepCoeffs:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    """Everything one reverse step saw: predictions, discrepancy, applied correction.
-
-    eps_neg and delta are None for strategies without a negative
-    prediction at that step; whenever both predictions are present,
-    delta == eps_pos - eps_neg exactly.
-    """
-
-    t: int
-    eps_pos: np.ndarray
-    eps_neg: Optional[np.ndarray]
-    delta: Optional[np.ndarray]
-    correction: np.ndarray
-    x_after: np.ndarray
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One latent's full reverse path, states ordered x_T down to x_0."""
-
-    seed: int
-    config: GuidanceConfig
-    states: list
-    records: list
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
-
-@dataclass(frozen=True)
-class DualTrajectory:
-    plus: Trajectory
-    minus: Trajectory
-    shared_seed: int
-
-
-@dataclass(frozen=True)
 class TrajectoryBatch:
     """The reverse paths of N seeds' latents, as arrays indexed [step, seed, dim].
 
     states has shape (T+1, N, dim), x_T first. The per-step arrays have
     shape (T, N, dim), and index i holds step t = T - i, whose result is
     states[i + 1]. eps_neg and delta are None for strategies without a
-    negative prediction.
+    negative prediction; otherwise delta == eps_pos - eps_neg exactly.
     """
 
     seeds: tuple
@@ -127,21 +83,6 @@ class TrajectoryBatch:
     def finals(self) -> np.ndarray:
         return self.states[-1]
 
-    def trajectory(self, i: int) -> Trajectory:
-        """Seed i's path as a Trajectory whose arrays are views into this batch."""
-
-        def row(a, j):
-            return None if a is None else a[j, i]
-
-        records = [
-            StepRecord(t=t, eps_pos=self.eps_pos[j, i], eps_neg=row(self.eps_neg, j),
-                       delta=row(self.delta, j), correction=self.correction[j, i],
-                       x_after=self.states[j + 1, i])
-            for j, t in enumerate(self.steps)
-        ]
-        return Trajectory(seed=self.seeds[i], config=self.config, states=list(self.states[:, i]),
-                          records=records)
-
 
 @dataclass(frozen=True)
 class DualTrajectoryBatch:
@@ -155,10 +96,6 @@ class DualTrajectoryBatch:
     @property
     def finals(self) -> np.ndarray:
         return self.plus.finals
-
-    def trajectory(self, i: int) -> DualTrajectory:
-        return DualTrajectory(plus=self.plus.trajectory(i), minus=self.minus.trajectory(i),
-                              shared_seed=self.seeds[i])
 
 
 def ancestral_coeffs(schedule: NoiseSchedule, t: int, deterministic: bool = True) -> SamplerStepCoeffs:
@@ -200,7 +137,7 @@ def run_single_batch(
 ) -> TrajectoryBatch:
     """Sample one latent per seed from x_T to x_0 under a single-trajectory strategy."""
     if cfg.strategy not in ("CFG", "NP", "SDN"):
-        raise ValueError(f"run_single_branch handles CFG/NP/SDN, got {cfg.strategy}")
+        raise ValueError(f"run_single_batch handles CFG/NP/SDN, got {cfg.strategy}")
     if cfg.strategy in ("NP", "SDN") and p_neg is None:
         raise ValueError(f"strategy {cfg.strategy} requires a negative condition")
     seeds, rngs, x = _initial_latents(world, seeds)
@@ -252,7 +189,7 @@ def run_dual_batch(
     prediction and never reads the plus side.
     """
     if cfg.strategy not in ("TDD_ONLY", "SDG"):
-        raise ValueError(f"run_dual_branch handles TDD_ONLY/SDG, got {cfg.strategy}")
+        raise ValueError(f"run_dual_batch handles TDD_ONLY/SDG, got {cfg.strategy}")
     seeds, rngs, xp = _initial_latents(world, seeds)
     xm = xp
     T = schedule.num_steps
@@ -283,29 +220,3 @@ def run_dual_batch(
     minus = TrajectoryBatch(seeds=seeds, config=cfg, states=states_m, eps_pos=eps_minus, eps_neg=None,
                             delta=None, correction=np.zeros_like(eps_minus))
     return DualTrajectoryBatch(plus=plus, minus=minus)
-
-
-def run_single_branch(
-    world: GmmWorld,
-    p_plus: Condition,
-    p_neg: Optional[Condition],
-    schedule: NoiseSchedule,
-    cfg: GuidanceConfig,
-    seed: int,
-    deterministic: bool = True,
-) -> Trajectory:
-    """Sample one seed's latent: the N=1 view of run_single_batch."""
-    return run_single_batch(world, p_plus, p_neg, schedule, cfg, [seed], deterministic).trajectory(0)
-
-
-def run_dual_branch(
-    world: GmmWorld,
-    p_plus: Condition,
-    p_minus: Condition,
-    schedule: NoiseSchedule,
-    cfg: GuidanceConfig,
-    seed: int,
-    deterministic: bool = True,
-) -> DualTrajectory:
-    """Evolve one seed's plus/minus latents: the N=1 view of run_dual_batch."""
-    return run_dual_batch(world, p_plus, p_minus, schedule, cfg, [seed], deterministic).trajectory(0)

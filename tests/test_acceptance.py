@@ -29,7 +29,7 @@ from guidelab.par import (
     parse_response,
     render_record,
 )
-from guidelab.sampler import run_dual_branch, run_single_branch
+from guidelab.sampler import run_dual_batch, run_single_batch
 from guidelab.schedule import make_linear_schedule
 
 from conftest import random_world
@@ -106,8 +106,8 @@ def test_criterion_3_trajectory_decoupling():
     ok = True
     for plus_a, plus_b, minus in pairs:
         for seed in range(10):
-            a = run_dual_branch(world, plus_a, minus, s, GuidanceConfig("SDG"), seed)
-            b = run_dual_branch(world, plus_b, minus, s, GuidanceConfig("SDG"), seed)
+            a = run_dual_batch(world, plus_a, minus, s, GuidanceConfig("SDG"), [seed])
+            b = run_dual_batch(world, plus_b, minus, s, GuidanceConfig("SDG"), [seed])
             for xa, xb in zip(a.minus.states, b.minus.states):
                 if not np.array_equal(xa, xb):
                     ok = False
@@ -122,8 +122,8 @@ def test_criterion_4_lagged_suppression(tmp_path):
     g = GuidanceConfig("NP", w=cfg.guidance.w)
     curves = []
     for seed in cfg.seeds:
-        tr = run_single_branch(cfg.world, cfg.positive_condition, cfg.negative_condition,
-                               cfg.schedule, g, seed)
+        tr = run_single_batch(cfg.world, cfg.positive_condition, cfg.negative_condition,
+                              cfg.schedule, g, [seed])
         curves.append([val for _, val in delta_norm_curve(tr)])
     mean_curve = np.mean(curves, axis=0)
     k = max(1, cfg.schedule.num_steps // 10)

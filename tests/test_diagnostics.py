@@ -25,7 +25,7 @@ from guidelab.diagnostics import (
 )
 from guidelab.guidance import GuidanceConfig
 from guidelab.oracle import Condition, GmmWorld, epsilon_oracle
-from guidelab.sampler import run_single_branch
+from guidelab.sampler import run_single_batch
 from guidelab.schedule import make_linear_schedule
 
 
@@ -44,23 +44,23 @@ TWO_WELL = GmmWorld(
 
 def test_delta_norm_curve_replays_records():
     s = make_linear_schedule(8, 0.05, 0.25)
-    tr = run_single_branch(MIX, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("NP"), 3)
+    tr = run_single_batch(MIX, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("NP"), [3])
     curve = delta_norm_curve(tr)
     assert [t for t, _ in curve] == list(range(8, 0, -1))
-    for (t, val), rec in zip(curve, tr.records):
-        assert val == float(np.linalg.norm(rec.delta))
+    for (t, val), delta in zip(curve, tr.delta[:, 0]):
+        assert val == float(np.linalg.norm(delta))
 
 
 def test_delta_norm_curve_zero_when_conditions_match():
     s = make_linear_schedule(8, 0.05, 0.25)
     cond = Condition.subset([0])
-    tr = run_single_branch(MIX, cond, cond, s, GuidanceConfig("NP"), 3)
+    tr = run_single_batch(MIX, cond, cond, s, GuidanceConfig("NP"), [3])
     assert all(val == 0.0 for _, val in delta_norm_curve(tr))
 
 
 def test_delta_norm_curve_rejects_cfg_trajectory():
     s = make_linear_schedule(5, 0.05, 0.2)
-    tr = run_single_branch(MIX, Condition.subset([0]), None, s, GuidanceConfig("CFG"), 0)
+    tr = run_single_batch(MIX, Condition.subset([0]), None, s, GuidanceConfig("CFG"), [0])
     with pytest.raises(ValueError):
         delta_norm_curve(tr)
 
@@ -295,8 +295,8 @@ def test_series_to_csv_round_trip(tmp_path):
 
 def test_build_report_shares_the_coupled_batch(monkeypatch):
     # One coupled batch feeds the delta norms, the spectra and the bias
-    # gap; only the decoupled reference batch is run besides it, so the
-    # report costs 2 x seeds trajectories and its gap equals the probe's.
+    # gap; the decoupled reference is a raw conditional chain, not a
+    # second sampler batch, and the report's gap equals the probe's.
     import guidelab.diagnostics as diag
 
     s = make_linear_schedule(10, 0.05, 0.25)
@@ -311,9 +311,9 @@ def test_build_report_shares_the_coupled_batch(monkeypatch):
     monkeypatch.setattr(diag, "run_single_batch", counting)
     args = (MIX, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("NP"), [4, 0, 2])
     rep = build_report(*args, label_sets={"A": [0, 2], "B": [1]})
-    assert seen == [3, 3]
+    assert seen == [3]
     assert rep.bias_gap == trajectory_bias_probe(*args)
-    curves = [delta_norm_curve(run_single_branch(*args[:5], seed)) for seed in (4, 0, 2)]
+    curves = [delta_norm_curve(run_single_batch(*args[:5], [seed])) for seed in (4, 0, 2)]
     for i, (t, val) in enumerate(rep.delta_norms):
         assert val == float(np.mean([c[i][1] for c in curves]))
 
@@ -347,18 +347,20 @@ def test_jacobian_batch_equals_column_loop():
 
 def test_bias_probe_equals_seed_by_seed_accumulation():
     # Reference: the probe's definition run one seed at a time, each
-    # seed's per-step gap added in seed order.
+    # seed's per-step gap added in seed order, with the decoupled
+    # reference sampled by the sampler as CFG at w=1 (the conditional
+    # prediction returned exactly).
     s = make_linear_schedule(10, 0.05, 0.25)
     p_plus, p_minus = Condition.subset([0, 2]), Condition.subset([1])
     cfg = GuidanceConfig("SDN")
     seeds = list(range(3, 23))
     gaps = np.zeros(10)
     for seed in seeds:
-        coupled = run_single_branch(MIX, p_plus, p_minus, s, cfg, seed)
-        reference = run_single_branch(MIX, p_minus, None, s, GuidanceConfig("CFG", w=1.0), seed)
+        coupled = run_single_batch(MIX, p_plus, p_minus, s, cfg, [seed])
+        reference = run_single_batch(MIX, p_minus, None, s, GuidanceConfig("CFG", w=1.0), [seed])
         for i, t in enumerate(range(10, 0, -1)):
-            shared = epsilon_oracle(MIX, p_minus, s, coupled.states[i], t)
-            own = epsilon_oracle(MIX, p_minus, s, reference.states[i], t)
+            shared = epsilon_oracle(MIX, p_minus, s, coupled.states[i, 0], t)
+            own = epsilon_oracle(MIX, p_minus, s, reference.states[i, 0], t)
             gaps[i] += np.linalg.norm(shared - own)
     gaps /= len(seeds)
     expect = [(t, float(gaps[i])) for i, t in enumerate(range(10, 0, -1))]

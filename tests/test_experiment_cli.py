@@ -18,7 +18,6 @@ from guidelab.experiment import (
     ConfigError,
     config_hash,
     default_config,
-    final_state,
     load_config,
     parse_config,
     run_strategy,
@@ -55,7 +54,6 @@ def test_parse_default_config():
     assert cfg.negative_condition.indices == (1,)
     assert cfg.schedule.num_steps == 50
     assert cfg.deterministic
-    assert cfg.formats == ("csv", "jsonl")
     assert cfg.mass_labels == {"plausible": (0,), "counterfactual": (1,)}
 
 
@@ -138,15 +136,15 @@ def test_config_hash_is_canonical():
 
 def test_run_strategy_dispatch():
     cfg = parse_config(small_config())
-    single = run_strategy(cfg, "NP", 0)
+    single = run_strategy(cfg, "NP", [0])
     assert hasattr(single, "states")
-    dual = run_strategy(cfg, "SDG", 0)
+    dual = run_strategy(cfg, "SDG", [0])
     assert hasattr(dual, "plus")
-    assert final_state(dual).shape == (2,)
+    assert dual.finals[0].shape == (2,)
     raw = small_config()
     del raw["negative"]
     with pytest.raises(ConfigError):
-        run_strategy(parse_config(raw), "NP", 0)
+        run_strategy(parse_config(raw), "NP", [0])
 
 
 def test_strategy_comparison_batch_matches_per_seed():
@@ -159,7 +157,7 @@ def test_strategy_comparison_batch_matches_per_seed():
     assert tuple(table) == STRATEGIES
     for strategy, row in table.items():
         for seed, final in zip(cfg.seeds, row["finals"]):
-            np.testing.assert_array_equal(final, final_state(run_strategy(cfg, strategy, seed)))
+            np.testing.assert_array_equal(final, run_strategy(cfg, strategy, [seed]).finals[0])
         assert row["seeds"] == 3
 
 
@@ -172,7 +170,16 @@ def test_cmd_sample_writes_artifacts(tmp_path):
     lines = (out / "samples.csv").read_text().strip().splitlines()
     assert lines[0] == "seed,x0,x1,mode"
     assert len(lines) == 3
-    assert (out / "trajectories.jsonl").exists()
+    # each seed's last plus-branch x_after in trajectories.jsonl is its row of samples.csv
+    last = {}
+    for line in (out / "trajectories.jsonl").read_text().splitlines():
+        rec = json.loads(line)
+        if rec["branch"] in ("plus", "single"):
+            last[rec["seed"]] = rec["x_after"]
+    assert len(last) == 2
+    for row in lines[1:]:
+        seed, x0, x1, _ = row.split(",")
+        assert last[int(seed)] == [float(x0), float(x1)]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "sample"
     assert manifest["seeds"] == [0, 1]
@@ -289,6 +296,21 @@ def test_cmd_par_generate_with_fixtures(tmp_path):
     assert records[1]["counterfactual"] == (
         "The butter is fully liquefied from the start, with no observable melting process."
     )
+
+
+def test_cmd_par_generate_needs_only_par_and_output(tmp_path):
+    # No world, conditions, schedule or run sections: par-generate reads
+    # only its endpoint settings and the output directory.
+    raw = {"par": {"model": "mock-model", "max_retries": 0}, "output": {"directory": str(tmp_path / "unused")}}
+    path = write_config(tmp_path, raw)
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text((FIXTURES / "butter.prompt.txt").read_text().strip() + "\n")
+    out = tmp_path / "out"
+    assert cmd_par_generate(path, prompts, out_dir=out, mock=FIXTURES) == 0
+    assert len((out / "corpus.jsonl").read_text().strip().splitlines()) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {**raw, "output": {"directory": str(out)}}
+    assert manifest["config_hash"] == config_hash(manifest["config"])
 
 
 def test_cmd_par_generate_unknown_prompt_fails(tmp_path):

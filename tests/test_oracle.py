@@ -17,7 +17,6 @@ from guidelab.oracle import (
     Condition,
     GmmWorld,
     NoisedMixture,
-    as_denoiser,
     assign_components,
     epsilon_oracle,
     log_density_and_score,
@@ -208,15 +207,6 @@ def test_epsilon_translation_equivariance_single_gaussian():
             epsilon_oracle(world, Condition.null(), s, x, t),
             atol=1e-12,
         )
-
-
-def test_as_denoiser_matches_oracle():
-    rng = np.random.default_rng(61)
-    world = random_world(rng, dim=2, num_components=2)
-    s = make_linear_schedule(10, 0.05, 0.25)
-    den = as_denoiser(world, s)
-    x = rng.normal(size=2)
-    np.testing.assert_array_equal(den(x, Condition.subset([1]), 7), epsilon_oracle(world, Condition.subset([1]), s, x, 7))
 
 
 def test_world_validation():

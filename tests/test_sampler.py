@@ -11,13 +11,7 @@ import pytest
 
 from guidelab.guidance import GuidanceConfig
 from guidelab.oracle import Condition, GmmWorld, epsilon_oracle
-from guidelab.sampler import (
-    ancestral_coeffs,
-    run_dual_batch,
-    run_dual_branch,
-    run_single_batch,
-    run_single_branch,
-)
+from guidelab.sampler import ancestral_coeffs, run_dual_batch, run_single_batch
 from guidelab.schedule import NoiseSchedule, make_linear_schedule
 
 from conftest import random_world
@@ -45,40 +39,39 @@ def test_ancestral_coeffs_arithmetic():
 def test_initial_state_follows_seeding_contract():
     s = make_linear_schedule(5, 0.05, 0.2)
     for seed in (0, 1, 17):
-        tr = run_single_branch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("CFG"), seed)
-        np.testing.assert_array_equal(tr.states[0], np.random.default_rng(seed).standard_normal(2))
+        tr = run_single_batch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("CFG"), [seed])
+        np.testing.assert_array_equal(tr.states[0, 0], np.random.default_rng(seed).standard_normal(2))
 
 
 def test_trajectory_shapes_and_step_order():
     s = make_linear_schedule(7, 0.05, 0.2)
-    tr = run_single_branch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("NP"), 3)
-    assert len(tr.states) == 8
-    assert len(tr.records) == 7
-    assert [r.t for r in tr.records] == [7, 6, 5, 4, 3, 2, 1]
-    for i, r in enumerate(tr.records):
-        np.testing.assert_array_equal(r.x_after, tr.states[i + 1])
-    np.testing.assert_array_equal(tr.final, tr.states[-1])
+    tr = run_single_batch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("NP"), [3])
+    assert tr.states.shape == (8, 1, 2)
+    for name in ("eps_pos", "eps_neg", "delta", "correction"):
+        assert getattr(tr, name).shape == (7, 1, 2)
+    assert list(tr.steps) == [7, 6, 5, 4, 3, 2, 1]
+    np.testing.assert_array_equal(tr.finals, tr.states[-1])
 
 
 def test_determinism_bitwise():
     s = make_linear_schedule(10, 0.05, 0.25)
     for cfg, runner in [
-        (GuidanceConfig("NP"), lambda c, sd: run_single_branch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, c, sd)),
-        (GuidanceConfig("SDG"), lambda c, sd: run_dual_branch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, c, sd)),
+        (GuidanceConfig("NP"), lambda c, sd: run_single_batch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, c, [sd])),
+        (GuidanceConfig("SDG"), lambda c, sd: run_dual_batch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, c, [sd])),
     ]:
         a = runner(cfg, 5)
         b = runner(cfg, 5)
-        sa = a.states if hasattr(a, "states") else a.plus.states + a.minus.states
-        sb = b.states if hasattr(b, "states") else b.plus.states + b.minus.states
+        sa = [a.states] if hasattr(a, "states") else [a.plus.states, a.minus.states]
+        sb = [b.states] if hasattr(b, "states") else [b.plus.states, b.minus.states]
         for xa, xb in zip(sa, sb):
             np.testing.assert_array_equal(xa, xb)
 
 
 def test_different_seeds_differ():
     s = make_linear_schedule(5, 0.05, 0.2)
-    a = run_single_branch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("CFG"), 0)
-    b = run_single_branch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("CFG"), 1)
-    assert np.any(a.states[0] != b.states[0])
+    a = run_single_batch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("CFG"), [0])
+    b = run_single_batch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("CFG"), [1])
+    assert np.any(a.states[0, 0] != b.states[0, 0])
 
 
 def closed_form_eps(mu, cov, schedule, x, t):
@@ -99,7 +92,7 @@ def test_single_gaussian_reference_recursion():
     world = GmmWorld(means=mu[None, :], cov_diags=cov[None, :], weights=np.array([1.0]))
     s = make_linear_schedule(30, 0.02, 0.2)
     seed = 9
-    tr = run_single_branch(world, Condition.subset([0]), None, s, GuidanceConfig("CFG", w=1.0), seed)
+    tr = run_single_batch(world, Condition.subset([0]), None, s, GuidanceConfig("CFG", w=1.0), [seed])
 
     x = np.random.default_rng(seed).standard_normal(2)
     ref_states = [x.copy()]
@@ -111,12 +104,12 @@ def test_single_gaussian_reference_recursion():
         x = a_t * x + b_t * closed_form_eps(mu, cov, s, x, t)
         ref_states.append(x.copy())
 
-    for got, ref in zip(tr.states, ref_states):
+    for got, ref in zip(tr.states[:, 0], ref_states):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
     ref_dist = np.linalg.norm(ref_states[-1] - mu)
     start_dist = np.linalg.norm(ref_states[0] - mu)
     assert ref_dist < start_dist
-    assert np.linalg.norm(tr.final - mu) <= ref_dist * (1.0 + 1e-9)
+    assert np.linalg.norm(tr.finals[0] - mu) <= ref_dist * (1.0 + 1e-9)
 
 
 def conditional_reference_states(world, cond, schedule, seed, deterministic=True):
@@ -143,59 +136,59 @@ def test_np_with_matching_negative_collapses_to_conditional():
     s = make_linear_schedule(10, 0.05, 0.25)
     cond = Condition.subset([0])
     for deterministic in (True, False):
-        tr = run_single_branch(TWO_WELL, cond, cond, s, GuidanceConfig("NP", w=4.0), 11,
-                               deterministic=deterministic)
+        tr = run_single_batch(TWO_WELL, cond, cond, s, GuidanceConfig("NP", w=4.0), [11],
+                              deterministic=deterministic)
         ref = conditional_reference_states(TWO_WELL, cond, s, 11, deterministic=deterministic)
-        for got, expect in zip(tr.states, ref):
+        for got, expect in zip(tr.states[:, 0], ref):
             np.testing.assert_array_equal(got, expect)
-        for r in tr.records:
-            np.testing.assert_array_equal(r.delta, np.zeros(2))
+        for delta in tr.delta[:, 0]:
+            np.testing.assert_array_equal(delta, np.zeros(2))
 
 
 def test_cfg_unit_weight_equals_conditional_sampling():
     s = make_linear_schedule(10, 0.05, 0.25)
     cond = Condition.subset([1])
-    tr = run_single_branch(TWO_WELL, cond, None, s, GuidanceConfig("CFG", w=1.0), 13)
+    tr = run_single_batch(TWO_WELL, cond, None, s, GuidanceConfig("CFG", w=1.0), [13])
     ref = conditional_reference_states(TWO_WELL, cond, s, 13)
-    for got, expect in zip(tr.states, ref):
+    for got, expect in zip(tr.states[:, 0], ref):
         np.testing.assert_array_equal(got, expect)
 
 
 def test_step_records_self_consistent():
     s = make_linear_schedule(10, 0.05, 0.25)
     lam, eps_stab = 30.0, 1e-8
-    tr = run_single_branch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s,
-                           GuidanceConfig("SDN", lambda_=lam, eps_stab=eps_stab), 7)
-    for r in tr.records:
-        np.testing.assert_array_equal(r.delta, r.eps_pos - r.eps_neg)
-        d = np.linalg.norm(r.delta)
-        assert np.linalg.norm(r.correction) == pytest.approx(lam * d / (d + eps_stab), abs=1e-10)
+    tr = run_single_batch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s,
+                          GuidanceConfig("SDN", lambda_=lam, eps_stab=eps_stab), [7])
+    for delta, eps_pos, eps_neg, correction in zip(tr.delta[:, 0], tr.eps_pos[:, 0], tr.eps_neg[:, 0],
+                                                   tr.correction[:, 0]):
+        np.testing.assert_array_equal(delta, eps_pos - eps_neg)
+        d = np.linalg.norm(delta)
+        assert np.linalg.norm(correction) == pytest.approx(lam * d / (d + eps_stab), abs=1e-10)
 
 
 def test_cfg_records_have_no_negative_side():
     s = make_linear_schedule(5, 0.05, 0.2)
-    tr = run_single_branch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("CFG"), 1)
-    for r in tr.records:
-        assert r.eps_neg is None and r.delta is None
+    tr = run_single_batch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("CFG"), [1])
+    assert tr.eps_neg is None and tr.delta is None
 
 
 def test_single_branch_strategy_validation():
     s = make_linear_schedule(3, 0.05, 0.2)
     with pytest.raises(ValueError):
-        run_single_branch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("SDG"), 0)
+        run_single_batch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("SDG"), [0])
     with pytest.raises(ValueError):
-        run_single_branch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("NP"), 0)
+        run_single_batch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("NP"), [0])
     with pytest.raises(ValueError):
-        run_single_branch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("SDN"), 0)
+        run_single_batch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("SDN"), [0])
     with pytest.raises(ValueError):
-        run_dual_branch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("CFG"), 0)
+        run_dual_batch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("CFG"), [0])
 
 
 def test_dual_branches_share_initial_noise():
     s = make_linear_schedule(8, 0.05, 0.25)
-    d = run_dual_branch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("SDG"), 21)
-    np.testing.assert_array_equal(d.plus.states[0], d.minus.states[0])
-    np.testing.assert_array_equal(d.plus.states[0], np.random.default_rng(21).standard_normal(2))
+    d = run_dual_batch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("SDG"), [21])
+    np.testing.assert_array_equal(d.plus.states[0, 0], d.minus.states[0, 0])
+    np.testing.assert_array_equal(d.plus.states[0, 0], np.random.default_rng(21).standard_normal(2))
 
 
 def test_dual_symmetric_collapse_both_modes():
@@ -206,12 +199,12 @@ def test_dual_symmetric_collapse_both_modes():
     cond = Condition.subset([0])
     for strategy in ("SDG", "TDD_ONLY"):
         for deterministic in (True, False):
-            d = run_dual_branch(TWO_WELL, cond, cond, s, GuidanceConfig(strategy), 31,
-                                deterministic=deterministic)
-            for xp, xm in zip(d.plus.states, d.minus.states):
+            d = run_dual_batch(TWO_WELL, cond, cond, s, GuidanceConfig(strategy), [31],
+                               deterministic=deterministic)
+            for xp, xm in zip(d.plus.states[:, 0], d.minus.states[:, 0]):
                 np.testing.assert_array_equal(xp, xm)
-            for r in d.plus.records:
-                np.testing.assert_allclose(r.correction, np.zeros(2), rtol=0, atol=0)
+            for correction in d.plus.correction[:, 0]:
+                np.testing.assert_allclose(correction, np.zeros(2), rtol=0, atol=0)
 
 
 def test_minus_branch_decoupled_from_positive_condition():
@@ -220,22 +213,22 @@ def test_minus_branch_decoupled_from_positive_condition():
     s = make_linear_schedule(10, 0.05, 0.25)
     p_minus = Condition.subset([2])
     for deterministic in (True, False):
-        a = run_dual_branch(TWO_WELL, Condition.subset([0]), p_minus, s, GuidanceConfig("SDG"), 41,
-                            deterministic=deterministic)
-        b = run_dual_branch(TWO_WELL, Condition.subset([1]), p_minus, s, GuidanceConfig("SDG"), 41,
-                            deterministic=deterministic)
-        for xa, xb in zip(a.minus.states, b.minus.states):
+        a = run_dual_batch(TWO_WELL, Condition.subset([0]), p_minus, s, GuidanceConfig("SDG"), [41],
+                           deterministic=deterministic)
+        b = run_dual_batch(TWO_WELL, Condition.subset([1]), p_minus, s, GuidanceConfig("SDG"), [41],
+                           deterministic=deterministic)
+        for xa, xb in zip(a.minus.states[:, 0], b.minus.states[:, 0]):
             np.testing.assert_array_equal(xa, xb)
-        assert np.any(a.plus.final != b.plus.final)
+        assert np.any(a.plus.finals[0] != b.plus.finals[0])
 
 
 def test_stochastic_mode_changes_trajectory():
     s = make_linear_schedule(5, 0.05, 0.2)
-    det = run_single_branch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("CFG"), 2)
-    sto = run_single_branch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("CFG"), 2,
-                            deterministic=False)
-    np.testing.assert_array_equal(det.states[0], sto.states[0])
-    assert np.any(det.states[1] != sto.states[1])
+    det = run_single_batch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("CFG"), [2])
+    sto = run_single_batch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("CFG"), [2],
+                           deterministic=False)
+    np.testing.assert_array_equal(det.states[0, 0], sto.states[0, 0])
+    assert np.any(det.states[1, 0] != sto.states[1, 0])
 
 
 def test_dual_runs_on_random_worlds():
@@ -245,28 +238,25 @@ def test_dual_runs_on_random_worlds():
     s = make_linear_schedule(6, 0.05, 0.2)
     for _ in range(5):
         world = random_world(rng, dim=2, num_components=3)
-        d = run_dual_branch(world, Condition.subset([0]), Condition.subset([1]), s,
-                            GuidanceConfig("SDG"), int(rng.integers(0, 100)))
-        for r in d.plus.records:
-            np.testing.assert_array_equal(r.delta, r.eps_pos - r.eps_neg)
-            dn = np.linalg.norm(r.delta)
-            assert np.linalg.norm(r.correction) == pytest.approx(30.0 * dn / (dn + 1e-8), abs=1e-10)
+        d = run_dual_batch(world, Condition.subset([0]), Condition.subset([1]), s,
+                           GuidanceConfig("SDG"), [int(rng.integers(0, 100))])
+        p = d.plus
+        for delta, eps_pos, eps_neg, correction in zip(p.delta[:, 0], p.eps_pos[:, 0], p.eps_neg[:, 0],
+                                                       p.correction[:, 0]):
+            np.testing.assert_array_equal(delta, eps_pos - eps_neg)
+            dn = np.linalg.norm(delta)
+            assert np.linalg.norm(correction) == pytest.approx(30.0 * dn / (dn + 1e-8), abs=1e-10)
 
 
 def assert_same_path(batch, i, alone):
     """Seed i of a batch run against the same seed run alone: states and records bit for bit."""
-    view = batch.trajectory(i)
-    assert view.seed == alone.seed == batch.seeds[i]
-    assert len(view.states) == len(alone.states)
-    for got, expect in zip(view.states, alone.states):
-        assert np.array_equal(got, expect)
-    assert np.array_equal(batch.finals[i], alone.final)
-    assert [r.t for r in view.records] == [r.t for r in alone.records]
-    for got, expect in zip(view.records, alone.records):
-        for name in ("eps_pos", "eps_neg", "delta", "correction", "x_after"):
-            a, b = getattr(got, name), getattr(expect, name)
-            assert (a is None) == (b is None), name
-            assert a is None or np.array_equal(a, b), name
+    assert alone.seeds == (batch.seeds[i],)
+    assert list(batch.steps) == list(alone.steps)
+    assert np.array_equal(batch.finals[i], alone.finals[0])
+    for name in ("states", "eps_pos", "eps_neg", "delta", "correction"):
+        a, b = getattr(batch, name), getattr(alone, name)
+        assert (a is None) == (b is None), name
+        assert a is None or np.array_equal(a[:, i], b[:, 0]), name
 
 
 def test_batch_equals_per_seed_runs_all_strategies():
@@ -283,14 +273,14 @@ def test_batch_equals_per_seed_runs_all_strategies():
             batch = run_single_batch(world, plus, p_neg, s, cfg, seeds, deterministic=deterministic)
             assert batch.states.shape == (13, 5, 3)
             for i, seed in enumerate(seeds):
-                alone = run_single_branch(world, plus, p_neg, s, cfg, seed, deterministic=deterministic)
+                alone = run_single_batch(world, plus, p_neg, s, cfg, [seed], deterministic=deterministic)
                 assert_same_path(batch, i, alone)
         for strategy in ("TDD_ONLY", "SDG"):
             cfg = GuidanceConfig(strategy)
             batch = run_dual_batch(world, plus, neg, s, cfg, seeds, deterministic=deterministic)
             for i, seed in enumerate(seeds):
-                alone = run_dual_branch(world, plus, neg, s, cfg, seed, deterministic=deterministic)
-                assert alone.shared_seed == seed
+                alone = run_dual_batch(world, plus, neg, s, cfg, [seed], deterministic=deterministic)
+                assert alone.seeds == (seed,)
                 assert_same_path(batch.plus, i, alone.plus)
                 assert_same_path(batch.minus, i, alone.minus)
 
