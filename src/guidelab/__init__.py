@@ -12,7 +12,15 @@ mock transport for offline work).
 """
 
 from guidelab.schedule import NoiseSchedule, make_linear_schedule, forward_step, forward_marginal
-from guidelab.oracle import GmmWorld, Condition, NoisedMixture, noised_mixture, log_density_and_score, epsilon_oracle
+from guidelab.oracle import (
+    GmmWorld,
+    Condition,
+    NoisedMixture,
+    noised_mixture,
+    log_density_and_score,
+    epsilon_oracle,
+    epsilon_jacobian,
+)
 from guidelab.guidance import (
     GuidanceConfig,
     cfg_combine,
@@ -33,7 +41,6 @@ from guidelab.sampler import (
 from guidelab.diagnostics import (
     DiagnosticsReport,
     delta_norm_curve,
-    jacobian_fd,
     leading_eigen,
     suppression_projection,
     mode_mass,
@@ -64,6 +71,7 @@ __all__ = [
     "noised_mixture",
     "log_density_and_score",
     "epsilon_oracle",
+    "epsilon_jacobian",
     "GuidanceConfig",
     "cfg_combine",
     "np_combine",
@@ -79,7 +87,6 @@ __all__ = [
     "run_dual_batch",
     "DiagnosticsReport",
     "delta_norm_curve",
-    "jacobian_fd",
     "leading_eigen",
     "suppression_projection",
     "mode_mass",

@@ -259,14 +259,17 @@ def cmd_par_generate(config_path, prompts_path, out_dir=None, mock=None, jobs=1,
     with open(prompts_path, encoding="utf-8") as fh:
         prompts = [line.strip() for line in fh if line.strip()]
     transport = MockTransport.from_dir(mock) if mock is not None else HttpTransport()
+    corpus = out / "corpus.jsonl"
+    quarantine = out / "quarantine.jsonl"
+    # records are appended, so a rerun starts from no corpus and no quarantine
+    for path in (corpus, quarantine):
+        path.unlink(missing_ok=True)
 
     if not prompts:
         print("par-generate: warning: prompts file is empty, nothing to do", file=sys.stderr)
         _write_manifest(out, "par-generate", raw, [], [])
         return 0
 
-    corpus = out / "corpus.jsonl"
-    quarantine = out / "quarantine.jsonl"
     results = generate_batch(
         endpoint,
         default_template(),

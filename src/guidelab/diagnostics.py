@@ -12,20 +12,18 @@ occupancy metrics round out the picture.
 """
 
 import csv
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from guidelab.guidance import GuidanceConfig, row_norms
-from guidelab.oracle import Condition, GmmWorld, assign_components, epsilon_oracle
+from guidelab.oracle import Condition, GmmWorld, assign_components, epsilon_jacobian, epsilon_oracle
 from guidelab.sampler import TrajectoryBatch, ancestral_coeffs, run_single_batch
 from guidelab.schedule import NoiseSchedule
 
 __all__ = [
     "DiagnosticsReport",
     "delta_norm_curve",
-    "jacobian_fd",
     "leading_eigen",
     "suppression_projection",
     "mode_mass",
@@ -35,9 +33,7 @@ __all__ = [
     "series_to_csv",
 ]
 
-MAX_FD_DIM = 16
-# Central-difference step of the report's Jacobians, and the seed whose latent path the spectra follow.
-FD_H = 1e-5
+# The seed whose latent path the spectra follow.
 EIGEN_SEED_INDEX = 0
 
 
@@ -78,64 +74,24 @@ def delta_norm_curve(batch: TrajectoryBatch) -> list:
     return [(t, float(row_norms(d).mean())) for t, d in zip(batch.steps, batch.delta)]
 
 
-def jacobian_fd(world: GmmWorld, cond: Condition, schedule: NoiseSchedule, x: np.ndarray, t: int, h: float) -> np.ndarray:
-    """Dense Jacobian of the noise prediction at (x, t) by central differences.
+def leading_eigen(J: np.ndarray) -> tuple:
+    """Largest-magnitude eigenpair of a symmetric J, from np.linalg.eigh.
 
-    J[i, j] = d eps_i / d x_j at step size h. Restricted to small
-    dimensions; the 2*dim probe points x +/- h e_j go to the oracle as
-    one batch.
-    """
-    if h <= 0:
-        raise ValueError(f"finite-difference step h must be > 0, got {h}")
-    x = np.asarray(x, dtype=np.float64)
-    dim = world.dim
-    if dim > MAX_FD_DIM:
-        raise ValueError(f"dense finite differences limited to dim <= {MAX_FD_DIM}, got {dim}")
-    steps = h * np.eye(dim)
-    eps = epsilon_oracle(world, cond, schedule, np.concatenate([x + steps, x - steps]), t)
-    # column j is (eps(x + h e_j) - eps(x - h e_j)) / 2h; copied to C order, because the
-    # BLAS products in leading_eigen round differently on a transposed layout
-    return ((eps[:dim] - eps[dim:]) / (2.0 * h)).T.copy()
-
-
-def leading_eigen(J: np.ndarray, iters: int = 200, tol: float = 1e-10) -> tuple:
-    """Largest-magnitude eigenpair of J by power iteration on J^T J.
-
-    The eigenvalue sign comes from the Rayleigh quotient <v, J v>. If
-    the residual ||J v - lam v|| still exceeds tol * |lam| after iters
-    sweeps, a warning is emitted and the best pair so far is returned.
+    eigh reads only the lower triangle of J. A tie in |lambda| goes to
+    the first pair in eigh's ascending order, so a degenerate J still
+    gives one deterministic pair.
     The eigenvector is oriented so its largest-magnitude component is
     nonnegative.
     """
     J = np.asarray(J, dtype=np.float64)
     if J.ndim != 2 or J.shape[0] != J.shape[1]:
         raise ValueError(f"leading_eigen needs a square matrix, got shape {J.shape}")
-    n = J.shape[0]
-    v = np.random.default_rng(0).standard_normal(n)
-    v /= np.linalg.norm(v)
-    JtJ = J.T @ J
-    for _ in range(iters):
-        w = JtJ @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            # J annihilates v; the current unit vector is as good as any
-            break
-        w /= norm
-        if np.linalg.norm(w - v) < 1e-15 or np.linalg.norm(w + v) < 1e-15:
-            v = w
-            break
-        v = w
-    lam = float(v @ (J @ v))
-    k = int(np.argmax(np.abs(v)))
-    if v[k] < 0:
+    vals, vecs = np.linalg.eigh(J)
+    k = int(np.argmax(np.abs(vals)))
+    v = vecs[:, k]
+    if v[int(np.argmax(np.abs(v)))] < 0:
         v = -v
-    residual = float(np.linalg.norm(J @ v - lam * v))
-    if residual > tol * max(abs(lam), 1e-300):
-        warnings.warn(
-            f"power iteration residual {residual:.3e} above tol*|lambda|={tol * abs(lam):.3e} after {iters} iterations",
-            RuntimeWarning,
-        )
-    return lam, v
+    return float(vals[k]), v
 
 
 def suppression_projection(v_l: np.ndarray, delta: np.ndarray, w: float) -> float:
@@ -250,8 +206,7 @@ def build_report(
     leading_eigs = []
     suppression = []
     for i, t in enumerate(coupled.steps):
-        J = jacobian_fd(world, p_plus, schedule, coupled.states[i, EIGEN_SEED_INDEX], t, FD_H)
-        lam, v = leading_eigen(J)
+        lam, v = leading_eigen(epsilon_jacobian(world, p_plus, schedule, coupled.states[i, EIGEN_SEED_INDEX], t))
         leading_eigs.append((t, lam, v))
         suppression.append((t, suppression_projection(v, coupled.delta[i, EIGEN_SEED_INDEX], cfg.w)))
 

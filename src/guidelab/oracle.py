@@ -23,6 +23,7 @@ __all__ = [
     "noised_mixture",
     "log_density_and_score",
     "epsilon_oracle",
+    "epsilon_jacobian",
     "assign_components",
 ]
 
@@ -32,7 +33,8 @@ class GmmWorld:
     """A Gaussian mixture data world with diagonal covariances.
 
     means and cov_diags have shape (K, dim); weights is a length-K
-    simplex vector.
+    simplex vector with strictly positive entries. Every entry must be
+    finite.
     """
 
     means: np.ndarray
@@ -50,8 +52,11 @@ class GmmWorld:
             raise ValueError(f"means shape {means.shape} != cov_diags shape {covs.shape}")
         if len(weights) != means.shape[0]:
             raise ValueError(f"{len(weights)} weights for {means.shape[0]} components")
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
+        for name, values in (("means", means), ("cov_diags", covs), ("weights", weights)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite")
+        if np.any(weights <= 0):
+            raise ValueError("weights must be strictly positive")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {weights.sum()}, expected 1 within 1e-12")
         if np.any(covs <= 0):
@@ -126,25 +131,20 @@ def noised_mixture(world: GmmWorld, cond: Condition, schedule: NoiseSchedule, t:
     ab = schedule.alpha_bar(t)
     idx = cond.resolve(world)
     weights = world.weights[idx]
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("condition selects zero total weight")
     return NoisedMixture(
         means=np.sqrt(ab) * world.means[idx],
         cov_diags=ab * world.cov_diags[idx] + (1.0 - ab),
-        weights=weights / total,
+        weights=weights / weights.sum(),
         t=t,
     )
 
 
-def log_density_and_score(mixture: NoisedMixture, x: np.ndarray) -> tuple:
-    """Log-density and its gradient at x, via stable log-sum-exp responsibilities.
+def _responsibilities(mixture: NoisedMixture, x: np.ndarray) -> tuple:
+    """Component offsets, log-density and responsibilities at x, via stable log-sum-exp.
 
-    x is one point of shape (dim,) or a batch of shape (N, dim). One
-    point gives a float and a (dim,) score; a batch gives (N,)
-    log-densities and an (N, dim) score whose rows equal the one-point
-    results bit for bit, because every row goes through the same
-    operations in the same order.
+    x is one point (dim,) or a batch (N, dim); the results are batched:
+    diff = mu_k - x of shape (N, K, dim), log_density (N, 1) and
+    responsibilities (N, K).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != mixture.dim:
@@ -160,9 +160,21 @@ def log_density_and_score(mixture: NoisedMixture, x: np.ndarray) -> tuple:
     )
     m = log_comp.max(axis=1, keepdims=True)
     log_density = m + np.log(np.sum(np.exp(log_comp - m), axis=1, keepdims=True))
-    resp = np.exp(log_comp - log_density)
-    score = np.sum(resp[:, :, None] * diff / covs, axis=1)
-    if x.ndim == 1:
+    return diff, log_density, np.exp(log_comp - log_density)
+
+
+def log_density_and_score(mixture: NoisedMixture, x: np.ndarray) -> tuple:
+    """Log-density and its gradient at x.
+
+    x is one point of shape (dim,) or a batch of shape (N, dim). One
+    point gives a float and a (dim,) score; a batch gives (N,)
+    log-densities and an (N, dim) score whose rows equal the one-point
+    results bit for bit, because every row goes through the same
+    operations in the same order.
+    """
+    diff, log_density, resp = _responsibilities(mixture, x)
+    score = np.sum(resp[:, :, None] * diff / mixture.cov_diags, axis=1)
+    if np.ndim(x) == 1:
         return float(log_density[0, 0]), score[0]
     return log_density[:, 0], score
 
@@ -177,6 +189,25 @@ def epsilon_oracle(world: GmmWorld, cond: Condition, schedule: NoiseSchedule, x:
     mixture = noised_mixture(world, cond, schedule, t)
     _, score = log_density_and_score(mixture, x)
     return -np.sqrt(1.0 - schedule.alpha_bar(t)) * score
+
+
+def epsilon_jacobian(world: GmmWorld, cond: Condition, schedule: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
+    """Exact Jacobian J[i, j] = d eps_i / d x_j of the noise prediction at one point x (dim,).
+
+    With component scores s_k = (mu_k - x) / c_k, responsibilities r_k
+    and the mixture score s = sum_k r_k s_k, the log-density Hessian is
+    sum_k r_k (s_k s_k^T - diag(1 / c_k)) - s s^T, so
+    J = -sqrt(1 - alpha_bar_t) * Hessian: symmetric, in closed form.
+    """
+    if np.ndim(x) != 1:
+        raise ValueError(f"epsilon_jacobian takes one point of shape (dim,), got shape {np.shape(x)}")
+    mixture = noised_mixture(world, cond, schedule, t)
+    diff, _, resp = _responsibilities(mixture, x)
+    r = resp[0]
+    s_k = diff[0] / mixture.cov_diags
+    s = r @ s_k
+    hessian = (s_k.T * r) @ s_k - np.diag(r @ (1.0 / mixture.cov_diags)) - np.outer(s, s)
+    return -np.sqrt(1.0 - schedule.alpha_bar(t)) * hessian
 
 
 def assign_components(world: GmmWorld, samples: np.ndarray) -> np.ndarray:

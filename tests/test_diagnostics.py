@@ -1,21 +1,24 @@
 """Diagnostics: discrepancy curves, Jacobian spectra, mode masses, bias probe.
 
-The spectral tests use numpy's dense symmetric eigensolver as an
-independent oracle, and the Jacobian tests bound finite-difference
-error empirically by Richardson extrapolation instead of trusting the
-implementation's own step size.
+The spectral tests use numpy's general dense eigensolver (not the
+symmetric one the package calls) as an independent oracle. The
+closed-form Jacobian is checked against central finite differences of
+the oracle, whose error is bounded empirically by Richardson
+extrapolation instead of trusted at a fixed step size.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
+from scipy.stats import multivariate_normal
 
 from guidelab.diagnostics import (
     DiagnosticsReport,
     build_report,
     delta_norm_curve,
-    jacobian_fd,
     leading_eigen,
     mode_mass,
     report_to_json,
@@ -24,9 +27,12 @@ from guidelab.diagnostics import (
     trajectory_bias_probe,
 )
 from guidelab.guidance import GuidanceConfig
-from guidelab.oracle import Condition, GmmWorld, epsilon_oracle
+from guidelab.oracle import Condition, GmmWorld, epsilon_jacobian, epsilon_oracle
 from guidelab.sampler import run_single_batch
 from guidelab.schedule import make_linear_schedule
+
+from conftest import random_world
+from test_oracle import jacobian_fd
 
 
 MIX = GmmWorld(
@@ -71,47 +77,65 @@ def test_jacobian_unit_gaussian_closed_form():
     rng = np.random.default_rng(0)
     for t in (1, 5, 10):
         x = rng.normal(size=2)
-        J = jacobian_fd(world, Condition.null(), s, x, t, 1e-5)
-        np.testing.assert_allclose(J, np.sqrt(1 - s.alpha_bar(t)) * np.eye(2), atol=1e-5)
+        J = epsilon_jacobian(world, Condition.null(), s, x, t)
+        np.testing.assert_allclose(J, np.sqrt(1 - s.alpha_bar(t)) * np.eye(2), atol=1e-12)
 
 
 def test_jacobian_symmetry_within_richardson_bound():
     # The exact Jacobian is a scaled log-density Hessian, hence
-    # symmetric; the observed asymmetry must be explained by the
-    # finite-difference error, which we bound via Richardson
-    # extrapolation from two step sizes.
+    # symmetric up to rounding; its distance from finite differences
+    # must be explained by the finite-difference error, which we bound
+    # via Richardson extrapolation from two step sizes.
     s = make_linear_schedule(10, 0.05, 0.25)
     x = np.array([0.8, -0.3])
     t = 4
     h = 1e-3
+    J = epsilon_jacobian(MIX, Condition.null(), s, x, t)
+    assert np.linalg.norm(J - J.T) <= 1e-13 * np.linalg.norm(J)
     J_h = jacobian_fd(MIX, Condition.null(), s, x, t, h)
     J_h2 = jacobian_fd(MIX, Condition.null(), s, x, t, h / 2)
     err_bound = (4.0 / 3.0) * np.linalg.norm(J_h - J_h2)
-    asym = np.linalg.norm(J_h - J_h.T)
-    assert asym <= 10.0 * err_bound + 1e-12
+    assert np.linalg.norm(J_h - J) <= 10.0 * err_bound + 1e-12
 
 
 def test_jacobian_h_refinement_second_order():
     # Central differences converge at O(h^2): halving h should cut the
-    # error against a near-exact reference by about 4x.
+    # error against the exact Jacobian by about 4x.
     s = make_linear_schedule(10, 0.05, 0.25)
     x = np.array([0.8, -0.3])
     t = 4
-    ref = jacobian_fd(MIX, Condition.null(), s, x, t, 1e-5)
+    ref = epsilon_jacobian(MIX, Condition.null(), s, x, t)
     e1 = np.linalg.norm(jacobian_fd(MIX, Condition.null(), s, x, t, 1e-3) - ref)
     e2 = np.linalg.norm(jacobian_fd(MIX, Condition.null(), s, x, t, 5e-4) - ref)
     assert 2.8 < e1 / e2 < 6.0
 
 
+def test_jacobian_matches_finite_differences_over_random_worlds():
+    # Includes a 17-D world, one dimension past the cap the dense
+    # finite-difference route used to impose.
+    rng = np.random.default_rng(23)
+    s = make_linear_schedule(20, 0.03, 0.2)
+    worst = 0.0
+    for dim in (1, 2, 3, 5, 8, 17):
+        for _ in range(6):
+            world = random_world(rng, dim=dim, num_components=int(rng.integers(1, 6)))
+            k = world.num_components
+            cond = Condition.subset(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False))
+            x = rng.normal(scale=3.0, size=dim)
+            t = int(rng.integers(1, 21))
+            J = epsilon_jacobian(world, cond, s, x, t)
+            assert J.shape == (dim, dim)
+            worst = max(worst, np.max(np.abs(J - jacobian_fd(world, cond, s, x, t, 1e-5))))
+    assert worst <= 1e-5
+
+
 def test_jacobian_validation():
     s = make_linear_schedule(5, 0.05, 0.2)
-    with pytest.raises(ValueError):
-        jacobian_fd(MIX, Condition.null(), s, np.zeros(2), 1, 0.0)
-    with pytest.raises(ValueError):
-        jacobian_fd(MIX, Condition.null(), s, np.zeros(2), 1, -1e-5)
+    for bad in (np.zeros((2, 2)), np.zeros(3), np.zeros(())):
+        with pytest.raises(ValueError):
+            epsilon_jacobian(MIX, Condition.null(), s, bad, 1)
     big = GmmWorld(means=np.zeros((1, 17)), cov_diags=np.ones((1, 17)), weights=np.array([1.0]))
-    with pytest.raises(ValueError):
-        jacobian_fd(big, Condition.null(), s, np.zeros(17), 1, 1e-5)
+    assert epsilon_jacobian(big, Condition.null(), s, np.zeros(17), 1).shape == (17, 17)
 
 
 def test_leading_eigen_diagonal():
@@ -129,7 +153,7 @@ def test_leading_eigen_scaled_identity():
 
 def test_leading_eigen_against_dense_solver():
     # Random symmetric 8x8 matrices with a forced spectral gap; the
-    # power iteration must match numpy's dense eigensolver.
+    # symmetric solver must match numpy's general dense eigensolver.
     rng = np.random.default_rng(77)
     for _ in range(20):
         q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
@@ -139,18 +163,26 @@ def test_leading_eigen_against_dense_solver():
         lams[0] = np.sign(lams[0] or 1.0) * max(abs(lams[0]), 1.3 * abs(lams[1]) + 0.5)
         J = (q * lams) @ q.T
         J = 0.5 * (J + J.T)
-        ref_vals, ref_vecs = np.linalg.eigh(J)
+        ref_vals, ref_vecs = np.linalg.eig(J)
         k = int(np.argmax(np.abs(ref_vals)))
-        lam, v = leading_eigen(J, iters=2000)
+        lam, v = leading_eigen(J)
         assert lam == pytest.approx(float(ref_vals[k]), abs=1e-8)
         assert abs(abs(np.dot(v, ref_vecs[:, k])) - 1.0) <= 1e-8
 
 
-def test_leading_eigen_warns_on_degenerate_magnitudes():
-    # diag(3, -3) has a two-fold |lambda| tie; power iteration on J^T J
-    # cannot separate the pair, so the residual check must fire.
-    with pytest.warns(RuntimeWarning):
-        leading_eigen(np.diag([3.0, -3.0]))
+def test_leading_eigen_degenerate_magnitudes_are_exact():
+    # Tied |lambda|: the first pair in eigh's ascending order wins, the
+    # same exact pair on every call, and no warning is raised.
+    cases = [(np.diag([3.0, -3.0]), -3.0, [0.0, 1.0])]
+    cases += [(c * np.eye(3), c, [1.0, 0.0, 0.0]) for c in (0.1732, 2.5, -2.5)]
+    for J, lam_expect, v_expect in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, v = leading_eigen(J)
+            again = leading_eigen(J)
+        assert lam == lam_expect
+        assert np.array_equal(v, v_expect)
+        assert again[0] == lam and np.array_equal(again[1], v)
 
 
 def test_leading_eigen_rejects_nonsquare():
@@ -326,23 +358,28 @@ def test_build_report_rejects_cfg():
 
 
 def test_jacobian_batch_equals_column_loop():
-    # The 2*dim probe points go to the oracle as one batch; each column
-    # must equal its own pair of one-point calls, and J comes back in C
-    # order because the eigen solver's BLAS products depend on layout.
+    # The vectorised closed form must equal the Hessian written out
+    # entry by entry, with responsibilities from scipy's log-sum-exp.
     s = make_linear_schedule(10, 0.05, 0.25)
     rng = np.random.default_rng(91)
-    h = 1e-5
+    cond = Condition.subset([0, 1])
     for _ in range(5):
         x = rng.normal(scale=2.0, size=2)
         t = int(rng.integers(1, 11))
-        J = jacobian_fd(MIX, Condition.subset([0, 1]), s, x, t, h)
-        assert J.flags.c_contiguous
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = h
-            hi = epsilon_oracle(MIX, Condition.subset([0, 1]), s, x + e, t)
-            lo = epsilon_oracle(MIX, Condition.subset([0, 1]), s, x - e, t)
-            assert np.array_equal(J[:, j], (hi - lo) / (2.0 * h))
+        ab = s.alpha_bar(t)
+        means = np.sqrt(ab) * MIX.means[:2]
+        covs = ab * MIX.cov_diags[:2] + (1.0 - ab)
+        logs = [np.log(MIX.weights[k]) + multivariate_normal.logpdf(x, mean=means[k], cov=np.diag(covs[k]))
+                for k in range(2)]
+        r = np.exp(np.array(logs) - logsumexp(logs))
+        sk = (means - x) / covs
+        score = [sum(r[k] * sk[k, i] for k in range(2)) for i in range(2)]
+        expect = np.zeros((2, 2))
+        for i in range(2):
+            for j in range(2):
+                hess = sum(r[k] * (sk[k, i] * sk[k, j] - (i == j) / covs[k, i]) for k in range(2))
+                expect[i, j] = -np.sqrt(1.0 - ab) * (hess - score[i] * score[j])
+        np.testing.assert_allclose(epsilon_jacobian(MIX, cond, s, x, t), expect, rtol=1e-12, atol=1e-14)
 
 
 def test_bias_probe_equals_seed_by_seed_accumulation():

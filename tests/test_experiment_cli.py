@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from guidelab.experiment import (
 from guidelab.guidance import STRATEGIES
 
 from test_par import FIXTURES
+
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "configs" / "two_well.json"
 
 
 def small_config(**overrides):
@@ -271,6 +274,49 @@ def test_cmd_diagnose_emits_summary(tmp_path):
     }
     assert summary["bias_gap_at_T"] == 0.0
     assert summary["window"] == 1
+
+
+def test_cmd_diagnose_strict_on_shipped_np_config(tmp_path):
+    # The shipped two_well world under NP must pass --strict: no
+    # diagnostic step may raise a RuntimeWarning.
+    raw = json.loads(DEMO_CONFIG.read_text())
+    raw["guidance"]["strategy"] = "NP"
+    path = write_config(tmp_path, raw)
+    assert cmd_diagnose_lag(path, out_dir=tmp_path / "out", strict=True) == 0
+
+
+@pytest.mark.parametrize("world_edit", [
+    {"components": [{"mean": [float("nan"), 0.0], "cov_diag": [1.0, 1.0]},
+                    {"mean": [12.0, 0.0], "cov_diag": [1.0, 1.0]}]},
+    {"components": [{"mean": [-12.0, 0.0], "cov_diag": [1.0, float("inf")]},
+                    {"mean": [12.0, 0.0], "cov_diag": [1.0, 1.0]}]},
+    {"weights": [1.0, 0.0]},
+], ids=["nan_mean", "inf_cov", "zero_weight"])
+def test_cmd_sample_rejects_bad_world(tmp_path, capsys, world_edit):
+    # Non-finite parameters used to give NaN samples with exit 0, and a
+    # zero weight a log(0) RuntimeWarning; both must fail naming 'world'.
+    raw = small_config()
+    raw["world"].update(world_edit)
+    path = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert cmd_sample(path, out_dir=out) == 2
+    assert "field 'world' invalid" in capsys.readouterr().err
+    assert not (out / "samples.csv").exists()
+
+
+def test_cmd_par_generate_rerun_is_idempotent(tmp_path):
+    # A second run into the same directory must replace, not extend, the corpus and quarantine.
+    path = write_config(tmp_path, small_config())
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text((FIXTURES / "butter.prompt.txt").read_text().strip() + "\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "quarantine.jsonl").write_text('{"stale": true}\n')
+    assert cmd_par_generate(path, prompts, out_dir=out, mock=FIXTURES) == 0
+    assert len((out / "corpus.jsonl").read_text().splitlines()) == 1
+    assert not (out / "quarantine.jsonl").exists()
+    assert cmd_par_generate(path, prompts, out_dir=out, mock=FIXTURES) == 0
+    assert len((out / "corpus.jsonl").read_text().splitlines()) == 1
 
 
 def test_cmd_par_generate_empty_prompts(tmp_path, capsys):

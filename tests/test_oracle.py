@@ -56,6 +56,17 @@ def ref_fd_score(world, cond, schedule, x, t, h=1e-5):
     return g
 
 
+def jacobian_fd(world, cond, schedule, x, t, h):
+    """Central finite differences of the oracle: J[i, j] = d eps_i / d x_j at step size h.
+
+    The 2*dim probe points x +/- h e_j go to the oracle as one batch.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    steps = h * np.eye(len(x))
+    eps = epsilon_oracle(world, cond, schedule, np.concatenate([x + steps, x - steps]), t)
+    return ((eps[:len(x)] - eps[len(x):]) / (2.0 * h)).T
+
+
 def test_noised_mixture_unit_gaussian_fixed_point():
     world = GmmWorld(means=np.zeros((1, 2)), cov_diags=np.ones((1, 2)), weights=np.array([1.0]))
     s = make_linear_schedule(10, 0.05, 0.25)
@@ -220,6 +231,20 @@ def test_world_validation():
         GmmWorld(means=np.zeros((2, 2)), cov_diags=np.ones((2, 3)), weights=np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         GmmWorld(means=np.zeros((3, 2)), cov_diags=np.ones((3, 2)), weights=np.array([0.5, 0.5]))
+    # a zero weight would put log(0) into every responsibility computation
+    with pytest.raises(ValueError, match="strictly positive"):
+        GmmWorld(means=np.zeros((2, 2)), cov_diags=np.ones((2, 2)), weights=np.array([1.0, 0.0]))
+    # a NaN or inf parameter would otherwise flow through the oracle into NaN samples
+    good = dict(means=np.zeros((2, 2)), cov_diags=np.ones((2, 2)), weights=np.array([0.5, 0.5]))
+    for name, bad in (
+        ("means", np.array([[np.nan, 0.0], [1.0, 0.0]])),
+        ("means", np.array([[np.inf, 0.0], [1.0, 0.0]])),
+        ("cov_diags", np.array([[1.0, np.inf], [1.0, 1.0]])),
+        ("cov_diags", np.array([[1.0, np.nan], [1.0, 1.0]])),
+        ("weights", np.array([np.nan, 0.5])),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GmmWorld(**{**good, name: bad})
 
 
 def test_condition_validation_and_dedup():
