@@ -11,7 +11,6 @@ from guidelab.par import (
     FormatViolation,
     LlmEndpointConfig,
     MockTransport,
-    default_template,
     generate,
     parse_response,
     render_record,
@@ -38,10 +37,9 @@ The puddle freezes back into a cube."""
 
 def main():
     cfg = LlmEndpointConfig(base_url="http://localhost:0", model="offline-demo")
-    template = default_template()
     transport = MockTransport({PROMPT: RESPONSE})
 
-    record = generate(cfg, template, PROMPT, transport)
+    record = generate(cfg, PROMPT, transport)
     print("validated record:")
     print(f"  entities:           {record.analysis.entities}")
     print(f"  environment:        {record.analysis.environment}")
@@ -50,13 +48,13 @@ def main():
     print(f"  counterfactual:     {record.counterfactual}")
 
     rendered = render_record(record)
-    reparsed = parse_response(rendered, template, user_prompt=PROMPT,
+    reparsed = parse_response(rendered, user_prompt=PROMPT,
                               model_id=record.model_id, created_at=record.created_at)
     assert reparsed == record
     print("\nrender -> parse round trip: exact")
 
     try:
-        parse_response(MALFORMED, template)
+        parse_response(MALFORMED)
     except FormatViolation as exc:
         print(f"\nmalformed response rejected: missing {exc.missing!r}")
 

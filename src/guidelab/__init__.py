@@ -47,7 +47,6 @@ from guidelab.diagnostics import (
     trajectory_bias_probe,
 )
 from guidelab.par import (
-    ParTemplate,
     CounterfactualRecord,
     LlmEndpointConfig,
     FormatViolation,
@@ -91,7 +90,6 @@ __all__ = [
     "suppression_projection",
     "mode_mass",
     "trajectory_bias_probe",
-    "ParTemplate",
     "CounterfactualRecord",
     "LlmEndpointConfig",
     "FormatViolation",

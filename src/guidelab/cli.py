@@ -29,6 +29,7 @@ from guidelab.experiment import (
     ExperimentConfig,
     config_hash,
     load_config,
+    number,
     output_dir,
     read_config,
     run_strategy,
@@ -41,7 +42,6 @@ from guidelab.par import (
     LlmEndpointConfig,
     MockTransport,
     HttpTransport,
-    default_template,
     generate_batch,
 )
 
@@ -235,14 +235,16 @@ def _endpoint_from_config(raw: dict, mock: bool) -> LlmEndpointConfig:
     if par is None and not mock:
         raise ConfigError("field 'par' (endpoint settings) is required without --mock")
     par = par or {}
+    # only the keys present are passed on, so the other fields take LlmEndpointConfig's defaults
+    fields = {"base_url": str(par.get("base_url", "http://localhost:0")),
+              "model": str(par.get("model", "mock-model"))}
+    if "api_key_env" in par:
+        fields["api_key_env"] = str(par["api_key_env"])
+    for key, kind in (("timeout", float), ("max_retries", int)):
+        if key in par:
+            fields[key] = number(par[key], f"par.{key}", kind)
     try:
-        return LlmEndpointConfig(
-            base_url=str(par.get("base_url", "http://localhost:0")),
-            model=str(par.get("model", "mock-model")),
-            api_key_env=str(par.get("api_key_env", "GUIDELAB_API_KEY")),
-            timeout=float(par.get("timeout", 60.0)),
-            max_retries=int(par.get("max_retries", 2)),
-        )
+        return LlmEndpointConfig(**fields)
     except ValueError as exc:
         raise ConfigError(f"field 'par' invalid: {exc}") from exc
 
@@ -272,7 +274,6 @@ def cmd_par_generate(config_path, prompts_path, out_dir=None, mock=None, jobs=1,
 
     results = generate_batch(
         endpoint,
-        default_template(),
         prompts,
         transport,
         corpus_path=corpus,

@@ -22,6 +22,7 @@ from guidelab.schedule import NoiseSchedule, make_linear_schedule
 
 __all__ = [
     "ConfigError",
+    "number",
     "ExperimentConfig",
     "DEFAULT_CONFIG",
     "default_config",
@@ -97,6 +98,18 @@ class ExperimentConfig:
         return self.conditions[self.negative] if self.negative else None
 
 
+def number(value, field: str, kind=float):
+    """A numeric config value as kind (float or int), or a ConfigError naming field.
+
+    The value must be a JSON number: not null, a bool, a string, a list
+    or a mapping. An int field must also be integral (3 or 3.0, not 3.7).
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (kind is int and isinstance(value, float) and not value.is_integer())):
+        raise ConfigError(f"field '{field}' must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
 def _need(raw: dict, key: str, where: str):
     if key not in raw:
         raise ConfigError(f"missing field '{where}{key}'")
@@ -151,12 +164,10 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
         raise ConfigError(f"field 'negative' names unknown condition '{negative}'")
 
     sched_raw = _need(raw, "schedule", "")
+    steps, beta_start, beta_end = (number(_need(sched_raw, key, "schedule."), f"schedule.{key}", kind)
+                                   for key, kind in (("num_steps", int), ("beta_start", float), ("beta_end", float)))
     try:
-        schedule = make_linear_schedule(
-            int(_need(sched_raw, "num_steps", "schedule.")),
-            float(_need(sched_raw, "beta_start", "schedule.")),
-            float(_need(sched_raw, "beta_end", "schedule.")),
-        )
+        schedule = make_linear_schedule(steps, beta_start, beta_end)
     except ValueError as exc:
         raise ConfigError(f"field 'schedule' invalid: {exc}") from exc
 
@@ -164,21 +175,18 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
     strategy = _need(g, "strategy", "guidance.")
     if strategy not in STRATEGIES:
         raise ConfigError(f"field 'guidance.strategy' has unknown value '{strategy}'")
+    w, lambda_, eps_stab = (number(g.get(key, default), f"guidance.{key}")
+                            for key, default in (("w", 6.0), ("lambda", 30.0), ("eps_stab", 1e-8)))
     try:
-        guidance = GuidanceConfig(
-            strategy=strategy,
-            w=float(g.get("w", 6.0)),
-            lambda_=float(g.get("lambda", 30.0)),
-            eps_stab=float(g.get("eps_stab", 1e-8)),
-        )
+        guidance = GuidanceConfig(strategy=strategy, w=w, lambda_=lambda_, eps_stab=eps_stab)
     except ValueError as exc:
         raise ConfigError(f"field 'guidance' invalid: {exc}") from exc
 
     run = _need(raw, "run", "")
     seeds_raw = _need(run, "seeds", "run.")
     if isinstance(seeds_raw, dict):
-        count = int(_need(seeds_raw, "count", "run.seeds."))
-        base = int(seeds_raw.get("base", 0))
+        count = number(_need(seeds_raw, "count", "run.seeds."), "run.seeds.count", int)
+        base = number(seeds_raw.get("base", 0), "run.seeds.base", int)
         if seed_base is not None:
             base = int(seed_base)
             raw["run"]["seeds"]["base"] = base
@@ -186,7 +194,7 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
             raise ConfigError("field 'run.seeds.count' must be >= 1")
         seeds = list(range(base, base + count))
     elif isinstance(seeds_raw, list):
-        seeds = [int(s) for s in seeds_raw]
+        seeds = [number(s, f"run.seeds[{i}]", int) for i, s in enumerate(seeds_raw)]
         if seed_base is not None:
             seeds = [s + int(seed_base) for s in seeds]
             raw["run"]["seeds"] = seeds
@@ -198,16 +206,18 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
             seen.add(s)
             deduped.append(s)
     seeds = deduped
-    sample_count = run.get("sample_count")
-    if sample_count is not None:
-        sample_count = int(sample_count)
+    if "sample_count" in run:
+        sample_count = number(run["sample_count"], "run.sample_count", int)
         if sample_count < 1:
             raise ConfigError("field 'run.sample_count' must be >= 1")
         seeds = seeds[:sample_count]
     deterministic = bool(run.get("deterministic", True))
 
-    mass_raw = raw.get("mass_labels", {})
-    mass_labels = {str(k): tuple(int(i) for i in v) for k, v in mass_raw.items()}
+    mass_labels = {}
+    for label, comps in raw.get("mass_labels", {}).items():
+        if not isinstance(comps, list):
+            raise ConfigError(f"field 'mass_labels.{label}' must be a list of component indices")
+        mass_labels[label] = tuple(number(c, f"mass_labels.{label}[{i}]", int) for i, c in enumerate(comps))
 
     return ExperimentConfig(
         world=world,

@@ -8,10 +8,6 @@ physical process. Responses must follow a strict two-section format so
 they can be parsed mechanically; parsed records pass through cheap
 lexical quality heuristics, and failures land in a quarantine file
 instead of the corpus.
-
-The shipped instruction template is version 1; any change to its text
-should bump DEFAULT_TEMPLATE_VERSION so downstream corpora stay
-auditable.
 """
 
 import json
@@ -27,29 +23,24 @@ __all__ = [
     "ANALYSIS_MARKER",
     "COUNTERFACTUAL_MARKER",
     "SUBFIELD_LABELS",
-    "ParTemplate",
+    "REQUIREMENTS",
+    "OUTPUT_FORMAT_SPEC",
+    "SYSTEM_MESSAGE",
     "Analysis",
     "CounterfactualRecord",
     "LlmEndpointConfig",
-    "ValidationCheck",
-    "ValidationReport",
     "FormatViolation",
     "TransportError",
     "ValidationFailure",
     "MockTransport",
     "HttpTransport",
-    "default_template",
     "build_instruction",
     "parse_response",
     "render_record",
     "validate_record",
     "generate",
     "generate_batch",
-    "record_to_json",
-    "record_from_json",
 ]
-
-DEFAULT_TEMPLATE_VERSION = "1"
 
 ANALYSIS_MARKER = "[ANALYSIS]"
 COUNTERFACTUAL_MARKER = "[COUNTERFACTUAL]"
@@ -98,9 +89,17 @@ class FormatViolation(ValueError):
 
 
 class TransportError(RuntimeError):
-    """Raised when the endpoint cannot be reached or returns garbage."""
+    """Raised when the endpoint cannot be reached or returns garbage.
+
+    retryable is False for a failure that a retry cannot fix (no canned
+    response, no API key, a client error), so it is raised at once.
+    """
 
     status = "transport_error"
+
+    def __init__(self, message: str, retryable: bool = True):
+        self.retryable = retryable
+        super().__init__(message)
 
 
 class ValidationFailure(RuntimeError):
@@ -111,21 +110,6 @@ class ValidationFailure(RuntimeError):
     def __init__(self, reasons):
         self.reasons = list(reasons)
         super().__init__("validation failed: " + "; ".join(self.reasons))
-
-
-@dataclass(frozen=True)
-class ParTemplate:
-    """Instruction template: system framing, rules, and the strict format spec."""
-
-    system_text: str
-    requirements: tuple
-    output_format_spec: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "requirements", tuple(self.requirements))
-        for marker in (ANALYSIS_MARKER, COUNTERFACTUAL_MARKER):
-            if marker not in self.output_format_spec:
-                raise ValueError(f"output_format_spec must define the {marker} section")
 
 
 @dataclass(frozen=True)
@@ -162,22 +146,6 @@ class LlmEndpointConfig:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
 
-@dataclass(frozen=True)
-class ValidationCheck:
-    name: str
-    passed: bool
-    reason: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple
-    passed: bool
-
-    def failures(self) -> list:
-        return [c for c in self.checks if not c.passed]
-
-
 _WORKED_EXAMPLE = """Worked example.
 User prompt: A timelapse captures the gradual transformation of butter as the temperature rises significantly.
 Response:
@@ -190,45 +158,41 @@ Temporal evolution: the butter first softens at the edges, then progressively me
 The butter is fully liquefied from the start, with no observable melting process."""
 
 
-def default_template() -> ParTemplate:
-    """The bundled instruction template (version 1)."""
-    system_text = (
-        "You prepare counterfactual captions for physics-focused video generation.\n"
-        "Given a user prompt describing a scene, first analyze its physical content,"
-        " then write exactly one counterfactual version of the prompt.\n\n" + _WORKED_EXAMPLE
-    )
-    requirements = (
-        "Keep the same entities and setting as the original prompt.",
-        "Do not repeat or trivially rephrase the original prompt.",
-        "The counterfactual must stay visually plausible while clearly violating the physical law governing the scene.",
-        "Target the physical process identified in the analysis, not an unrelated one.",
-    )
-    output_format_spec = (
-        "Respond in exactly this format:\n"
-        "[ANALYSIS]\n"
-        "Entities: <entities present in the scene>\n"
-        "Environment: <environmental conditions>\n"
-        "Interactions: <how the entities interact physically>\n"
-        "Temporal evolution: <how the scene evolves over time>\n"
-        "[COUNTERFACTUAL]\n"
-        "<one counterfactual version of the prompt>"
-    )
-    return ParTemplate(system_text=system_text, requirements=requirements, output_format_spec=output_format_spec)
+REQUIREMENTS = (
+    "Keep the same entities and setting as the original prompt.",
+    "Do not repeat or trivially rephrase the original prompt.",
+    "The counterfactual must stay visually plausible while clearly violating the physical law governing the scene.",
+    "Target the physical process identified in the analysis, not an unrelated one.",
+)
+
+OUTPUT_FORMAT_SPEC = (
+    "Respond in exactly this format:\n"
+    "[ANALYSIS]\n"
+    "Entities: <entities present in the scene>\n"
+    "Environment: <environmental conditions>\n"
+    "Interactions: <how the entities interact physically>\n"
+    "Temporal evolution: <how the scene evolves over time>\n"
+    "[COUNTERFACTUAL]\n"
+    "<one counterfactual version of the prompt>"
+)
+
+# The system message of every generation call: framing, worked example, numbered requirements, format spec.
+SYSTEM_MESSAGE = "\n\n".join((
+    "You prepare counterfactual captions for physics-focused video generation.\n"
+    "Given a user prompt describing a scene, first analyze its physical content,"
+    " then write exactly one counterfactual version of the prompt.",
+    _WORKED_EXAMPLE,
+    "Requirements:\n" + "\n".join(f"{i}. {rule}" for i, rule in enumerate(REQUIREMENTS, 1)),
+    OUTPUT_FORMAT_SPEC,
+))
 
 
-def build_instruction(template: ParTemplate, user_prompt: str) -> list:
-    """Compose the chat messages for one generation call.
-
-    The system message carries the template framing, the numbered
-    requirements, and the format spec; the user prompt goes through
-    verbatim as the user message.
-    """
+def build_instruction(user_prompt: str) -> list:
+    """The chat messages for one generation call: SYSTEM_MESSAGE, then the user prompt verbatim."""
     if not user_prompt or not user_prompt.strip():
         raise ValueError("user_prompt must be nonempty")
-    rules = "\n".join(f"{i + 1}. {r}" for i, r in enumerate(template.requirements))
-    system = f"{template.system_text}\n\nRequirements:\n{rules}\n\n{template.output_format_spec}"
     return [
-        {"role": "system", "content": system},
+        {"role": "system", "content": SYSTEM_MESSAGE},
         {"role": "user", "content": user_prompt},
     ]
 
@@ -272,7 +236,6 @@ def _parse_subfields(analysis_lines: list) -> dict:
 
 def parse_response(
     text: str,
-    template: ParTemplate,
     user_prompt: str = "",
     model_id: str = "",
     created_at: str = "",
@@ -318,45 +281,32 @@ def render_record(rec: CounterfactualRecord) -> str:
     )
 
 
-def _content_words(text: str) -> set:
-    words = "".join(ch if ch.isalnum() else " " for ch in text.lower()).split()
-    return {w for w in words if len(w) > 2 and w not in _STOP_WORDS}
+def _words(text: str) -> list:
+    return "".join(ch if ch.isalnum() else " " for ch in text.lower()).split()
 
 
-def _normalize(text: str) -> str:
-    return " ".join("".join(ch if ch.isalnum() else " " for ch in text.lower()).split())
+def validate_record(rec: CounterfactualRecord) -> list:
+    """Run the lexical quality heuristics; return the failure reasons, empty if the record passes.
 
-
-def validate_record(rec: CounterfactualRecord) -> ValidationReport:
-    """Run the lexical quality heuristics; reports, never throws.
-
-    Checks: (a) the counterfactual shares at least one content word
-    with the user prompt, (b) it carries a
+    Checks, each failure given as "name: reason" in this order:
+    entity_overlap (the counterfactual shares at least one content word
+    with the user prompt), violation_marker (it carries a
     negation/violation marker or at least differs from a naive
-    restatement, (c) it does not repeat the user prompt.
+    restatement), non_repetition (it does not repeat the user prompt).
+    Never raises.
     """
-    shared = _content_words(rec.user_prompt) & _content_words(rec.counterfactual)
-    overlap = ValidationCheck(
-        name="entity_overlap",
-        passed=bool(shared),
-        reason=(f"shared content words: {sorted(shared)}" if shared else "no shared content words"),
-    )
-    cf_lower = rec.counterfactual.lower()
-    markers = [m for m in _VIOLATION_MARKERS if m in cf_lower]
-    differs = _normalize(rec.counterfactual) != _normalize(rec.user_prompt)
-    violation = ValidationCheck(
-        name="violation_marker",
-        passed=bool(markers) or differs,
-        reason=(f"markers found: {markers}" if markers else
-                ("differs from a naive restatement" if differs else "restates the prompt with no violation cue")),
-    )
-    repetition = ValidationCheck(
-        name="non_repetition",
-        passed=differs,
-        reason=("counterfactual differs from the prompt" if differs else "counterfactual repeats the user prompt"),
-    )
-    checks = (overlap, violation, repetition)
-    return ValidationReport(checks=checks, passed=all(c.passed for c in checks))
+    prompt_words = _words(rec.user_prompt)
+    cf_words = _words(rec.counterfactual)
+    reasons = []
+    # only the prompt's words need the content-word filter: a word that passes it passes on both sides
+    if not {w for w in prompt_words if len(w) > 2 and w not in _STOP_WORDS}.intersection(cf_words):
+        reasons.append("entity_overlap: no shared content words")
+    if prompt_words == cf_words:
+        cf_lower = rec.counterfactual.lower()
+        if not any(m in cf_lower for m in _VIOLATION_MARKERS):
+            reasons.append("violation_marker: restates the prompt with no violation cue")
+        reasons.append("non_repetition: counterfactual repeats the user prompt")
+    return reasons
 
 
 class MockTransport:
@@ -384,15 +334,12 @@ class MockTransport:
         self.calls += 1
         prompt = next((m["content"] for m in reversed(messages) if m["role"] == "user"), None)
         if prompt is None or prompt.strip() not in self.responses:
-            raise TransportError(f"no canned response for prompt {prompt!r}")
+            raise TransportError(f"no canned response for prompt {prompt!r}", retryable=False)
         return self.responses[prompt.strip()]
 
 
 class HttpTransport:
     """Live chat-completions client: POST {base_url}/v1/chat/completions."""
-
-    def __init__(self, temperature: float = 0.2):
-        self.temperature = temperature
 
     def __call__(self, messages: list, cfg: LlmEndpointConfig) -> str:
         # imported here: requests takes about as long to import as the rest of the CLI,
@@ -401,9 +348,9 @@ class HttpTransport:
 
         token = os.environ.get(cfg.api_key_env)
         if not token:
-            raise TransportError(f"environment variable {cfg.api_key_env} is not set")
+            raise TransportError(f"environment variable {cfg.api_key_env} is not set", retryable=False)
         url = cfg.base_url.rstrip("/") + "/v1/chat/completions"
-        body = {"model": cfg.model, "messages": messages, "temperature": self.temperature}
+        body = {"model": cfg.model, "messages": messages, "temperature": 0.2}
         try:
             resp = requests.post(
                 url,
@@ -414,7 +361,10 @@ class HttpTransport:
         except requests.RequestException as exc:
             raise TransportError(f"request to {url} failed: {exc}") from exc
         if resp.status_code != 200:
-            raise TransportError(f"endpoint returned status {resp.status_code}: {resp.text[:200]}")
+            # a client error other than a timeout or a rate limit fails the same way on every retry
+            client_error = 400 <= resp.status_code < 500 and resp.status_code not in (408, 429)
+            raise TransportError(f"endpoint returned status {resp.status_code}: {resp.text[:200]}",
+                                 retryable=not client_error)
         try:
             return resp.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -423,20 +373,6 @@ class HttpTransport:
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
-
-
-def record_to_json(rec: CounterfactualRecord) -> dict:
-    return asdict(rec)
-
-
-def record_from_json(d: dict) -> CounterfactualRecord:
-    return CounterfactualRecord(
-        user_prompt=d["user_prompt"],
-        analysis=Analysis(**d["analysis"]),
-        counterfactual=d["counterfactual"],
-        model_id=d.get("model_id", ""),
-        created_at=d.get("created_at", ""),
-    )
 
 
 # The failures a generation call can end in; each class names its status.
@@ -448,9 +384,9 @@ def _append_jsonl(path, obj: dict) -> None:
         fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _call_with_retries(cfg, template, user_prompt, transport, sleep, clock) -> CounterfactualRecord:
-    """Call the endpoint, retrying transport errors with backoff, and parse the response."""
-    messages = build_instruction(template, user_prompt)
+def _call_with_retries(cfg, user_prompt, transport, sleep, clock) -> CounterfactualRecord:
+    """Call the endpoint, retrying retryable transport errors with backoff, and parse the response."""
+    messages = build_instruction(user_prompt)
     for attempt in range(1 + cfg.max_retries):
         if attempt > 0:
             sleep(0.5 * 2 ** (attempt - 1))
@@ -458,28 +394,28 @@ def _call_with_retries(cfg, template, user_prompt, transport, sleep, clock) -> C
             text = transport(messages, cfg)
             break
         except TransportError as exc:
+            if not exc.retryable:
+                raise
             last_exc = exc
     else:
         raise last_exc
-    return parse_response(text, template, user_prompt=user_prompt, model_id=cfg.model, created_at=clock())
+    return parse_response(text, user_prompt=user_prompt, model_id=cfg.model, created_at=clock())
 
 
 def _persist(rec: CounterfactualRecord, corpus_path, quarantine_path) -> CounterfactualRecord:
     """Validate a record, then append it to the corpus, or to the quarantine and raise ValidationFailure."""
-    report = validate_record(rec)
-    if not report.passed:
-        reasons = [f"{c.name}: {c.reason}" for c in report.failures()]
+    reasons = validate_record(rec)
+    if reasons:
         if quarantine_path is not None:
-            _append_jsonl(quarantine_path, {"record": record_to_json(rec), "reasons": reasons})
+            _append_jsonl(quarantine_path, {"record": asdict(rec), "reasons": reasons})
         raise ValidationFailure(reasons)
     if corpus_path is not None:
-        _append_jsonl(corpus_path, record_to_json(rec))
+        _append_jsonl(corpus_path, asdict(rec))
     return rec
 
 
 def generate(
     cfg: LlmEndpointConfig,
-    template: ParTemplate,
     user_prompt: str,
     transport: Callable,
     corpus_path=None,
@@ -489,19 +425,19 @@ def generate(
 ) -> CounterfactualRecord:
     """Build the instruction, call the endpoint, parse, validate, persist.
 
-    Transport errors are retried up to cfg.max_retries with exponential
-    backoff; format violations are not retried. A record failing
-    validation is appended to quarantine_path with its reasons and
-    ValidationFailure is raised; a passing record is appended to
-    corpus_path. Pass a fixed clock for byte-reproducible records.
+    Retryable transport errors are retried up to cfg.max_retries with
+    exponential backoff; other transport errors and format violations
+    are not retried. A record failing validation is appended to
+    quarantine_path with its reasons and ValidationFailure is raised; a
+    passing record is appended to corpus_path. Pass a fixed clock for
+    byte-reproducible records.
     """
-    rec = _call_with_retries(cfg, template, user_prompt, transport, sleep, clock)
+    rec = _call_with_retries(cfg, user_prompt, transport, sleep, clock)
     return _persist(rec, corpus_path, quarantine_path)
 
 
 def generate_batch(
     cfg: LlmEndpointConfig,
-    template: ParTemplate,
     user_prompts: list,
     transport: Callable,
     corpus_path=None,
@@ -519,7 +455,7 @@ def generate_batch(
     well-formed.
     """
     def call_one(prompt):
-        return _call_with_retries(cfg, template, prompt, transport, sleep, clock)
+        return _call_with_retries(cfg, prompt, transport, sleep, clock)
 
     def settle(prompt, call):
         try:

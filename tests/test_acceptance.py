@@ -24,7 +24,6 @@ from guidelab.par import (
     FormatViolation,
     LlmEndpointConfig,
     MockTransport,
-    default_template,
     generate,
     parse_response,
     render_record,
@@ -208,20 +207,19 @@ def test_criterion_7_jacobian_diagnostics():
 def test_criterion_8_par_pipeline(tmp_path):
     start = time.perf_counter()
     transport = MockTransport.from_dir(FIXTURES)
-    template = default_template()
     endpoint_cfg = LlmEndpointConfig(base_url="http://localhost:0", model="mock-model")
     ok = True
     for name in ("condensation", "butter", "magnifier"):
         prompt = (FIXTURES / f"{name}.prompt.txt").read_text().strip()
         response = (FIXTURES / f"{name}.response.txt").read_text()
         expected_cf = response.split("[COUNTERFACTUAL]\n", 1)[1].strip()
-        rec = generate(endpoint_cfg, template, prompt, transport,
+        rec = generate(endpoint_cfg, prompt, transport,
                        corpus_path=tmp_path / "corpus.jsonl")
         ok &= rec.counterfactual == expected_cf
 
     for name in ("malformed_missing_section.txt", "malformed_missing_subfield.txt"):
         try:
-            parse_response((FIXTURES / name).read_text(), template)
+            parse_response((FIXTURES / name).read_text())
             ok = False
         except FormatViolation:
             pass
@@ -241,7 +239,7 @@ def test_criterion_8_par_pipeline(tmp_path):
             model_id="m",
             created_at="2026-01-01T00:00:00+00:00",
         )
-        parsed = parse_response(render_record(rec), template, user_prompt=rec.user_prompt,
+        parsed = parse_response(render_record(rec), user_prompt=rec.user_prompt,
                                 model_id="m", created_at=rec.created_at)
         ok &= parsed == rec
 

@@ -304,6 +304,54 @@ def test_cmd_sample_rejects_bad_world(tmp_path, capsys, world_edit):
     assert not (out / "samples.csv").exists()
 
 
+@pytest.mark.parametrize("path, value, field", [
+    (("guidance", "w"), None, "guidance.w"),
+    (("guidance", "lambda"), [30.0], "guidance.lambda"),
+    (("schedule", "num_steps"), None, "schedule.num_steps"),
+    (("schedule", "num_steps"), 2.5, "schedule.num_steps"),
+    (("schedule", "beta_start"), "0.05", "schedule.beta_start"),
+    (("run", "seeds"), [1, {"a": 2}], "run.seeds[1]"),
+    (("run", "seeds", "count"), 3.7, "run.seeds.count"),
+    (("run", "seeds", "base"), None, "run.seeds.base"),
+    (("run", "sample_count"), True, "run.sample_count"),
+    (("mass_labels", "plausible"), 0, "mass_labels.plausible"),
+    (("mass_labels", "counterfactual"), [1.5], "mass_labels.counterfactual[0]"),
+], ids=["w_null", "lambda_list", "num_steps_null", "num_steps_fraction", "beta_string", "seed_mapping",
+        "count_fraction", "base_null", "sample_count_bool", "mass_label_int", "mass_label_fraction"])
+def test_cmd_sample_rejects_non_numeric_fields(tmp_path, capsys, path, value, field):
+    # A null, list or mapping used to end in a TypeError traceback; 2.5, 3.7, "0.05" and
+    # true were truncated or coerced and ran with exit 0. Each must fail naming its field.
+    raw = small_config()
+    section = raw
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    config = write_config(tmp_path, raw)
+    assert main(["sample", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"field '{field}' must be" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "samples.csv").exists()
+
+
+def test_integral_floats_are_accepted_for_int_fields():
+    raw = small_config()
+    raw["run"]["seeds"] = {"count": 3.0, "base": 2.0}
+    raw["schedule"]["num_steps"] = 10.0
+    cfg = parse_config(raw)
+    assert cfg.seeds == (2, 3, 4)
+    assert cfg.schedule.num_steps == 10
+
+
+@pytest.mark.parametrize("key, value", [("timeout", None), ("max_retries", 1.5), ("timeout", "60")])
+def test_cmd_par_generate_rejects_non_numeric_endpoint_fields(tmp_path, capsys, key, value):
+    raw = {"par": {"model": "mock-model", key: value}, "output": {"directory": str(tmp_path / "out")}}
+    path = write_config(tmp_path, raw)
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text((FIXTURES / "butter.prompt.txt").read_text().strip() + "\n")
+    assert cmd_par_generate(path, prompts, mock=FIXTURES) == 2
+    assert f"field 'par.{key}' must be" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "corpus.jsonl").exists()
+
+
 def test_cmd_par_generate_rerun_is_idempotent(tmp_path):
     # A second run into the same directory must replace, not extend, the corpus and quarantine.
     path = write_config(tmp_path, small_config())

@@ -1,14 +1,16 @@
-"""Counterfactual prompt pipeline: templates, parsing, validation, transports.
+"""Counterfactual prompt pipeline: instruction, parsing, validation, transports.
 
 Everything runs offline. The fixture files under fixtures/par hold
 canned endpoint responses; the HTTP client is exercised against a
 monkeypatched requests.post, never a live socket.
 """
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,22 +20,21 @@ import requests
 from guidelab.par import (
     ANALYSIS_MARKER,
     COUNTERFACTUAL_MARKER,
+    OUTPUT_FORMAT_SPEC,
+    REQUIREMENTS,
+    SYSTEM_MESSAGE,
     Analysis,
     CounterfactualRecord,
     FormatViolation,
     HttpTransport,
     LlmEndpointConfig,
     MockTransport,
-    ParTemplate,
     TransportError,
     ValidationFailure,
     build_instruction,
-    default_template,
     generate,
     generate_batch,
     parse_response,
-    record_from_json,
-    record_to_json,
     render_record,
     validate_record,
 )
@@ -64,37 +65,38 @@ def endpoint(max_retries=2):
 
 
 def test_template_requires_both_markers():
-    with pytest.raises(ValueError):
-        ParTemplate(system_text="x", requirements=(), output_format_spec="[ANALYSIS] only")
-    with pytest.raises(ValueError):
-        ParTemplate(system_text="x", requirements=(), output_format_spec="[COUNTERFACTUAL] only")
-    tpl = default_template()
-    assert ANALYSIS_MARKER in tpl.output_format_spec
-    assert COUNTERFACTUAL_MARKER in tpl.output_format_spec
+    assert ANALYSIS_MARKER in OUTPUT_FORMAT_SPEC
+    assert COUNTERFACTUAL_MARKER in OUTPUT_FORMAT_SPEC
+
+
+def test_system_message_text_is_pinned():
+    # Any edit to the instruction text changes the corpus it produces;
+    # this digest makes such an edit a deliberate, reviewed change.
+    digest = hashlib.sha256(SYSTEM_MESSAGE.encode()).hexdigest()
+    assert digest == "98a6d3fbe7978acbea6d9f4bf29c73a924c95f842864b31b2f9b46d38c6c0f5c"
 
 
 def test_build_instruction_embeds_prompt_verbatim():
-    tpl = default_template()
-    msgs = build_instruction(tpl, CONDENSATION_PROMPT)
+    msgs = build_instruction(CONDENSATION_PROMPT)
     assert msgs[-1] == {"role": "user", "content": CONDENSATION_PROMPT}
     system = msgs[0]["content"]
     assert msgs[0]["role"] == "system"
+    assert system == SYSTEM_MESSAGE
     assert ANALYSIS_MARKER in system and COUNTERFACTUAL_MARKER in system
-    assert system.count(tpl.output_format_spec) == 1
-    for rule in tpl.requirements:
+    assert system.count(OUTPUT_FORMAT_SPEC) == 1
+    for rule in REQUIREMENTS:
         assert rule in system
 
 
 def test_build_instruction_rejects_empty_prompt():
-    tpl = default_template()
     with pytest.raises(ValueError):
-        build_instruction(tpl, "")
+        build_instruction("")
     with pytest.raises(ValueError):
-        build_instruction(tpl, "   \n")
+        build_instruction("   \n")
 
 
 def test_parse_condensation_fixture():
-    rec = parse_response(fixture_text("condensation.response.txt"), default_template(),
+    rec = parse_response(fixture_text("condensation.response.txt"),
                          user_prompt=CONDENSATION_PROMPT)
     assert rec.counterfactual == CONDENSATION_COUNTERFACTUAL
     assert rec.analysis.entities == "water vapor, a cool glass surface, water droplets"
@@ -104,31 +106,31 @@ def test_parse_condensation_fixture():
 
 
 def test_parse_butter_fixture():
-    rec = parse_response(fixture_text("butter.response.txt"), default_template())
+    rec = parse_response(fixture_text("butter.response.txt"))
     assert rec.counterfactual == BUTTER_COUNTERFACTUAL
 
 
 def test_parse_magnifier_fixture():
-    rec = parse_response(fixture_text("magnifier.response.txt"), default_template())
+    rec = parse_response(fixture_text("magnifier.response.txt"))
     assert rec.counterfactual == MAGNIFIER_COUNTERFACTUAL
 
 
 def test_parse_names_missing_analysis_marker():
     with pytest.raises(FormatViolation) as exc:
-        parse_response(fixture_text("malformed_missing_section.txt"), default_template())
+        parse_response(fixture_text("malformed_missing_section.txt"))
     assert exc.value.missing == ANALYSIS_MARKER
 
 
 def test_parse_names_missing_counterfactual_marker():
     text = "[ANALYSIS]\nEntities: x\nEnvironment: y\nInteractions: z\nTemporal evolution: w\nno second marker"
     with pytest.raises(FormatViolation) as exc:
-        parse_response(text, default_template())
+        parse_response(text)
     assert exc.value.missing == COUNTERFACTUAL_MARKER
 
 
 def test_parse_names_missing_subfield():
     with pytest.raises(FormatViolation) as exc:
-        parse_response(fixture_text("malformed_missing_subfield.txt"), default_template())
+        parse_response(fixture_text("malformed_missing_subfield.txt"))
     assert exc.value.missing == "Interactions"
 
 
@@ -136,12 +138,12 @@ def test_parse_rejects_empty_subfield_and_counterfactual():
     text = ("[ANALYSIS]\nEntities:\nEnvironment: y\nInteractions: z\n"
             "Temporal evolution: w\n[COUNTERFACTUAL]\nsomething")
     with pytest.raises(FormatViolation) as exc:
-        parse_response(text, default_template())
+        parse_response(text)
     assert exc.value.missing == "Entities"
     text2 = ("[ANALYSIS]\nEntities: x\nEnvironment: y\nInteractions: z\n"
              "Temporal evolution: w\n[COUNTERFACTUAL]\n   \n")
     with pytest.raises(FormatViolation) as exc2:
-        parse_response(text2, default_template())
+        parse_response(text2)
     assert exc2.value.missing == "counterfactual"
 
 
@@ -158,7 +160,7 @@ def test_round_trip_hand_built_record():
         model_id="test-model",
         created_at="2026-01-01T00:00:00+00:00",
     )
-    parsed = parse_response(render_record(rec), default_template(),
+    parsed = parse_response(render_record(rec),
                             user_prompt=rec.user_prompt, model_id=rec.model_id,
                             created_at=rec.created_at)
     assert parsed == rec
@@ -191,19 +193,16 @@ def test_round_trip_randomized_records():
             model_id="m",
             created_at="2026-01-01T00:00:00+00:00",
         )
-        parsed = parse_response(render_record(rec), default_template(),
+        parsed = parse_response(render_record(rec),
                                 user_prompt=rec.user_prompt, model_id="m",
                                 created_at=rec.created_at)
         assert parsed == rec
 
 
 def test_validate_condensation_passes():
-    rec = parse_response(fixture_text("condensation.response.txt"), default_template(),
+    rec = parse_response(fixture_text("condensation.response.txt"),
                          user_prompt=CONDENSATION_PROMPT)
-    report = validate_record(rec)
-    assert report.passed
-    overlap = next(c for c in report.checks if c.name == "entity_overlap")
-    assert "glass" in overlap.reason
+    assert validate_record(rec) == []
 
 
 def test_validate_rejects_repetition():
@@ -212,9 +211,10 @@ def test_validate_rejects_repetition():
         analysis=Analysis("a", "b", "c", "d"),
         counterfactual="A ball rolls down a ramp.",
     )
-    report = validate_record(rec)
-    assert not report.passed
-    assert any(c.name == "non_repetition" for c in report.failures())
+    assert validate_record(rec) == [
+        "violation_marker: restates the prompt with no violation cue",
+        "non_repetition: counterfactual repeats the user prompt",
+    ]
 
 
 def test_validate_rejects_disjoint_vocabulary():
@@ -223,43 +223,44 @@ def test_validate_rejects_disjoint_vocabulary():
         analysis=Analysis("a", "b", "c", "d"),
         counterfactual="Objects behave strangely here.",
     )
-    report = validate_record(rec)
-    assert not report.passed
-    assert any(c.name == "entity_overlap" for c in report.failures())
+    assert validate_record(rec) == ["entity_overlap: no shared content words"]
 
 
 def test_validate_never_throws():
     rec = CounterfactualRecord(user_prompt="", analysis=Analysis("", "", "", ""), counterfactual="")
-    report = validate_record(rec)
-    assert not report.passed
+    assert validate_record(rec) == [
+        "entity_overlap: no shared content words",
+        "violation_marker: restates the prompt with no violation cue",
+        "non_repetition: counterfactual repeats the user prompt",
+    ]
 
 
 def test_generate_persists_validated_record(tmp_path):
     transport = MockTransport({CONDENSATION_PROMPT: fixture_text("condensation.response.txt")})
     corpus = tmp_path / "corpus.jsonl"
-    rec = generate(endpoint(), default_template(), CONDENSATION_PROMPT, transport,
+    rec = generate(endpoint(), CONDENSATION_PROMPT, transport,
                    corpus_path=corpus, clock=lambda: "2026-01-01T00:00:00+00:00")
     assert rec.counterfactual == CONDENSATION_COUNTERFACTUAL
     assert rec.model_id == "test-model"
     lines = corpus.read_text().strip().splitlines()
     assert len(lines) == 1
-    assert record_from_json(json.loads(lines[0])) == rec
+    assert json.loads(lines[0]) == asdict(rec)
 
 
 def test_generate_deterministic_with_fixed_clock(tmp_path):
     transport = MockTransport({CONDENSATION_PROMPT: fixture_text("condensation.response.txt")})
     clock = lambda: "2026-01-01T00:00:00+00:00"
-    a = generate(endpoint(), default_template(), CONDENSATION_PROMPT, transport, clock=clock)
-    b = generate(endpoint(), default_template(), CONDENSATION_PROMPT, transport, clock=clock)
+    a = generate(endpoint(), CONDENSATION_PROMPT, transport, clock=clock)
+    b = generate(endpoint(), CONDENSATION_PROMPT, transport, clock=clock)
     assert a == b
-    assert json.dumps(record_to_json(a), sort_keys=True) == json.dumps(record_to_json(b), sort_keys=True)
+    assert json.dumps(asdict(a), sort_keys=True) == json.dumps(asdict(b), sort_keys=True)
 
 
 def test_generate_does_not_retry_format_violations():
     transport = MockTransport({"p": fixture_text("malformed_missing_section.txt")})
     sleeps = []
     with pytest.raises(FormatViolation):
-        generate(endpoint(max_retries=2), default_template(), "p", transport, sleep=sleeps.append)
+        generate(endpoint(max_retries=2), "p", transport, sleep=sleeps.append)
     assert transport.calls == 1
     assert sleeps == []
 
@@ -274,7 +275,7 @@ def test_generate_retries_transport_errors_with_backoff():
         return fixture_text("condensation.response.txt")
 
     sleeps = []
-    rec = generate(endpoint(max_retries=2), default_template(), CONDENSATION_PROMPT, flaky,
+    rec = generate(endpoint(max_retries=2), CONDENSATION_PROMPT, flaky,
                    sleep=sleeps.append)
     assert rec.counterfactual == CONDENSATION_COUNTERFACTUAL
     assert len(calls) == 3
@@ -290,9 +291,20 @@ def test_generate_raises_after_exhausting_retries():
 
     sleeps = []
     with pytest.raises(TransportError):
-        generate(endpoint(max_retries=2), default_template(), "p", dead, sleep=sleeps.append)
+        generate(endpoint(max_retries=2), "p", dead, sleep=sleeps.append)
     assert len(calls) == 3
     assert sleeps == [0.5, 1.0]
+
+
+def test_generate_does_not_retry_unknown_mock_prompt():
+    # A missing canned response is missing on every retry; it used to sleep 1.5 s of backoff.
+    transport = MockTransport({CONDENSATION_PROMPT: fixture_text("condensation.response.txt")})
+    sleeps = []
+    with pytest.raises(TransportError) as exc:
+        generate(endpoint(max_retries=2), "never seen", transport, sleep=sleeps.append)
+    assert not exc.value.retryable
+    assert transport.calls == 1
+    assert sleeps == []
 
 
 def test_generate_quarantines_validation_failures(tmp_path):
@@ -302,7 +314,7 @@ def test_generate_quarantines_validation_failures(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     quarantine = tmp_path / "quarantine.jsonl"
     with pytest.raises(ValidationFailure) as exc:
-        generate(endpoint(), default_template(), "A ball rolls down a ramp.", transport,
+        generate(endpoint(), "A ball rolls down a ramp.", transport,
                  corpus_path=corpus, quarantine_path=quarantine)
     assert exc.value.reasons
     assert not corpus.exists()
@@ -322,7 +334,7 @@ def test_generate_batch_statuses(tmp_path):
     prompts = [CONDENSATION_PROMPT, "broken", "hollow", "unknown prompt"]
     corpus = tmp_path / "corpus.jsonl"
     quarantine = tmp_path / "quarantine.jsonl"
-    results = generate_batch(endpoint(max_retries=0), default_template(), prompts, transport,
+    results = generate_batch(endpoint(max_retries=0), prompts, transport,
                              corpus_path=corpus, quarantine_path=quarantine, sleep=lambda s: None)
     statuses = {p: s for p, s, _ in results}
     assert statuses == {
@@ -342,9 +354,9 @@ def test_generate_batch_parallel_matches_serial(tmp_path):
         "unknown": "",
     })
     prompts = [CONDENSATION_PROMPT, "unknown"]
-    serial = generate_batch(endpoint(max_retries=0), default_template(), prompts,
+    serial = generate_batch(endpoint(max_retries=0), prompts,
                             transport, sleep=lambda s: None)
-    parallel = generate_batch(endpoint(max_retries=0), default_template(), prompts,
+    parallel = generate_batch(endpoint(max_retries=0), prompts,
                               transport, jobs=2, sleep=lambda s: None)
     assert [(p, s) for p, s, _ in serial] == [(p, s) for p, s, _ in parallel]
 
@@ -352,10 +364,10 @@ def test_generate_batch_parallel_matches_serial(tmp_path):
 def test_mock_transport_from_dir():
     transport = MockTransport.from_dir(FIXTURES)
     assert len(transport.responses) == 3
-    msgs = build_instruction(default_template(), CONDENSATION_PROMPT)
+    msgs = build_instruction(CONDENSATION_PROMPT)
     assert transport(msgs, endpoint()) == fixture_text("condensation.response.txt")
     with pytest.raises(TransportError):
-        transport(build_instruction(default_template(), "never seen"), endpoint())
+        transport(build_instruction("never seen"), endpoint())
 
 
 def test_mock_transport_from_dir_requires_pairs(tmp_path):
@@ -395,13 +407,13 @@ def test_http_transport_request_shape(monkeypatch):
     monkeypatch.setattr(requests, "post", fake_post)
     monkeypatch.setenv("GUIDELAB_API_KEY", "sekret")
     cfg = LlmEndpointConfig(base_url="https://llm.example/", model="test-model", timeout=12.5)
-    msgs = build_instruction(default_template(), "a prompt")
-    out = HttpTransport(temperature=0.7)(msgs, cfg)
+    msgs = build_instruction("a prompt")
+    out = HttpTransport()(msgs, cfg)
     assert out == "reply text"
     assert seen["url"] == "https://llm.example/v1/chat/completions"
     assert seen["headers"] == {"Authorization": "Bearer sekret"}
     assert seen["timeout"] == 12.5
-    assert seen["body"] == {"model": "test-model", "messages": msgs, "temperature": 0.7}
+    assert seen["body"] == {"model": "test-model", "messages": msgs, "temperature": 0.2}
 
 
 def test_http_transport_error_paths(monkeypatch):
@@ -427,6 +439,45 @@ def test_http_transport_error_paths(monkeypatch):
     monkeypatch.setattr(requests, "post", lambda *a, **kw: FakeResponse(payload={"nope": []}))
     with pytest.raises(TransportError):
         HttpTransport()(msgs, cfg)
+
+
+def http_generate_failure(monkeypatch, respond):
+    """Run generate through HttpTransport against a fake requests.post; give (posts made, sleeps)."""
+    posts, sleeps = [], []
+
+    def fake_post(*args, **kwargs):
+        posts.append(args)
+        return respond()
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    with pytest.raises(TransportError):
+        generate(endpoint(max_retries=2), "p", HttpTransport(), sleep=sleeps.append)
+    return len(posts), sleeps
+
+
+@pytest.mark.parametrize("status", [400, 401, 404])
+def test_http_client_errors_are_not_retried(monkeypatch, status):
+    monkeypatch.setenv("GUIDELAB_API_KEY", "k")
+    assert http_generate_failure(monkeypatch, lambda: FakeResponse(status_code=status)) == (1, [])
+
+
+@pytest.mark.parametrize("status", [408, 429, 500, 503])
+def test_http_timeouts_rate_limits_and_server_errors_are_retried(monkeypatch, status):
+    monkeypatch.setenv("GUIDELAB_API_KEY", "k")
+    assert http_generate_failure(monkeypatch, lambda: FakeResponse(status_code=status)) == (3, [0.5, 1.0])
+
+
+def test_http_connection_errors_are_retried(monkeypatch):
+    def refuse():
+        raise requests.ConnectionError("refused")
+
+    monkeypatch.setenv("GUIDELAB_API_KEY", "k")
+    assert http_generate_failure(monkeypatch, refuse) == (3, [0.5, 1.0])
+
+
+def test_http_missing_api_key_is_not_retried(monkeypatch):
+    monkeypatch.delenv("GUIDELAB_API_KEY", raising=False)
+    assert http_generate_failure(monkeypatch, FakeResponse) == (0, [])
 
 
 def test_cli_import_leaves_requests_unloaded():
