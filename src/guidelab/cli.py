@@ -235,6 +235,8 @@ def _endpoint_from_config(raw: dict, mock: bool) -> LlmEndpointConfig:
     if par is None and not mock:
         raise ConfigError("field 'par' (endpoint settings) is required without --mock")
     par = par or {}
+    if not isinstance(par, dict):
+        raise ConfigError(f"field 'par' must be a mapping, got {par!r}")
     # only the keys present are passed on, so the other fields take LlmEndpointConfig's defaults
     fields = {"base_url": str(par.get("base_url", "http://localhost:0")),
               "model": str(par.get("model", "mock-model"))}
@@ -327,6 +329,8 @@ def main(argv=None) -> int:
             p.add_argument(*flags, **options)
 
     args = vars(parser.parse_args(argv))
+    if args["jobs"] < 1:
+        sub.choices[args["command"]].error(f"argument --jobs: must be at least 1, got {args['jobs']}")
     # looked up at call time, so a rebound cmd_* (a test double, a tracing wrapper) is what runs
     run = globals()[COMMANDS[args.pop("command")][0]]
     accepted = inspect.signature(run).parameters

@@ -111,6 +111,8 @@ def number(value, field: str, kind=float):
 
 
 def _need(raw: dict, key: str, where: str):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"field '{where.rstrip('.') or 'config'}' must be a mapping")
     if key not in raw:
         raise ConfigError(f"missing field '{where}{key}'")
     return raw[key]
@@ -156,12 +158,12 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
     world = _parse_world(_need(raw, "world", ""))
     conditions = _parse_conditions(_need(raw, "conditions", ""), world)
 
-    positive = _need(raw, "positive", "")
-    if positive not in conditions:
-        raise ConfigError(f"field 'positive' names unknown condition '{positive}'")
-    negative = raw.get("negative")
-    if negative is not None and negative not in conditions:
-        raise ConfigError(f"field 'negative' names unknown condition '{negative}'")
+    positive, negative = _need(raw, "positive", ""), raw.get("negative")
+    for key, name in (("positive", positive), ("negative", negative)):
+        if name is not None and not isinstance(name, str):
+            raise ConfigError(f"field '{key}' must be a condition name, got {name!r}")
+        if name is not None and name not in conditions:
+            raise ConfigError(f"field '{key}' names unknown condition '{name}'")
 
     sched_raw = _need(raw, "schedule", "")
     steps, beta_start, beta_end = (number(_need(sched_raw, key, "schedule."), f"schedule.{key}", kind)
@@ -211,13 +213,21 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
         if sample_count < 1:
             raise ConfigError("field 'run.sample_count' must be >= 1")
         seeds = seeds[:sample_count]
-    deterministic = bool(run.get("deterministic", True))
+    deterministic = run.get("deterministic", True)
+    if not isinstance(deterministic, bool):
+        raise ConfigError(f"field 'run.deterministic' must be true or false, got {deterministic!r}")
 
     mass_labels = {}
-    for label, comps in raw.get("mass_labels", {}).items():
+    labels_raw = raw.get("mass_labels", {})
+    if not isinstance(labels_raw, dict):
+        raise ConfigError(f"field 'mass_labels' must be a mapping, got {labels_raw!r}")
+    for label, comps in labels_raw.items():
         if not isinstance(comps, list):
             raise ConfigError(f"field 'mass_labels.{label}' must be a list of component indices")
         mass_labels[label] = tuple(number(c, f"mass_labels.{label}[{i}]", int) for i, c in enumerate(comps))
+    # an absent mass_labels leaves samples labelled by component index
+    if "mass_labels" in raw and sorted(sum(mass_labels.values(), ())) != list(range(world.num_components)):
+        raise ConfigError(f"field 'mass_labels' must partition components 0..{world.num_components - 1}")
 
     return ExperimentConfig(
         world=world,
@@ -239,6 +249,8 @@ def output_dir(raw: dict, out_dir=None) -> Path:
     out = _need(raw, "output", "")
     if out_dir is None:
         return Path(_need(out, "directory", "output."))
+    if not isinstance(out, dict):
+        raise ConfigError(f"field 'output' must be a mapping, got {out!r}")
     out["directory"] = str(Path(out_dir))
     return Path(out_dir)
 

@@ -12,11 +12,12 @@ instead of the corpus.
 
 import json
 import os
+import re
 import time
-from dataclasses import dataclass, asdict
+from contextlib import ExitStack
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
-from pathlib import Path
 from typing import Callable
 
 __all__ = [
@@ -281,8 +282,12 @@ def render_record(rec: CounterfactualRecord) -> str:
     )
 
 
+# a maximal run of characters for which str.isalnum() is true
+_WORD = re.compile(r"[^\W_]+")
+
+
 def _words(text: str) -> list:
-    return "".join(ch if ch.isalnum() else " " for ch in text.lower()).split()
+    return _WORD.findall(text.lower())
 
 
 def validate_record(rec: CounterfactualRecord) -> list:
@@ -318,14 +323,17 @@ class MockTransport:
 
     @classmethod
     def from_dir(cls, path) -> "MockTransport":
-        """Load fixture pairs <name>.prompt.txt / <name>.response.txt from a directory."""
-        path = Path(path)
+        """Load fixture pairs <name>.prompt.txt / <name>.response.txt (UTF-8) from a directory, in name order."""
+        names = set(os.listdir(path))
         responses = {}
-        for prompt_file in sorted(path.glob("*.prompt.txt")):
-            response_file = prompt_file.with_name(prompt_file.name.replace(".prompt.txt", ".response.txt"))
-            if not response_file.exists():
-                raise FileNotFoundError(f"fixture {prompt_file.name} has no matching response file")
-            responses[prompt_file.read_text().strip()] = response_file.read_text()
+        for name in sorted(n for n in names if n.endswith(".prompt.txt")):
+            response_name = name[:-len(".prompt.txt")] + ".response.txt"
+            if response_name not in names:
+                raise FileNotFoundError(f"fixture {name} has no matching response file")
+            with open(os.path.join(path, name), encoding="utf-8") as fh:
+                prompt = fh.read().strip()
+            with open(os.path.join(path, response_name), encoding="utf-8") as fh:
+                responses[prompt] = fh.read()
         if not responses:
             raise FileNotFoundError(f"no *.prompt.txt fixtures found in {path}")
         return cls(responses)
@@ -379,9 +387,20 @@ def _utc_now() -> str:
 _FAILURES = (TransportError, FormatViolation, ValidationFailure)
 
 
-def _append_jsonl(path, obj: dict) -> None:
-    with open(path, "a") as fh:
+def _appender(path, stack: ExitStack) -> Callable:
+    """A function appending one JSON line to path, if not None, opened on first use and flushed per line."""
+    fh = None
+
+    def append(obj: dict) -> None:
+        nonlocal fh
+        if path is None:
+            return
+        if fh is None:
+            fh = stack.enter_context(open(path, "a"))
         fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        fh.flush()
+
+    return append
 
 
 def _call_with_retries(cfg, user_prompt, transport, sleep, clock) -> CounterfactualRecord:
@@ -402,15 +421,15 @@ def _call_with_retries(cfg, user_prompt, transport, sleep, clock) -> Counterfact
     return parse_response(text, user_prompt=user_prompt, model_id=cfg.model, created_at=clock())
 
 
-def _persist(rec: CounterfactualRecord, corpus_path, quarantine_path) -> CounterfactualRecord:
+def _persist(rec: CounterfactualRecord, to_corpus, to_quarantine) -> CounterfactualRecord:
     """Validate a record, then append it to the corpus, or to the quarantine and raise ValidationFailure."""
     reasons = validate_record(rec)
+    # the dict dataclasses.asdict gives, without its deep copy
+    row = {**vars(rec), "analysis": vars(rec.analysis)}
     if reasons:
-        if quarantine_path is not None:
-            _append_jsonl(quarantine_path, {"record": asdict(rec), "reasons": reasons})
+        to_quarantine({"record": row, "reasons": reasons})
         raise ValidationFailure(reasons)
-    if corpus_path is not None:
-        _append_jsonl(corpus_path, asdict(rec))
+    to_corpus(row)
     return rec
 
 
@@ -433,7 +452,8 @@ def generate(
     byte-reproducible records.
     """
     rec = _call_with_retries(cfg, user_prompt, transport, sleep, clock)
-    return _persist(rec, corpus_path, quarantine_path)
+    with ExitStack() as stack:
+        return _persist(rec, _appender(corpus_path, stack), _appender(quarantine_path, stack))
 
 
 def generate_batch(
@@ -452,23 +472,25 @@ def generate_batch(
     in {ok, transport_error, format_violation, validation_failure}.
     Endpoint calls may run concurrently; corpus and quarantine appends
     happen in the submitting thread, in prompt order, so the files stay
-    well-formed.
+    well-formed. Each file is opened at most once per call.
     """
     def call_one(prompt):
         return _call_with_retries(cfg, prompt, transport, sleep, clock)
 
     def settle(prompt, call):
         try:
-            rec = _persist(call(), corpus_path, quarantine_path)
+            rec = _persist(call(), to_corpus, to_quarantine)
         except _FAILURES as exc:
             return (prompt, exc.status, str(exc))
         return (prompt, "ok", rec.counterfactual)
 
-    if jobs <= 1:
-        return [settle(p, partial(call_one, p)) for p in user_prompts]
+    with ExitStack() as stack:
+        to_corpus, to_quarantine = _appender(corpus_path, stack), _appender(quarantine_path, stack)
+        if jobs <= 1:
+            return [settle(p, partial(call_one, p)) for p in user_prompts]
 
-    from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(call_one, p) for p in user_prompts]
-        return [settle(p, fut.result) for p, fut in zip(user_prompts, futures)]
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(call_one, p) for p in user_prompts]
+            return [settle(p, fut.result) for p, fut in zip(user_prompts, futures)]

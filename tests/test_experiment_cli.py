@@ -316,11 +316,24 @@ def test_cmd_sample_rejects_bad_world(tmp_path, capsys, world_edit):
     (("run", "sample_count"), True, "run.sample_count"),
     (("mass_labels", "plausible"), 0, "mass_labels.plausible"),
     (("mass_labels", "counterfactual"), [1.5], "mass_labels.counterfactual[0]"),
+    (("run", "deterministic"), "false", "run.deterministic"),
+    (("run", "deterministic"), 0, "run.deterministic"),
+    (("positive",), ["scene"], "positive"),
+    (("negative",), ["counterfactual"], "negative"),
+    (("run",), 5, "run"),
+    (("conditions", "scene"), 3, "conditions.scene"),
+    (("mass_labels",), [0, 1], "mass_labels"),
+    (("output",), ["runs"], "output"),
 ], ids=["w_null", "lambda_list", "num_steps_null", "num_steps_fraction", "beta_string", "seed_mapping",
-        "count_fraction", "base_null", "sample_count_bool", "mass_label_int", "mass_label_fraction"])
+        "count_fraction", "base_null", "sample_count_bool", "mass_label_int", "mass_label_fraction",
+        "deterministic_string", "deterministic_int", "positive_list", "negative_list", "run_int",
+        "condition_int", "mass_labels_list", "output_list"])
 def test_cmd_sample_rejects_non_numeric_fields(tmp_path, capsys, path, value, field):
     # A null, list or mapping used to end in a TypeError traceback; 2.5, 3.7, "0.05" and
     # true were truncated or coerced and ran with exit 0. Each must fail naming its field.
+    # "deterministic": "false" ran deterministic (bool("false") is True) with exit 0; a list
+    # where a condition name belongs, or a number where a mapping belongs, ended in a
+    # TypeError or AttributeError traceback.
     raw = small_config()
     section = raw
     for key in path[:-1]:
@@ -330,6 +343,35 @@ def test_cmd_sample_rejects_non_numeric_fields(tmp_path, capsys, path, value, fi
     assert main(["sample", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert f"field '{field}' must be" in capsys.readouterr().err
     assert not (tmp_path / "out" / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("command, artifact", [("sample", "samples.csv"), ("compare-guidance", "comparison.csv")])
+@pytest.mark.parametrize("labels", [
+    {"plausible": [0], "counterfactual": [7]},
+    {"plausible": [0], "counterfactual": [0, 1]},
+    {"counterfactual": [1]},
+], ids=["out_of_range", "overlap", "missing"])
+def test_cli_rejects_mass_labels_that_do_not_partition(tmp_path, capsys, command, artifact, labels):
+    # A counterfactual label of [7] in a 2-component world used to give
+    # compare-guidance all-0.0 masses with exit 0.
+    config = write_config(tmp_path, small_config(mass_labels=labels))
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "field 'mass_labels' must partition components 0..1" in capsys.readouterr().err
+    assert not (tmp_path / "out" / artifact).exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_par_generate_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    # --jobs 0 and --jobs -1 used to run silently as --jobs 1.
+    config = write_config(tmp_path, small_config())
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text((FIXTURES / "butter.prompt.txt").read_text().strip() + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["par-generate", "--config", str(config), str(prompts), "--mock", str(FIXTURES),
+              "--out", str(tmp_path / "out"), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_integral_floats_are_accepted_for_int_fields():
@@ -350,6 +392,15 @@ def test_cmd_par_generate_rejects_non_numeric_endpoint_fields(tmp_path, capsys, 
     assert cmd_par_generate(path, prompts, mock=FIXTURES) == 2
     assert f"field 'par.{key}' must be" in capsys.readouterr().err
     assert not (tmp_path / "out" / "corpus.jsonl").exists()
+
+
+def test_cmd_par_generate_rejects_non_mapping_endpoint(tmp_path, capsys):
+    # "par": 5 used to end in an AttributeError traceback.
+    path = write_config(tmp_path, {"par": 5, "output": {"directory": str(tmp_path / "out")}})
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text((FIXTURES / "butter.prompt.txt").read_text().strip() + "\n")
+    assert cmd_par_generate(path, prompts, mock=FIXTURES) == 2
+    assert "field 'par' must be a mapping" in capsys.readouterr().err
 
 
 def test_cmd_par_generate_rerun_is_idempotent(tmp_path):

@@ -361,6 +361,71 @@ def test_generate_batch_parallel_matches_serial(tmp_path):
     assert [(p, s) for p, s, _ in serial] == [(p, s) for p, s, _ in parallel]
 
 
+FIXTURE_PROMPTS = [fixture_text(f"{name}.prompt.txt").strip() for name in ("condensation", "butter", "magnifier")]
+HOLLOW_RESPONSE = ("[ANALYSIS]\nEntities: x\nEnvironment: y\nInteractions: z\n"
+                   "Temporal evolution: w\n[COUNTERFACTUAL]\nUnrelated gibberish entirely.")
+
+
+def test_generate_batch_flushes_each_record_before_the_next_call(tmp_path):
+    # A killed run must keep every record settled before the kill, so each
+    # corpus line is on disk before the next endpoint call starts.
+    corpus = tmp_path / "corpus.jsonl"
+    mock = MockTransport.from_dir(FIXTURES)
+    on_disk = []
+
+    def transport(messages, cfg):
+        on_disk.append([json.loads(line)["user_prompt"] for line in corpus.read_text().splitlines()]
+                       if corpus.exists() else [])
+        return mock(messages, cfg)
+
+    results = generate_batch(endpoint(), FIXTURE_PROMPTS, transport, corpus_path=corpus)
+    assert [status for _, status, _ in results] == ["ok"] * 3
+    assert on_disk == [[], FIXTURE_PROMPTS[:1], FIXTURE_PROMPTS[:2]]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_generate_batch_opens_each_file_once(tmp_path, monkeypatch, jobs):
+    # Opening the corpus once per record cost one open per prompt.
+    import guidelab.par as par
+
+    transport = MockTransport.from_dir(FIXTURES)
+    transport.responses["A ball rolls down a ramp."] = HOLLOW_RESPONSE
+    prompts = FIXTURE_PROMPTS + ["A ball rolls down a ramp.", "A ball rolls down a ramp."]
+    corpus, quarantine = tmp_path / "corpus.jsonl", tmp_path / "quarantine.jsonl"
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(Path(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(par, "open", counting_open, raising=False)
+    results = generate_batch(endpoint(), prompts, transport, corpus_path=corpus,
+                             quarantine_path=quarantine, jobs=jobs)
+    assert [status for _, status, _ in results] == ["ok"] * 3 + ["validation_failure"] * 2
+    assert sorted(opened) == [corpus, quarantine]
+    assert len(corpus.read_text().splitlines()) == 3
+    assert len(quarantine.read_text().splitlines()) == 2
+
+
+def test_generate_batch_files_are_pinned(tmp_path):
+    # The corpus and quarantine bytes of the shipped fixtures, with a fixed
+    # clock; any change to parsing, validation or serialisation shows here.
+    transport = MockTransport.from_dir(FIXTURES)
+    transport.responses["A ball rolls down a ramp."] = HOLLOW_RESPONSE
+    transport.responses["broken"] = fixture_text("malformed_missing_subfield.txt")
+    prompts = FIXTURE_PROMPTS + ["A ball rolls down a ramp.", "broken", "unknown prompt"]
+    corpus, quarantine = tmp_path / "corpus.jsonl", tmp_path / "quarantine.jsonl"
+    results = generate_batch(endpoint(max_retries=0), prompts, transport, corpus_path=corpus,
+                             quarantine_path=quarantine, clock=lambda: "2026-01-01T00:00:00+00:00")
+    assert [status for _, status, _ in results] == [
+        "ok", "ok", "ok", "validation_failure", "format_violation", "transport_error"]
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (corpus, quarantine)}
+    assert digests == {
+        "corpus.jsonl": "d38a76fc7a2063eae95a8fe0e0c6b65acf3da115445572aae63ceb1e7cae4992",
+        "quarantine.jsonl": "b783fe7ec4f587e14cc4c3983092e1e4bb033b57454c73a907a3cf0dbcb465b4",
+    }
+
+
 def test_mock_transport_from_dir():
     transport = MockTransport.from_dir(FIXTURES)
     assert len(transport.responses) == 3
@@ -376,6 +441,28 @@ def test_mock_transport_from_dir_requires_pairs(tmp_path):
         MockTransport.from_dir(tmp_path)
     with pytest.raises(FileNotFoundError):
         MockTransport.from_dir(tmp_path / "empty_missing")
+
+
+def test_mock_transport_from_dir_reads_utf8(tmp_path):
+    prompt = "Une bougie fond près d'une fenêtre gelée — 蜡烛 melts"
+    response = render_record(CounterfactualRecord(
+        user_prompt=prompt, analysis=Analysis("une bougie", "une fenêtre", "la chaleur", "elle fond"),
+        counterfactual="La bougie près de la fenêtre grandit au lieu de fondre — 蜡烛 never melts."))
+    (tmp_path / "candle.prompt.txt").write_text(prompt + "\n", encoding="utf-8")
+    (tmp_path / "candle.response.txt").write_text(response, encoding="utf-8")
+    corpus = tmp_path / "corpus.jsonl"
+    results = generate_batch(endpoint(), [prompt], MockTransport.from_dir(tmp_path), corpus_path=corpus)
+    assert results[0][1] == "ok"
+    record = json.loads(corpus.read_text())
+    assert record["user_prompt"] == prompt
+    assert record["counterfactual"].endswith("蜡烛 never melts.")
+
+
+def test_mock_transport_from_dir_later_name_wins(tmp_path):
+    for name, answer in (("a", "first"), ("b", "second")):
+        (tmp_path / f"{name}.prompt.txt").write_text("same prompt\n")
+        (tmp_path / f"{name}.response.txt").write_text(answer)
+    assert MockTransport.from_dir(tmp_path).responses == {"same prompt": "second"}
 
 
 def test_endpoint_config_validation():
