@@ -9,96 +9,20 @@ whole seed sweep of one or two coupled latents as one array, spectral
 diagnostics for the oracle Jacobian, and a counterfactual-prompt
 generation pipeline that talks to a chat-completions endpoint (or a
 mock transport for offline work).
+
+The package re-exports no names: import from the submodules, e.g.
+``from guidelab.oracle import GmmWorld``. ``guidelab.<module>`` loads a
+submodule on first access, so ``import guidelab`` alone costs nothing.
+``guidelab.config``, ``guidelab.par`` and ``guidelab.cli`` import
+without numpy; each CLI command loads the layers it runs when it runs.
 """
 
-from guidelab.schedule import NoiseSchedule, make_linear_schedule, forward_step, forward_marginal
-from guidelab.oracle import (
-    GmmWorld,
-    Condition,
-    NoisedMixture,
-    noised_mixture,
-    log_density_and_score,
-    epsilon_oracle,
-    epsilon_jacobian,
-)
-from guidelab.guidance import (
-    GuidanceConfig,
-    cfg_combine,
-    np_combine,
-    sdn_combine,
-    sdg_combine,
-    tdd_only_combine,
-    branch_guided_eps,
-)
-from guidelab.sampler import (
-    SamplerStepCoeffs,
-    TrajectoryBatch,
-    DualTrajectoryBatch,
-    ancestral_coeffs,
-    run_single_batch,
-    run_dual_batch,
-)
-from guidelab.diagnostics import (
-    DiagnosticsReport,
-    delta_norm_curve,
-    leading_eigen,
-    suppression_projection,
-    mode_mass,
-    trajectory_bias_probe,
-)
-from guidelab.par import (
-    CounterfactualRecord,
-    LlmEndpointConfig,
-    FormatViolation,
-    MockTransport,
-    HttpTransport,
-    build_instruction,
-    parse_response,
-    validate_record,
-    generate,
-)
-from guidelab.experiment import ExperimentConfig, default_config
+import importlib
 
-__all__ = [
-    "NoiseSchedule",
-    "make_linear_schedule",
-    "forward_step",
-    "forward_marginal",
-    "GmmWorld",
-    "Condition",
-    "NoisedMixture",
-    "noised_mixture",
-    "log_density_and_score",
-    "epsilon_oracle",
-    "epsilon_jacobian",
-    "GuidanceConfig",
-    "cfg_combine",
-    "np_combine",
-    "sdn_combine",
-    "sdg_combine",
-    "tdd_only_combine",
-    "branch_guided_eps",
-    "SamplerStepCoeffs",
-    "TrajectoryBatch",
-    "DualTrajectoryBatch",
-    "ancestral_coeffs",
-    "run_single_batch",
-    "run_dual_batch",
-    "DiagnosticsReport",
-    "delta_norm_curve",
-    "leading_eigen",
-    "suppression_projection",
-    "mode_mass",
-    "trajectory_bias_probe",
-    "CounterfactualRecord",
-    "LlmEndpointConfig",
-    "FormatViolation",
-    "MockTransport",
-    "HttpTransport",
-    "build_instruction",
-    "parse_response",
-    "validate_record",
-    "generate",
-    "ExperimentConfig",
-    "default_config",
-]
+__all__ = ["config", "schedule", "oracle", "guidance", "sampler", "diagnostics", "par", "experiment", "cli"]
+
+
+def __getattr__(name):
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,6 +9,10 @@ schedule-dump (the resolved noise schedule as a table). Every command
 reads one JSON config, writes its artifacts plus a manifest with the
 resolved config, its hash, and per-file checksums, and returns exit
 status 0 only if everything requested succeeded.
+
+Each command imports the layers it runs inside its own body, so
+par-generate starts without numpy and the sampling commands without the
+prompt pipeline or the diagnostics.
 """
 
 import argparse
@@ -21,29 +25,7 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
-from guidelab.diagnostics import build_report, report_to_json, series_to_csv
-from guidelab.experiment import (
-    ConfigError,
-    ExperimentConfig,
-    config_hash,
-    load_config,
-    number,
-    output_dir,
-    read_config,
-    run_strategy,
-    strategy_comparison,
-)
-from guidelab.guidance import STRATEGIES
-from guidelab.oracle import assign_components
-from guidelab.sampler import DualTrajectoryBatch
-from guidelab.par import (
-    LlmEndpointConfig,
-    MockTransport,
-    HttpTransport,
-    generate_batch,
-)
+from guidelab.config import ConfigError, config_hash, number, output_dir, read_config
 
 __all__ = [
     "cmd_sample",
@@ -103,8 +85,17 @@ def _write_manifest(out_dir: Path, command: str, raw_config: dict, seeds, artifa
         fh.write("\n")
 
 
-def _mode_labels(samples: np.ndarray, config: ExperimentConfig) -> list:
+def _write_json(path: Path, obj, **options) -> None:
+    """obj as strict JSON (a NaN or an infinity is a ValueError), indented, with a final newline."""
+    text = json.dumps(obj, indent=2, allow_nan=False, **options)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+def _mode_labels(samples, config) -> list:
     """The mass label of each sample's most responsible component (the index if unlabelled)."""
+    from guidelab.oracle import assign_components
+
     labels = []
     for k in assign_components(config.world, samples):
         k = int(k)
@@ -114,6 +105,8 @@ def _mode_labels(samples: np.ndarray, config: ExperimentConfig) -> list:
 
 def _trajectory_lines(result):
     """One JSON line per seed, branch and step, in that nesting order, read from the (T, N, dim) arrays."""
+    from guidelab.sampler import DualTrajectoryBatch
+
     dual = isinstance(result, DualTrajectoryBatch)
     branches = [("plus", result.plus), ("minus", result.minus)] if dual else [("single", result)]
     for i, seed in enumerate(result.seeds):
@@ -126,7 +119,10 @@ def _trajectory_lines(result):
                 yield json.dumps({"seed": seed, "branch": branch_name, "t": t, **record}, sort_keys=True)
 
 
-def _prepare(config_path, out_dir, seed_base) -> ExperimentConfig:
+def _prepare(config_path, out_dir, seed_base):
+    """The resolved experiment config, with its output directory made."""
+    from guidelab.experiment import load_config
+
     config = load_config(config_path, out_dir=out_dir, seed_base=seed_base)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     return config
@@ -135,6 +131,8 @@ def _prepare(config_path, out_dir, seed_base) -> ExperimentConfig:
 @_command("sample", "run the configured strategy over the seed sweep")
 def cmd_sample(config_path, out_dir=None, seed_base=None, *, strict=False) -> int:
     """Run the configured strategy over the seeds; write samples + trajectories."""
+    from guidelab.experiment import run_strategy
+
     config = _prepare(config_path, out_dir, seed_base)
     result = run_strategy(config, config.guidance.strategy, config.seeds)
 
@@ -155,6 +153,9 @@ def cmd_sample(config_path, out_dir=None, seed_base=None, *, strict=False) -> in
 @_command("compare-guidance", "compare all strategies on one world")
 def cmd_compare_guidance(config_path, out_dir=None, seed_base=None, *, strict=False) -> int:
     """All five strategies on the same world/seeds; one comparison table."""
+    from guidelab.experiment import strategy_comparison
+    from guidelab.guidance import STRATEGIES
+
     config = _prepare(config_path, out_dir, seed_base)
     if config.negative is None:
         raise ConfigError("comparison runs need a 'negative' condition binding")
@@ -177,6 +178,10 @@ def cmd_compare_guidance(config_path, out_dir=None, seed_base=None, *, strict=Fa
 @_command("diagnose-lag", "emit lag/bias/spectral diagnostic curves")
 def cmd_diagnose_lag(config_path, out_dir=None, seed_base=None, *, strict=False) -> int:
     """Discrepancy-norm, spectral, and trajectory-bias curves for an NP/SDN run."""
+    import numpy as np
+
+    from guidelab.diagnostics import build_report, report_to_json, series_to_csv
+
     config = _prepare(config_path, out_dir, seed_base)
     if config.guidance.strategy not in ("NP", "SDN"):
         raise ConfigError(f"diagnose-lag needs guidance.strategy NP or SDN, got '{config.guidance.strategy}'")
@@ -201,36 +206,36 @@ def cmd_diagnose_lag(config_path, out_dir=None, seed_base=None, *, strict=False)
         writer.writerow(["t", "eigenvalue"] + [f"v{i}" for i in range(config.world.dim)])
         for t, lam, v in report.leading_eigs:
             writer.writerow([t, repr(float(lam))] + [repr(float(c)) for c in v])
-    with open(out / "report.json", "w") as fh:
-        json.dump(report_to_json(report), fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "report.json", report_to_json(report))
 
     k = max(1, config.schedule.num_steps // 10)
     delta_vals = [val for _, val in report.delta_norms]
     gap_vals = [val for _, val in report.bias_gap]
     early = float(np.mean(delta_vals[:k]))
     late = float(np.mean(delta_vals[-k:]))
+    ratio = early / late if late > 0 else float("inf")
     summary = {
         "early_mean_delta_norm": early,
         "late_mean_delta_norm": late,
-        "ratio": early / late if late > 0 else float("inf"),
+        # null when the late mean is 0 (negative == positive): strict JSON has no Infinity
+        "ratio": ratio if late > 0 else None,
         "bias_gap_at_T": gap_vals[0],
         "bias_gap_early_mean": float(np.mean(gap_vals[1:1 + k])),
         "bias_gap_late_mean": float(np.mean(gap_vals[-k:])),
         "window": k,
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "summary.json", summary, sort_keys=True)
 
     artifacts = ["delta_norms.csv", "suppression_proj.csv", "bias_gap.csv", "eigen.csv",
                  "report.json", "summary.json"]
     _write_manifest(out, "diagnose-lag", config.raw, config.seeds, artifacts)
-    print(f"lag ratio (early/late mean delta norm over window {k}): {summary['ratio']:.4f}")
+    print(f"lag ratio (early/late mean delta norm over window {k}): {ratio:.4f}")
     return 0
 
 
-def _endpoint_from_config(raw: dict, mock: bool) -> LlmEndpointConfig:
+def _endpoint_from_config(raw: dict, mock: bool):
+    from guidelab.par import LlmEndpointConfig
+
     par = raw.get("par")
     if par is None and not mock:
         raise ConfigError("field 'par' (endpoint settings) is required without --mock")
@@ -256,6 +261,8 @@ def _endpoint_from_config(raw: dict, mock: bool) -> LlmEndpointConfig:
           (("--mock",), {"default": None, "help": "fixture directory for the mock transport"}))
 def cmd_par_generate(config_path, prompts_path, out_dir=None, mock=None, jobs=1, *, strict=False) -> int:
     """Generate counterfactual records for each prompt in a file; the config needs only 'par' and 'output'."""
+    from guidelab.par import HttpTransport, MockTransport, generate_batch
+
     raw = read_config(config_path)
     out = output_dir(raw, out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,29 +8,24 @@ artifact-ready tables back to the CLI. Every run is deterministic given
 the resolved config, so artifact files are byte-reproducible.
 """
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from guidelab.config import ConfigError, _need, number, output_dir, read_config
 from guidelab.guidance import STRATEGIES, GuidanceConfig
 from guidelab.oracle import Condition, GmmWorld, assign_components
 from guidelab.sampler import run_dual_batch, run_single_batch
 from guidelab.schedule import NoiseSchedule, make_linear_schedule
 
 __all__ = [
-    "ConfigError",
-    "number",
     "ExperimentConfig",
     "DEFAULT_CONFIG",
     "default_config",
     "parse_config",
-    "read_config",
-    "output_dir",
     "load_config",
-    "config_hash",
     "run_strategy",
     "strategy_comparison",
 ]
@@ -64,10 +59,6 @@ DEFAULT_CONFIG = {
 }
 
 
-class ConfigError(ValueError):
-    """Config parsing/validation error; the message names the offending field."""
-
-
 def default_config() -> dict:
     """A deep copy of the bundled default experiment config."""
     return json.loads(json.dumps(DEFAULT_CONFIG))
@@ -98,32 +89,20 @@ class ExperimentConfig:
         return self.conditions[self.negative] if self.negative else None
 
 
-def number(value, field: str, kind=float):
-    """A numeric config value as kind (float or int), or a ConfigError naming field.
-
-    The value must be a JSON number: not null, a bool, a string, a list
-    or a mapping. An int field must also be integral (3 or 3.0, not 3.7).
-    """
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (kind is int and isinstance(value, float) and not value.is_integer())):
-        raise ConfigError(f"field '{field}' must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    return kind(value)
-
-
-def _need(raw: dict, key: str, where: str):
-    if not isinstance(raw, dict):
-        raise ConfigError(f"field '{where.rstrip('.') or 'config'}' must be a mapping")
-    if key not in raw:
-        raise ConfigError(f"missing field '{where}{key}'")
-    return raw[key]
-
-
 def _parse_world(raw) -> GmmWorld:
     comps = _need(raw, "components", "world.")
     if not isinstance(comps, list) or not comps:
         raise ConfigError("field 'world.components' must be a nonempty list")
     means = [_need(comp, "mean", f"world.components[{i}].") for i, comp in enumerate(comps)]
     covs = [_need(comp, "cov_diag", f"world.components[{i}].") for i, comp in enumerate(comps)]
+    if not isinstance(means[0], list) or not means[0]:
+        raise ConfigError(f"field 'world.components[0].mean' must be a nonempty list, got {means[0]!r}")
+    dim = len(means[0])
+    for i, (mean, cov) in enumerate(zip(means, covs)):
+        for key, vector in (("mean", mean), ("cov_diag", cov)):
+            if not isinstance(vector, list) or len(vector) != dim:
+                raise ConfigError(f"field 'world.components[{i}].{key}' must be a list of {dim} numbers"
+                                  f" (the length of world.components[0].mean), got {vector!r}")
     weights = _need(raw, "weights", "world.")
     try:
         return GmmWorld(means=means, cov_diags=covs, weights=weights)
@@ -137,6 +116,9 @@ def _parse_conditions(raw, world: GmmWorld) -> dict:
     conditions = {}
     for name, spec in raw.items():
         comps = _need(spec, "components", f"conditions.{name}.")
+        if not isinstance(comps, list):
+            raise ConfigError(f"field 'conditions.{name}.components' must be a list of component indices")
+        comps = [number(c, f"conditions.{name}.components[{i}]", int) for i, c in enumerate(comps)]
         try:
             cond = Condition.subset(comps)
             cond.resolve(world)
@@ -202,6 +184,12 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
             raw["run"]["seeds"] = seeds
     else:
         raise ConfigError("field 'run.seeds' must be a list or a {count, base} mapping")
+    if not seeds:
+        raise ConfigError("field 'run.seeds' must be nonempty")
+    for i, s in enumerate(seeds):
+        if s < 0:
+            where = "run.seeds.base" if isinstance(seeds_raw, dict) else f"run.seeds[{i}]"
+            raise ConfigError(f"field '{where}' must be >= 0, got {s}")
     seen, deduped = set(), []
     for s in seeds:
         if s not in seen:
@@ -244,34 +232,8 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
     )
 
 
-def output_dir(raw: dict, out_dir=None) -> Path:
-    """The run's output directory: out_dir if given (recorded in raw), else output.directory."""
-    out = _need(raw, "output", "")
-    if out_dir is None:
-        return Path(_need(out, "directory", "output."))
-    if not isinstance(out, dict):
-        raise ConfigError(f"field 'output' must be a mapping, got {out!r}")
-    out["directory"] = str(Path(out_dir))
-    return Path(out_dir)
-
-
-def read_config(path) -> dict:
-    """The raw config dict of a JSON file."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-
-
 def load_config(path, out_dir=None, seed_base=None) -> ExperimentConfig:
     return parse_config(read_config(path), out_dir=out_dir, seed_base=seed_base)
-
-
-def config_hash(raw: dict) -> str:
-    """Stable sha256 over the canonical JSON form of a config dict."""
-    canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
 
 
 def run_strategy(config: ExperimentConfig, strategy: str, seeds):

@@ -15,9 +15,8 @@ from guidelab.cli import (
     cmd_schedule_dump,
     main,
 )
+from guidelab.config import ConfigError, config_hash
 from guidelab.experiment import (
-    ConfigError,
-    config_hash,
     default_config,
     load_config,
     parse_config,
@@ -261,6 +260,25 @@ def test_cmd_diagnose_degenerate_all_zero(tmp_path):
     assert all(float(line.split(",")[1]) == 0.0 for line in lines[1:])
 
 
+def test_cmd_diagnose_degenerate_writes_strict_json(tmp_path):
+    # With negative == positive the late mean delta norm is 0, and the
+    # ratio used to be written as Infinity, which strict parsers reject.
+    raw = small_config()
+    raw["guidance"]["strategy"] = "NP"
+    raw["negative"] = "scene"
+    path = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert cmd_diagnose_lag(path, out_dir=out) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    assert summary["late_mean_delta_norm"] == 0.0
+    assert summary["ratio"] is None
+    json.loads((out / "report.json").read_text(), parse_constant=reject)
+
+
 def test_cmd_diagnose_emits_summary(tmp_path):
     raw = small_config()
     raw["guidance"]["strategy"] = "NP"
@@ -324,16 +342,30 @@ def test_cmd_sample_rejects_bad_world(tmp_path, capsys, world_edit):
     (("conditions", "scene"), 3, "conditions.scene"),
     (("mass_labels",), [0, 1], "mass_labels"),
     (("output",), ["runs"], "output"),
+    (("conditions", "plausible", "components"), [0.7], "conditions.plausible.components[0]"),
+    (("conditions", "plausible", "components"), ["1"], "conditions.plausible.components[0]"),
+    (("conditions", "plausible", "components"), [True], "conditions.plausible.components[0]"),
+    (("conditions", "plausible", "components"), 1, "conditions.plausible.components"),
+    (("run", "seeds"), [], "run.seeds"),
+    (("run", "seeds", "base"), -1, "run.seeds.base"),
+    (("run", "seeds"), [2, -3], "run.seeds[1]"),
+    (("world", "components", 1, "mean"), [1.0, 2.0, 3.0], "world.components[1].mean"),
+    (("world", "components", 0, "cov_diag"), [1.0], "world.components[0].cov_diag"),
 ], ids=["w_null", "lambda_list", "num_steps_null", "num_steps_fraction", "beta_string", "seed_mapping",
         "count_fraction", "base_null", "sample_count_bool", "mass_label_int", "mass_label_fraction",
         "deterministic_string", "deterministic_int", "positive_list", "negative_list", "run_int",
-        "condition_int", "mass_labels_list", "output_list"])
+        "condition_int", "mass_labels_list", "output_list", "component_fraction", "component_string",
+        "component_bool", "components_int", "seeds_empty", "base_negative", "seed_negative",
+        "mean_too_long", "cov_diag_too_short"])
 def test_cmd_sample_rejects_non_numeric_fields(tmp_path, capsys, path, value, field):
     # A null, list or mapping used to end in a TypeError traceback; 2.5, 3.7, "0.05" and
     # true were truncated or coerced and ran with exit 0. Each must fail naming its field.
     # "deterministic": "false" ran deterministic (bool("false") is True) with exit 0; a list
     # where a condition name belongs, or a number where a mapping belongs, ended in a
-    # TypeError or AttributeError traceback.
+    # TypeError or AttributeError traceback. Condition components of [0.7], ["1"] and
+    # [true] ran as components 0, 1 and 1 with exit 0, and a bare 1 was a TypeError
+    # traceback. An empty or negative seed failed with a message naming no field, and a
+    # world vector of the wrong length with numpy's "inhomogeneous shape".
     raw = small_config()
     section = raw
     for key in path[:-1]:
@@ -342,6 +374,20 @@ def test_cmd_sample_rejects_non_numeric_fields(tmp_path, capsys, path, value, fi
     config = write_config(tmp_path, raw)
     assert main(["sample", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert f"field '{field}' must be" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("seeds, seed_base, field", [
+    ({"count": 3, "base": 0}, "-2", "run.seeds.base"),
+    ([0, 5], "-2", "run.seeds[0]"),
+], ids=["count_base", "list"])
+def test_cli_rejects_seed_base_that_gives_negative_seeds(tmp_path, capsys, seeds, seed_base, field):
+    # A negative seed used to fail with numpy's "expected non-negative integer", naming no field.
+    raw = small_config()
+    raw["run"]["seeds"] = seeds
+    config = write_config(tmp_path, raw)
+    assert main(["sample", "--config", str(config), "--out", str(tmp_path / "out"), "--seed-base", seed_base]) == 2
+    assert f"field '{field}' must" in capsys.readouterr().err
     assert not (tmp_path / "out" / "samples.csv").exists()
 
 

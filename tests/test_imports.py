@@ -1,0 +1,68 @@
+"""Each command loads only the layers it runs; every module imports on its own.
+
+Each check runs in a fresh interpreter, so the modules this test session
+has already imported do not hide a load.
+"""
+
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import guidelab
+
+from test_experiment_cli import small_config, write_config
+from test_par import FIXTURES
+
+SRC = Path(guidelab.__file__).parents[1]
+SUBMODULES = sorted(f"guidelab.{m.name}" for m in pkgutil.iter_modules(guidelab.__path__))
+
+# Prints which guidelab modules and whether numpy were loaded, as the last line of stdout.
+LOADED = "import json, sys; print(json.dumps({'numpy': 'numpy' in sys.modules, " \
+         "'guidelab': sorted(m for m in sys.modules if m.startswith('guidelab'))}))"
+
+
+def loaded_after(code):
+    """{'numpy': bool, 'guidelab': [module names]} after running code in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", f"{code}\n{LOADED}"], capture_output=True, text=True,
+                         check=True, env=env)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def after_main(argv):
+    return loaded_after(f"from guidelab.cli import main\nassert main({argv!r}) == 0")
+
+
+def test_cli_import_loads_only_config():
+    loaded = loaded_after("import guidelab.cli")
+    assert not loaded["numpy"]
+    assert loaded["guidelab"] == ["guidelab", "guidelab.cli", "guidelab.config"]
+
+
+def test_par_generate_leaves_numpy_unloaded(tmp_path):
+    config = write_config(tmp_path, small_config())
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text((FIXTURES / "butter.prompt.txt").read_text().strip() + "\n")
+    loaded = after_main(["par-generate", "--config", str(config), str(prompts), "--mock", str(FIXTURES),
+                         "--out", str(tmp_path / "out")])
+    assert not loaded["numpy"]
+    assert (tmp_path / "out" / "corpus.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "compare-guidance"])
+def test_sampling_commands_leave_par_and_diagnostics_unloaded(tmp_path, command):
+    config = write_config(tmp_path, small_config())
+    loaded = after_main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert "guidelab.experiment" in loaded["guidelab"]
+    assert "guidelab.par" not in loaded["guidelab"]
+    assert "guidelab.diagnostics" not in loaded["guidelab"]
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_module_imports_alone(module):
+    assert module in loaded_after(f"import {module}")["guidelab"]
