@@ -96,11 +96,8 @@ def _mode_labels(samples, config) -> list:
     """The mass label of each sample's most responsible component (the index if unlabelled)."""
     from guidelab.oracle import assign_components
 
-    labels = []
-    for k in assign_components(config.world, samples):
-        k = int(k)
-        labels.append(next((label for label, idx in config.mass_labels.items() if k in idx), str(k)))
-    return labels
+    return [next((label for label, idx in config.mass_labels.items() if k in idx), str(k))
+            for k in assign_components(config.world, samples).tolist()]
 
 
 def _trajectory_lines(result):
@@ -157,8 +154,6 @@ def cmd_compare_guidance(config_path, out_dir=None, seed_base=None, *, strict=Fa
     from guidelab.guidance import STRATEGIES
 
     config = _prepare(config_path, out_dir, seed_base)
-    if config.negative is None:
-        raise ConfigError("comparison runs need a 'negative' condition binding")
     table = strategy_comparison(config)
 
     with open(config.out_dir / "comparison.csv", "w", newline="") as fh:

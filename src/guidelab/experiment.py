@@ -17,7 +17,7 @@ import numpy as np
 from guidelab.config import ConfigError, _need, number, output_dir, read_config
 from guidelab.guidance import STRATEGIES, GuidanceConfig
 from guidelab.oracle import Condition, GmmWorld, assign_components
-from guidelab.sampler import run_dual_batch, run_single_batch
+from guidelab.sampler import run_lockstep
 from guidelab.schedule import NoiseSchedule, make_linear_schedule
 
 __all__ = [
@@ -190,12 +190,7 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
         if s < 0:
             where = "run.seeds.base" if isinstance(seeds_raw, dict) else f"run.seeds[{i}]"
             raise ConfigError(f"field '{where}' must be >= 0, got {s}")
-    seen, deduped = set(), []
-    for s in seeds:
-        if s not in seen:
-            seen.add(s)
-            deduped.append(s)
-    seeds = deduped
+    seeds = list(dict.fromkeys(seeds))  # duplicates dropped, first occurrence kept
     if "sample_count" in run:
         sample_count = number(run["sample_count"], "run.sample_count", int)
         if sample_count < 1:
@@ -236,6 +231,14 @@ def load_config(path, out_dir=None, seed_base=None) -> ExperimentConfig:
     return parse_config(read_config(path), out_dir=out_dir, seed_base=seed_base)
 
 
+def _lockstep(config: ExperimentConfig, strategies, seeds, record: bool = True) -> list:
+    """The strategies stepped over the seeds as one batch, with the config's world, conditions and knobs."""
+    g = config.guidance
+    cfgs = [GuidanceConfig(strategy=s, w=g.w, lambda_=g.lambda_, eps_stab=g.eps_stab) for s in strategies]
+    return run_lockstep(config.world, config.positive_condition, config.negative_condition, config.schedule,
+                        cfgs, seeds, deterministic=config.deterministic, record=record)
+
+
 def run_strategy(config: ExperimentConfig, strategy: str, seeds):
     """Run one strategy over a list of seeds, all of them as one batch.
 
@@ -243,32 +246,26 @@ def run_strategy(config: ExperimentConfig, strategy: str, seeds):
     DualTrajectoryBatch for dual-branch ones. The CFG row needs no
     negative condition; the rest use the config's negative binding.
     """
-    g = config.guidance
-    cfg = GuidanceConfig(strategy=strategy, w=g.w, lambda_=g.lambda_, eps_stab=g.eps_stab)
-    pos = config.positive_condition
-    neg = config.negative_condition
-    if strategy == "CFG":
-        return run_single_batch(config.world, pos, None, config.schedule, cfg, seeds,
-                                deterministic=config.deterministic)
-    if neg is None:
+    if strategy != "CFG" and config.negative_condition is None:
         raise ConfigError(f"strategy {strategy} requires a 'negative' condition binding")
-    runner = run_single_batch if strategy in ("NP", "SDN") else run_dual_batch
-    return runner(config.world, pos, neg, config.schedule, cfg, seeds, deterministic=config.deterministic)
+    return _lockstep(config, [strategy], seeds)[0]
 
 
 def strategy_comparison(config: ExperimentConfig) -> dict:
     """Counterfactual-mode mass per strategy over the config's seeds.
 
     Returns {strategy: {"mass_mean", "mass_stderr", "seeds", "finals"}}.
-    Each strategy runs all seeds as one batch. The counterfactual label
-    must be present in config.mass_labels.
+    All five strategies step the seeds as one lockstep batch that keeps
+    only the final latents. The counterfactual label must be present in
+    config.mass_labels.
     """
+    if config.negative_condition is None:
+        raise ConfigError("comparison runs need a 'negative' condition binding")
     if "counterfactual" not in config.mass_labels:
         raise ConfigError("field 'mass_labels' must define a 'counterfactual' label for comparison runs")
     cf = np.asarray(sorted(config.mass_labels["counterfactual"]))
     table = {}
-    for strategy in STRATEGIES:
-        finals = run_strategy(config, strategy, config.seeds).finals.copy()
+    for strategy, finals in zip(STRATEGIES, _lockstep(config, STRATEGIES, config.seeds, record=False)):
         per_seed = np.isin(assign_components(config.world, finals), cf).astype(float)
         n = len(per_seed)
         stderr = float(per_seed.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0

@@ -74,13 +74,12 @@ def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple:
 def row_norms(a: np.ndarray):
     """Euclidean norm of each row of a (N, dim) batch, or of a single (dim,) vector.
 
-    Each row gets its own 1-D np.linalg.norm, so a row's norm is bit for
-    bit the norm of that vector alone; np.linalg.norm(a, axis=-1) sums
-    in a different order and can differ in the last bits.
+    sqrt(vecdot) of a contiguous copy sums each row with the same dot
+    kernel as the 1-D np.linalg.norm of that row alone, so the two agree
+    bit for bit; np.linalg.norm(a, axis=-1) sums in a different order.
     """
-    if a.ndim == 1:
-        return np.linalg.norm(a)
-    return np.array([np.linalg.norm(row) for row in a])
+    a = np.ascontiguousarray(a)
+    return np.sqrt(np.vecdot(a, a))
 
 
 def cfg_combine(eps_uncond: np.ndarray, eps_cond: np.ndarray, w: float) -> np.ndarray:

@@ -535,3 +535,62 @@ def test_main_dispatch(tmp_path):
     assert main(["sample", "--config", str(path2), "--out", str(out2), "--seed-base", "7"]) == 0
     lines = (out2 / "samples.csv").read_text().strip().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["7", "8"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name, command, edit, message", [
+    ("sample", cmd_sample, {"lambda": 1e305}, "sampling under SDG went non-finite at step t=49"),
+    ("compare-guidance", cmd_compare_guidance, {"strategy": "NP", "w": 1e300},
+     "sampling under TDD_ONLY went non-finite at step t=50"),
+    ("diagnose-lag", cmd_diagnose_lag, {"strategy": "NP", "w": 1e300}, "sampling under NP went non-finite at step t=49"),
+])
+def test_cli_fails_on_non_finite_latents(tmp_path, capsys, name, command, edit, message):
+    # A guidance scale that overflows the latents used to give NaN samples
+    # labelled by component 0, a counterfactual mass of 0 that reads as
+    # perfect suppression, or partial diagnostics with no manifest. The
+    # run must stop with the strategy and the step, and write nothing.
+    raw = json.loads(DEMO_CONFIG.read_text())
+    raw["run"]["seeds"] = {"count": 4, "base": 0}
+    raw["guidance"].update(edit)
+    out = tmp_path / "out"
+    assert command(write_config(tmp_path, raw), out_dir=out) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"{name}: error: {message}"
+    assert list(out.iterdir()) == []
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """The step t of every epsilon_oracle call, counted in every guidelab module that holds the function."""
+    import sys
+
+    import guidelab.diagnostics  # noqa: F401  (loaded so its alias gets rebound too)
+    import guidelab.oracle
+
+    real, calls = guidelab.oracle.epsilon_oracle, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[-1])
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("guidelab") and getattr(module, "epsilon_oracle", None) is real:
+            monkeypatch.setattr(module, "epsilon_oracle", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command, strategy, expected", [
+    (cmd_compare_guidance, "SDG", 150),
+    (cmd_sample, "SDG", 150),
+    (cmd_sample, "NP", 100),
+    (cmd_diagnose_lag, "NP", 150),
+])
+def test_oracle_call_budget(tmp_path, oracle_calls, command, strategy, expected):
+    # One oracle call per condition per step over all seeds and strategies
+    # at once: compare-guidance steps all five strategies in lockstep
+    # (positive, null and negative: 3 x 50), a dual strategy asks for the
+    # null prediction of both branches in one call, and diagnose-lag adds
+    # one call per step for the decoupled reference chain.
+    raw = json.loads(DEMO_CONFIG.read_text())
+    raw["guidance"]["strategy"] = strategy
+    assert command(write_config(tmp_path, raw), out_dir=tmp_path / "out") == 0
+    assert len(oracle_calls) == expected

@@ -242,3 +242,28 @@ def test_normalized_rules_batch_rows_equal_single_vectors():
             assert norms[i] == np.linalg.norm(a[i] - b[i])
             assert np.array_equal(got[i], sdn_combine(a[i], b[i], 30.0, 1e-8))
             assert np.array_equal(got_sdg[i], sdg_combine(a[i], b[i], 30.0, 1e-8))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16, 33])
+def test_row_norms_equal_per_row_linalg_norm(dim):
+    # Bit for bit the 1-D np.linalg.norm of each row alone, across the
+    # whole float range (squares that underflow to 0 or overflow to inf
+    # included), for a contiguous batch, a batch sliced to every other
+    # column, and a single vector.
+    rng = np.random.default_rng(dim)
+    for scale in (1e-300, 1e-160, 1e-20, 1.0, 1e20, 1e160, 1e300):
+        wide = rng.normal(scale=scale, size=(9, 2 * dim))
+        for batch in (wide[:, :dim], wide[:, ::2], wide[::2, 1::2]):
+            with np.errstate(over="ignore", under="ignore"):
+                want = np.array([np.linalg.norm(row) for row in batch])
+                got = row_norms(batch)
+                single = row_norms(batch[0])
+            assert got.shape == (len(batch),)
+            assert np.array_equal(got, want), (dim, scale)
+            assert single == want[0] and np.ndim(single) == 0
+
+
+def test_row_norms_overflow_warns():
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        norms = row_norms(np.full((2, 3), 1e200))
+    assert np.all(np.isinf(norms))

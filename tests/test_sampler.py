@@ -11,7 +11,7 @@ import pytest
 
 from guidelab.guidance import GuidanceConfig
 from guidelab.oracle import Condition, GmmWorld, epsilon_oracle
-from guidelab.sampler import ancestral_coeffs, run_dual_batch, run_single_batch
+from guidelab.sampler import ancestral_coeffs, run_dual_batch, run_lockstep, run_single_batch
 from guidelab.schedule import NoiseSchedule, make_linear_schedule
 
 from conftest import random_world
@@ -297,3 +297,51 @@ def test_batch_rows_follow_the_seeding_contract():
         run_single_batch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("CFG"), [])
     with pytest.raises(ValueError):
         run_dual_batch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("SDG"), [])
+
+
+def wide_world(seed):
+    """A 16-D, 8-component world with well separated means."""
+    rng = np.random.default_rng([seed, 16, 8])
+    return GmmWorld(means=rng.normal(scale=4.0, size=(8, 16)), cov_diags=rng.uniform(0.5, 2.0, size=(8, 16)),
+                    weights=np.full(8, 1.0 / 8))
+
+
+@pytest.mark.parametrize("world, plus, neg, seeds", [
+    (GmmWorld(means=np.array([[-12.0, 0.0], [12.0, 0.0]]), cov_diags=np.ones((2, 2)), weights=np.array([0.5, 0.5])),
+     Condition.subset([0, 1]), Condition.subset([1]), [0, 1, 2, 3, 4, 5]),
+    (wide_world(1), Condition.subset(range(8)), Condition.subset([4, 5, 6, 7]), [3, 4, 5, 6]),
+])
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_lockstep_equals_solo_runs(world, plus, neg, seeds, deterministic):
+    # All five strategies stepped as one stacked batch: every recorded
+    # array of each strategy, both branches of the dual ones, must equal
+    # that strategy's solo run bit for bit, and the record=False finals
+    # must equal the recorded ones.
+    s = make_linear_schedule(50, 0.03, 0.10)
+    cfgs = [GuidanceConfig(strategy) for strategy in ("CFG", "NP", "SDN", "TDD_ONLY", "SDG")]
+    together = run_lockstep(world, plus, neg, s, cfgs, seeds, deterministic=deterministic)
+    finals = run_lockstep(world, plus, neg, s, cfgs, seeds, deterministic=deterministic, record=False)
+    for cfg, batch, final in zip(cfgs, together, finals):
+        if cfg.strategy in ("CFG", "NP", "SDN"):
+            alone = run_single_batch(world, plus, neg, s, cfg, seeds, deterministic=deterministic)
+            pairs = [(batch, alone)]
+        else:
+            alone = run_dual_batch(world, plus, neg, s, cfg, seeds, deterministic=deterministic)
+            pairs = [(batch.plus, alone.plus), (batch.minus, alone.minus)]
+        assert batch.seeds == alone.seeds == tuple(seeds)
+        for got, want in pairs:
+            assert got.config == want.config == cfg
+            for name in ("states", "eps_pos", "eps_neg", "delta", "correction"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None) == (b is None), (cfg.strategy, name)
+                assert a is None or np.array_equal(a, b), (cfg.strategy, name)
+        assert np.array_equal(final, batch.finals)
+
+
+def test_lockstep_rejects_non_finite_latents():
+    s = make_linear_schedule(5, 0.05, 0.2)
+    cfgs = [GuidanceConfig("CFG"), GuidanceConfig("NP", w=1e300), GuidanceConfig("SDG")]
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match=r"^sampling under NP went non-finite at step t=4$"):
+        run_lockstep(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, cfgs, [0, 1])
+    with pytest.raises(ValueError, match="requires a negative condition"):
+        run_lockstep(TWO_WELL, Condition.subset([0]), None, s, cfgs, [0])
