@@ -285,8 +285,8 @@ def cmd_par_generate(config_path, prompts_path, out_dir=None, mock=None, jobs=1,
         jobs=jobs,
     )
 
-    for prompt, status, _ in results:
-        print(f"{status:<19} {prompt}")
+    # one write, not one per line: an unbuffered stdout makes each write a system call
+    sys.stdout.write("".join(f"{status:<19} {prompt}\n" for prompt, status, _ in results))
     statuses = {status for _, status, _ in results}
 
     artifacts = [p.name for p in (corpus, quarantine) if p.exists()]

@@ -27,6 +27,7 @@ __all__ = [
     "sdn_combine",
     "sdg_combine",
     "tdd_only_combine",
+    "branch_prediction",
     "branch_guided_eps",
     "row_norms",
 ]
@@ -134,6 +135,11 @@ def tdd_only_combine(eps_plus: np.ndarray, eps_minus: np.ndarray, w: float) -> n
     return np_combine(eps_plus, eps_minus, w)
 
 
+def branch_prediction(eps_c: np.ndarray, eps_u: np.ndarray, w: float) -> np.ndarray:
+    """A branch's CFG-guided prediction anchored at its conditional one: eps_c + w * (eps_c - eps_u)."""
+    return eps_c + w * (eps_c - eps_u)
+
+
 def branch_guided_eps(
     world: GmmWorld,
     cond: Condition,
@@ -153,4 +159,4 @@ def branch_guided_eps(
         raise ValueError("branch_guided_eps requires a Subset condition")
     eps_c = epsilon_oracle(world, cond, schedule, x, t)
     eps_u = epsilon_oracle(world, Condition.null(), schedule, x, t)
-    return eps_c + w * (eps_c - eps_u)
+    return branch_prediction(eps_c, eps_u, w)

@@ -27,6 +27,7 @@ import numpy as np
 
 from guidelab.guidance import (
     GuidanceConfig,
+    branch_prediction,
     cfg_combine,
     np_combine,
     sdn_combine,
@@ -167,38 +168,40 @@ def run_lockstep(
                 for name in ("eps_pos", "correction") + (() if kind == "CFG" else ("eps_neg", "delta"))}
                if record and kind != "minus" else None for _, kind in blocks]
     states = np.empty((T + 1,) + x.shape) if record else None
-    for i, t in enumerate(range(T, 0, -1)):
-        if record:
-            states[i] = x
-        coeffs = ancestral_coeffs(schedule, t, deterministic)
-        eps = {c: np.empty_like(x) for c in rows}
-        for c, idx in rows.items():
-            eps[c][idx] = epsilon_oracle(world, conditions[c], schedule, x[idx], t)
-        step = np.empty_like(x)  # the prediction each row advances on
-        for j, ((cfg, kind), rec) in enumerate(zip(blocks, records)):
-            r, m = slice(j * n, (j + 1) * n), slice((j + 1) * n, (j + 2) * n)
-            if kind == "CFG":
-                eps_pos, eps_neg, base = eps["pos"][r], None, eps["null"][r]
-                step[r] = cfg_combine(base, eps_pos, cfg.w)
-            elif kind != "minus":
-                eps_pos = eps["pos"][r]
-                if kind == "plus":  # each branch's prediction, formed as guidance.branch_guided_eps does
-                    eps_pos = eps_pos + cfg.w * (eps_pos - eps["null"][r])
-                    eps_neg = step[m] = eps["neg"][m] + cfg.w * (eps["neg"][m] - eps["null"][m])
-                else:
-                    eps_neg = eps["neg"][r]
-                base = eps_pos
-                step[r] = _COMBINE[cfg.strategy](eps_pos, eps_neg, cfg)
-            if rec is not None:
-                rec["eps_pos"][i], rec["correction"][i] = eps_pos, step[r] - base
-                if eps_neg is not None:
-                    rec["eps_neg"][i], rec["delta"][i] = eps_neg, eps_pos - eps_neg
-        x = coeffs.a_t * x + coeffs.b_t * step
-        if not deterministic:
-            x = x + coeffs.sigma_t * _draw(rngs, len(blocks), world.dim)
-        bad = dict.fromkeys(blocks[row // n][0].strategy for row in np.flatnonzero(~np.isfinite(x).all(axis=1)))
-        if bad:
-            raise ValueError(f"sampling under {', '.join(bad)} went non-finite at step t={t}")
+    # an overflowing guidance scale surfaces as the named non-finite error below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, t in enumerate(range(T, 0, -1)):
+            if record:
+                states[i] = x
+            coeffs = ancestral_coeffs(schedule, t, deterministic)
+            eps = {c: np.empty_like(x) for c in rows}
+            for c, idx in rows.items():
+                eps[c][idx] = epsilon_oracle(world, conditions[c], schedule, x[idx], t)
+            step = np.empty_like(x)  # the prediction each row advances on
+            for j, ((cfg, kind), rec) in enumerate(zip(blocks, records)):
+                r, m = slice(j * n, (j + 1) * n), slice((j + 1) * n, (j + 2) * n)
+                if kind == "CFG":
+                    eps_pos, eps_neg, base = eps["pos"][r], None, eps["null"][r]
+                    step[r] = cfg_combine(base, eps_pos, cfg.w)
+                elif kind != "minus":
+                    eps_pos = eps["pos"][r]
+                    if kind == "plus":
+                        eps_pos = branch_prediction(eps_pos, eps["null"][r], cfg.w)
+                        eps_neg = step[m] = branch_prediction(eps["neg"][m], eps["null"][m], cfg.w)
+                    else:
+                        eps_neg = eps["neg"][r]
+                    base = eps_pos
+                    step[r] = _COMBINE[cfg.strategy](eps_pos, eps_neg, cfg)
+                if rec is not None:
+                    rec["eps_pos"][i], rec["correction"][i] = eps_pos, step[r] - base
+                    if eps_neg is not None:
+                        rec["eps_neg"][i], rec["delta"][i] = eps_neg, eps_pos - eps_neg
+            x = coeffs.a_t * x + coeffs.b_t * step
+            if not deterministic:
+                x = x + coeffs.sigma_t * _draw(rngs, len(blocks), world.dim)
+            bad = dict.fromkeys(blocks[row // n][0].strategy for row in np.flatnonzero(~np.isfinite(x).all(axis=1)))
+            if bad:
+                raise ValueError(f"sampling under {', '.join(bad)} went non-finite at step t={t}")
     if not record:
         return [x[j * n:(j + 1) * n] for j, (_, kind) in enumerate(blocks) if kind != "minus"]
     states[T] = x

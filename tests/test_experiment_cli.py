@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -511,6 +513,45 @@ def test_cmd_par_generate_unknown_prompt_fails(tmp_path):
     assert cmd_par_generate(path, prompts, out_dir=tmp_path / "out", mock=FIXTURES) == 1
 
 
+class CountingStdout:
+    """A stdout stand-in that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_cmd_par_generate_writes_status_lines_at_once(tmp_path, monkeypatch):
+    # One status line per prompt, in prompt order, as one write: with an
+    # unbuffered stdout, a print per line cost two system calls per prompt.
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    pairs = {"ok": (FIXTURES / "butter.prompt.txt").read_text(), "broken": "A broken response prompt.",
+             "hollow": "A ball rolls down a ramp."}
+    responses = {"ok": (FIXTURES / "butter.response.txt").read_text(),
+                 "broken": (FIXTURES / "malformed_missing_subfield.txt").read_text(),
+                 "hollow": ("[ANALYSIS]\nEntities: x\nEnvironment: y\nInteractions: z\n"
+                            "Temporal evolution: w\n[COUNTERFACTUAL]\nUnrelated gibberish entirely.")}
+    for name, prompt in pairs.items():
+        (fixtures / f"{name}.prompt.txt").write_text(prompt)
+        (fixtures / f"{name}.response.txt").write_text(responses[name])
+    expected = [(pairs["hollow"], "validation_failure"), ("no fixture answers this", "transport_error"),
+                (pairs["ok"].strip(), "ok"), (pairs["broken"], "format_violation")]
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("".join(prompt + "\n" for prompt, _ in expected))
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cmd_par_generate(write_config(tmp_path, small_config()), prompts, out_dir=tmp_path / "out",
+                            mock=fixtures) == 1
+    assert stdout.writes == ["".join(f"{status:<19} {prompt}\n" for prompt, status in expected)]
+
+
 def test_cmd_schedule_dump(tmp_path):
     path = write_config(tmp_path, small_config())
     out = tmp_path / "out"
@@ -537,7 +578,6 @@ def test_main_dispatch(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["7", "8"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name, command, edit, message", [
     ("sample", cmd_sample, {"lambda": 1e305}, "sampling under SDG went non-finite at step t=49"),
     ("compare-guidance", cmd_compare_guidance, {"strategy": "NP", "w": 1e300},
@@ -556,6 +596,29 @@ def test_cli_fails_on_non_finite_latents(tmp_path, capsys, name, command, edit, 
     assert command(write_config(tmp_path, raw), out_dir=out) == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"{name}: error: {message}"
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("name, edit, message", [
+    ("sample", {"lambda": 1e305}, "sampling under SDG went non-finite at step t=49"),
+    ("diagnose-lag", {"strategy": "NP", "w": 1e300}, "sampling under NP went non-finite at step t=49"),
+])
+def test_overflowing_guidance_gives_one_named_error(tmp_path, capsys, name, edit, message, strict):
+    # The latents overflowed inside the oracle a step before they went
+    # non-finite: --strict stopped on numpy's "overflow encountered in
+    # multiply", naming no strategy or step, and without it two numpy
+    # warnings came before the named error.
+    raw = json.loads(DEMO_CONFIG.read_text())
+    raw["run"]["seeds"] = {"count": 4, "base": 0}
+    raw["guidance"].update(edit)
+    out = tmp_path / "out"
+    argv = [name, "--config", str(write_config(tmp_path, raw)), "--out", str(out)] + ["--strict"] * strict
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert caught == []
+    assert capsys.readouterr().err.splitlines() == [f"{name}: error: {message}"]
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.fixture

@@ -437,7 +437,7 @@ def test_mock_transport_from_dir():
 
 def test_mock_transport_from_dir_requires_pairs(tmp_path):
     (tmp_path / "orphan.prompt.txt").write_text("hello")
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(FileNotFoundError, match=r"^fixture orphan\.prompt\.txt has no matching response file$"):
         MockTransport.from_dir(tmp_path)
     with pytest.raises(FileNotFoundError):
         MockTransport.from_dir(tmp_path / "empty_missing")
@@ -456,6 +456,60 @@ def test_mock_transport_from_dir_reads_utf8(tmp_path):
     record = json.loads(corpus.read_text())
     assert record["user_prompt"] == prompt
     assert record["counterfactual"].endswith("蜡烛 never melts.")
+
+
+def text_mode_responses(path):
+    """What from_dir read through text-mode open: the reference for its raw reads."""
+    responses = {}
+    for name in sorted(n for n in os.listdir(path) if n.endswith(".prompt.txt")):
+        with open(path / name, encoding="utf-8") as fh:
+            prompt = fh.read().strip()
+        with open(path / name.replace(".prompt.txt", ".response.txt"), encoding="utf-8") as fh:
+            responses[prompt] = fh.read()
+    return responses
+
+
+def test_mock_transport_from_dir_translates_newlines_as_text_mode(tmp_path):
+    # Fixtures are read as raw bytes, so CRLF and lone CR must become LF
+    # exactly as text-mode open turns them, or parsing would see other text.
+    pairs = {
+        "crlf": (b"crlf prompt\r\n", b"[ANALYSIS]\r\nEntities: a\r\n\r\n[COUNTERFACTUAL]\r\nb\r\n"),
+        "cr": (b"cr prompt\r", b"[ANALYSIS]\rEntities: a\r\r[COUNTERFACTUAL]\rb\r"),
+        "mixed": (b"\rmixed prompt\n\r", b"one\r\r\ntwo\n\rthree\r\n\r\nfour"),
+    }
+    for name, (prompt, response) in pairs.items():
+        (tmp_path / f"{name}.prompt.txt").write_bytes(prompt)
+        (tmp_path / f"{name}.response.txt").write_bytes(response)
+    responses = MockTransport.from_dir(tmp_path).responses
+    assert responses == text_mode_responses(tmp_path)
+    assert responses["cr prompt"] == "[ANALYSIS]\nEntities: a\n\n[COUNTERFACTUAL]\nb\n"
+    assert not any("\r" in text for pair in responses.items() for text in pair)
+
+
+def test_mock_transport_from_dir_reads_large_files_whole(tmp_path):
+    # Files are read in 64 KiB chunks: a CRLF and a two-byte character each
+    # straddle a chunk boundary here, and the text must come back whole.
+    response = "a" * 65535 + "\r\n" + "é" * 40000 + "\r\nend"
+    (tmp_path / "big.prompt.txt").write_text("big prompt\n", encoding="utf-8")
+    (tmp_path / "big.response.txt").write_bytes(response.encode("utf-8"))
+    responses = MockTransport.from_dir(tmp_path).responses
+    assert responses == text_mode_responses(tmp_path)
+    assert responses["big prompt"] == response.replace("\r\n", "\n")
+
+
+def test_par_generate_rejects_invalid_utf8_fixture(tmp_path, capsys):
+    from guidelab.cli import main
+
+    (tmp_path / "bad.prompt.txt").write_text("a prompt\n")
+    (tmp_path / "bad.response.txt").write_bytes(b"[ANALYSIS]\n\xff\xfe not UTF-8\n")
+    config, prompts, out = tmp_path / "config.json", tmp_path / "prompts.txt", tmp_path / "out"
+    config.write_text(json.dumps({"output": {"directory": str(out)}}))
+    prompts.write_text("a prompt\n")
+    assert main(["par-generate", "--config", str(config), str(prompts), "--mock", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"par-generate: error: fixture {tmp_path / 'bad.response.txt'} is not valid UTF-8")
+    assert not (out / "corpus.jsonl").exists()
 
 
 def test_mock_transport_from_dir_later_name_wins(tmp_path):
