@@ -92,12 +92,12 @@ def _write_json(path: Path, obj, **options) -> None:
         fh.write(text + "\n")
 
 
-def _mode_labels(samples, config) -> list:
-    """The mass label of each sample's most responsible component (the index if unlabelled)."""
-    from guidelab.oracle import assign_components
-
-    return [next((label for label, idx in config.mass_labels.items() if k in idx), str(k))
-            for k in assign_components(config.world, samples).tolist()]
+def _write_csv(path: Path, header: list, rows) -> None:
+    """A CSV file of the header row and then each row of an iterable, as the caller formatted them."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _trajectory_lines(result):
@@ -129,16 +129,15 @@ def _prepare(config_path, out_dir, seed_base):
 def cmd_sample(config_path, out_dir=None, seed_base=None, *, strict=False) -> int:
     """Run the configured strategy over the seeds; write samples + trajectories."""
     from guidelab.experiment import run_strategy
+    from guidelab.oracle import assign_labels
 
     config = _prepare(config_path, out_dir, seed_base)
     result = run_strategy(config, config.guidance.strategy, config.seeds)
 
-    with open(config.out_dir / "samples.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed"] + [f"x{i}" for i in range(config.world.dim)] + ["mode"])
-        finals = result.finals
-        for seed, x, label in zip(result.seeds, finals, _mode_labels(finals, config)):
-            writer.writerow([seed] + [repr(float(c)) for c in x] + [label])
+    labels = assign_labels(config.world, result.finals, config.mass_labels).tolist()
+    _write_csv(config.out_dir / "samples.csv", ["seed"] + [f"x{i}" for i in range(config.world.dim)] + ["mode"],
+               ([seed] + [repr(float(c)) for c in x] + [label]
+                for seed, x, label in zip(result.seeds, result.finals, labels)))
     with open(config.out_dir / "trajectories.jsonl", "w") as fh:
         for line in _trajectory_lines(result):
             fh.write(line + "\n")
@@ -156,12 +155,9 @@ def cmd_compare_guidance(config_path, out_dir=None, seed_base=None, *, strict=Fa
     config = _prepare(config_path, out_dir, seed_base)
     table = strategy_comparison(config)
 
-    with open(config.out_dir / "comparison.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "counterfactual_mass_mean", "counterfactual_mass_stderr", "seeds"])
-        for strategy in STRATEGIES:
-            row = table[strategy]
-            writer.writerow([strategy, repr(row["mass_mean"]), repr(row["mass_stderr"]), row["seeds"]])
+    _write_csv(config.out_dir / "comparison.csv",
+               ["strategy", "counterfactual_mass_mean", "counterfactual_mass_stderr", "seeds"],
+               ([s, repr(table[s]["mass_mean"]), repr(table[s]["mass_stderr"]), table[s]["seeds"]] for s in STRATEGIES))
 
     _write_manifest(config.out_dir, "compare-guidance", config.raw, config.seeds, ["comparison.csv"])
     for strategy in STRATEGIES:
@@ -175,7 +171,7 @@ def cmd_diagnose_lag(config_path, out_dir=None, seed_base=None, *, strict=False)
     """Discrepancy-norm, spectral, and trajectory-bias curves for an NP/SDN run."""
     import numpy as np
 
-    from guidelab.diagnostics import build_report, report_to_json, series_to_csv
+    from guidelab.diagnostics import build_report, report_to_json
 
     config = _prepare(config_path, out_dir, seed_base)
     if config.guidance.strategy not in ("NP", "SDN"):
@@ -193,14 +189,12 @@ def cmd_diagnose_lag(config_path, out_dir=None, seed_base=None, *, strict=False)
     )
 
     out = config.out_dir
-    series_to_csv(out / "delta_norms.csv", report.delta_norms, "delta_norm")
-    series_to_csv(out / "suppression_proj.csv", report.suppression_proj, "projection")
-    series_to_csv(out / "bias_gap.csv", report.bias_gap, "gap")
-    with open(out / "eigen.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "eigenvalue"] + [f"v{i}" for i in range(config.world.dim)])
-        for t, lam, v in report.leading_eigs:
-            writer.writerow([t, repr(float(lam))] + [repr(float(c)) for c in v])
+    for name, header, series in (("delta_norms.csv", "delta_norm", report.delta_norms),
+                                 ("suppression_proj.csv", "projection", report.suppression_proj),
+                                 ("bias_gap.csv", "gap", report.bias_gap)):
+        _write_csv(out / name, ["t", header], ([t, repr(float(val))] for t, val in series))
+    _write_csv(out / "eigen.csv", ["t", "eigenvalue"] + [f"v{i}" for i in range(config.world.dim)],
+               ([t, repr(float(lam))] + [repr(float(c)) for c in v] for t, lam, v in report.leading_eigs))
     _write_json(out / "report.json", report_to_json(report))
 
     k = max(1, config.schedule.num_steps // 10)
@@ -260,11 +254,15 @@ def cmd_par_generate(config_path, prompts_path, out_dir=None, mock=None, jobs=1,
 
     raw = read_config(config_path)
     out = output_dir(raw, out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     endpoint = _endpoint_from_config(raw, mock is not None)
-    with open(prompts_path, encoding="utf-8") as fh:
-        prompts = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(prompts_path, encoding="utf-8") as fh:
+            prompts = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"prompts file {prompts_path} is not valid UTF-8: {exc}") from None
     transport = MockTransport.from_dir(mock) if mock is not None else HttpTransport()
+    # every input is read before the output directory is made, so a bad input leaves none behind
+    out.mkdir(parents=True, exist_ok=True)
     corpus = out / "corpus.jsonl"
     quarantine = out / "quarantine.jsonl"
     # records are appended, so a rerun starts from no corpus and no quarantine
@@ -301,11 +299,8 @@ def cmd_schedule_dump(config_path, out_dir=None, seed_base=None, *, strict=False
     """Write the resolved noise schedule as a (t, beta, alpha_bar) table."""
     config = _prepare(config_path, out_dir, seed_base)
     s = config.schedule
-    with open(config.out_dir / "schedule.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "beta", "alpha_bar"])
-        for t in range(1, s.num_steps + 1):
-            writer.writerow([t, repr(s.beta(t)), repr(s.alpha_bar(t))])
+    _write_csv(config.out_dir / "schedule.csv", ["t", "beta", "alpha_bar"],
+               ([t, repr(s.beta(t)), repr(s.alpha_bar(t))] for t in range(1, s.num_steps + 1)))
     _write_manifest(config.out_dir, "schedule-dump", config.raw, config.seeds, ["schedule.csv"])
     return 0
 

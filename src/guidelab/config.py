@@ -38,10 +38,12 @@ def _need(raw: dict, key: str, where: str):
 
 
 def read_config(path) -> dict:
-    """The raw config dict of a JSON file."""
+    """The raw config dict of a JSON file, read as UTF-8 whatever the locale."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 

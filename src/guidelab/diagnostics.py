@@ -11,13 +11,12 @@ direction and the projection of the correction onto it) and final-mode
 occupancy metrics round out the picture.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from guidelab.guidance import GuidanceConfig, row_norms
-from guidelab.oracle import Condition, GmmWorld, assign_components, epsilon_jacobian, epsilon_oracle
+from guidelab.oracle import Condition, GmmWorld, assign_labels, epsilon_jacobian, epsilon_oracle
 from guidelab.sampler import TrajectoryBatch, ancestral_coeffs, run_single_batch
 from guidelab.schedule import NoiseSchedule
 
@@ -30,7 +29,6 @@ __all__ = [
     "trajectory_bias_probe",
     "build_report",
     "report_to_json",
-    "series_to_csv",
 ]
 
 # The seed whose latent path the spectra follow.
@@ -113,17 +111,11 @@ def mode_mass(samples, world: GmmWorld, label_sets: dict) -> dict:
     X = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if X.size == 0:
         raise ValueError("mode_mass needs a nonempty sample set")
-    claimed = []
-    for label, idx in label_sets.items():
-        claimed.extend(int(i) for i in idx)
-    if sorted(claimed) != list(range(world.num_components)):
+    claimed = sorted(int(i) for idx in label_sets.values() for i in idx)
+    if claimed != list(range(world.num_components)):
         raise ValueError(f"label_sets {label_sets} do not partition components 0..{world.num_components - 1}")
-    assign = assign_components(world, X)
-    out = {}
-    for label, idx in label_sets.items():
-        members = np.asarray(sorted(int(i) for i in idx))
-        out[label] = float(np.mean(np.isin(assign, members)))
-    return out
+    labels = assign_labels(world, X, label_sets)
+    return {label: float(np.mean(labels == label)) for label in label_sets}
 
 
 def _check_shared_latent(cfg: GuidanceConfig, seeds) -> list:
@@ -151,8 +143,8 @@ def _bias_gap(world: GmmWorld, p_minus: Condition, schedule: NoiseSchedule, coup
     for shared, t in zip(coupled.eps_neg, coupled.steps):
         own = epsilon_oracle(world, p_minus, schedule, x, t)
         per_step.append(row_norms(shared - own))
-        coeffs = ancestral_coeffs(schedule, t)
-        x = coeffs.a_t * x + coeffs.b_t * own
+        a_t, b_t, _ = ancestral_coeffs(schedule, t)
+        x = a_t * x + b_t * own
     gaps = np.zeros(len(per_step))
     for seed_gaps in np.array(per_step).T:
         gaps += seed_gaps
@@ -228,12 +220,3 @@ def report_to_json(report: DiagnosticsReport) -> dict:
         "mode_masses": dict(report.mode_masses),
         "bias_gap": [[t, val] for t, val in report.bias_gap],
     }
-
-
-def series_to_csv(path, series, value_header: str = "value") -> None:
-    """Write a (t, value) series to CSV with header t,<value_header>."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", value_header])
-        for t, val in series:
-            writer.writerow([t, repr(float(val))])

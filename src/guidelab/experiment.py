@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from guidelab.config import ConfigError, _need, number, output_dir, read_config
-from guidelab.guidance import STRATEGIES, GuidanceConfig
-from guidelab.oracle import Condition, GmmWorld, assign_components
+from guidelab.guidance import DEFAULT_EPS_STAB, DEFAULT_LAMBDA, DEFAULT_W, STRATEGIES, GuidanceConfig
+from guidelab.oracle import Condition, GmmWorld, assign_labels
 from guidelab.sampler import run_lockstep
 from guidelab.schedule import NoiseSchedule, make_linear_schedule
 
@@ -159,8 +159,8 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
     strategy = _need(g, "strategy", "guidance.")
     if strategy not in STRATEGIES:
         raise ConfigError(f"field 'guidance.strategy' has unknown value '{strategy}'")
-    w, lambda_, eps_stab = (number(g.get(key, default), f"guidance.{key}")
-                            for key, default in (("w", 6.0), ("lambda", 30.0), ("eps_stab", 1e-8)))
+    w, lambda_, eps_stab = (number(g.get(key, default), f"guidance.{key}") for key, default
+                            in (("w", DEFAULT_W), ("lambda", DEFAULT_LAMBDA), ("eps_stab", DEFAULT_EPS_STAB)))
     try:
         guidance = GuidanceConfig(strategy=strategy, w=w, lambda_=lambda_, eps_stab=eps_stab)
     except ValueError as exc:
@@ -263,10 +263,9 @@ def strategy_comparison(config: ExperimentConfig) -> dict:
         raise ConfigError("comparison runs need a 'negative' condition binding")
     if "counterfactual" not in config.mass_labels:
         raise ConfigError("field 'mass_labels' must define a 'counterfactual' label for comparison runs")
-    cf = np.asarray(sorted(config.mass_labels["counterfactual"]))
     table = {}
     for strategy, finals in zip(STRATEGIES, _lockstep(config, STRATEGIES, config.seeds, record=False)):
-        per_seed = np.isin(assign_components(config.world, finals), cf).astype(float)
+        per_seed = (assign_labels(config.world, finals, config.mass_labels) == "counterfactual").astype(float)
         n = len(per_seed)
         stderr = float(per_seed.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         table[strategy] = {"mass_mean": float(per_seed.mean()), "mass_stderr": stderr, "seeds": n,

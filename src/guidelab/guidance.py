@@ -16,9 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from guidelab.oracle import Condition, GmmWorld, epsilon_oracle
-from guidelab.schedule import NoiseSchedule
-
 __all__ = [
     "STRATEGIES",
     "GuidanceConfig",
@@ -28,7 +25,6 @@ __all__ = [
     "sdg_combine",
     "tdd_only_combine",
     "branch_prediction",
-    "branch_guided_eps",
     "row_norms",
 ]
 
@@ -138,25 +134,3 @@ def tdd_only_combine(eps_plus: np.ndarray, eps_minus: np.ndarray, w: float) -> n
 def branch_prediction(eps_c: np.ndarray, eps_u: np.ndarray, w: float) -> np.ndarray:
     """A branch's CFG-guided prediction anchored at its conditional one: eps_c + w * (eps_c - eps_u)."""
     return eps_c + w * (eps_c - eps_u)
-
-
-def branch_guided_eps(
-    world: GmmWorld,
-    cond: Condition,
-    schedule: NoiseSchedule,
-    x: np.ndarray,
-    t: int,
-    w: float,
-) -> np.ndarray:
-    """CFG-guided prediction of one branch on its own latent (dim,) or latents (N, dim).
-
-    Anchored at the conditional prediction: eps_c + w * (eps_c - eps_null),
-    which equals cfg_combine(eps_null, eps_c, w + 1). With the full
-    component set as condition the CFG delta is identically zero and the
-    unconditional prediction comes back unchanged for any w.
-    """
-    if cond.is_null:
-        raise ValueError("branch_guided_eps requires a Subset condition")
-    eps_c = epsilon_oracle(world, cond, schedule, x, t)
-    eps_u = epsilon_oracle(world, Condition.null(), schedule, x, t)
-    return branch_prediction(eps_c, eps_u, w)

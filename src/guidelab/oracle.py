@@ -25,6 +25,7 @@ __all__ = [
     "epsilon_oracle",
     "epsilon_jacobian",
     "assign_components",
+    "assign_labels",
 ]
 
 
@@ -92,10 +93,6 @@ class Condition:
     def subset(cls, indices) -> "Condition":
         return cls(indices=tuple(indices))
 
-    @property
-    def is_null(self) -> bool:
-        return self.indices is None
-
     def resolve(self, world: GmmWorld) -> np.ndarray:
         """Component indices selected by this condition in the given world."""
         if self.indices is None:
@@ -139,6 +136,18 @@ def noised_mixture(world: GmmWorld, cond: Condition, schedule: NoiseSchedule, t:
     )
 
 
+def _log_components(means: np.ndarray, covs: np.ndarray, weights: np.ndarray, x: np.ndarray) -> tuple:
+    """Offsets diff = mu_k - x (N, K, dim) and log w_k + log N(x; mu_k, diag(c_k)) (N, K) at x (dim,) or (N, dim)."""
+    diff = means - np.atleast_2d(x)[:, None, :]
+    log_comp = (
+        -0.5 * np.sum(diff * diff / covs, axis=2)
+        - 0.5 * np.sum(np.log(covs), axis=1)
+        - 0.5 * means.shape[1] * np.log(2.0 * np.pi)
+        + np.log(weights)
+    )
+    return diff, log_comp
+
+
 def _responsibilities(mixture: NoisedMixture, x: np.ndarray) -> tuple:
     """Component offsets, log-density and responsibilities at x, via stable log-sum-exp.
 
@@ -149,15 +158,7 @@ def _responsibilities(mixture: NoisedMixture, x: np.ndarray) -> tuple:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != mixture.dim:
         raise ValueError(f"x shape {x.shape} incompatible with mixture dim {mixture.dim}")
-    means, covs = mixture.means, mixture.cov_diags
-    diff = means - np.atleast_2d(x)[:, None, :]
-    # per-component Gaussian log densities, diagonal covariance
-    log_comp = (
-        -0.5 * np.sum(diff * diff / covs, axis=2)
-        - 0.5 * np.sum(np.log(covs), axis=1)
-        - 0.5 * mixture.dim * np.log(2.0 * np.pi)
-        + np.log(mixture.weights)
-    )
+    diff, log_comp = _log_components(mixture.means, mixture.cov_diags, mixture.weights, x)
     m = log_comp.max(axis=1, keepdims=True)
     log_density = m + np.log(np.sum(np.exp(log_comp - m), axis=1, keepdims=True))
     return diff, log_density, np.exp(log_comp - log_density)
@@ -214,12 +215,14 @@ def assign_components(world: GmmWorld, samples: np.ndarray) -> np.ndarray:
     """Index of the most responsible component for each row of samples (N, dim).
 
     Hard argmax of log w_k + log N(x; mu_k, diag(sigma_k^2)) on the
-    un-noised world; the shared -dim/2 log(2 pi) term is left out.
+    un-noised world.
     """
-    diff = np.atleast_2d(np.asarray(samples, dtype=np.float64))[:, None, :] - world.means[None]
-    log_comp = (
-        -0.5 * np.sum(diff * diff / world.cov_diags[None], axis=2)
-        - 0.5 * np.sum(np.log(world.cov_diags), axis=1)[None]
-        + np.log(world.weights)[None]
-    )
+    _, log_comp = _log_components(world.means, world.cov_diags, world.weights, samples)
     return np.argmax(log_comp, axis=1)
+
+
+def assign_labels(world: GmmWorld, samples: np.ndarray, label_sets: dict) -> np.ndarray:
+    """Each sample's mode label: the first label claiming its component, else the component index as a string."""
+    names = [next((label for label, idx in label_sets.items() if k in idx), str(k))
+             for k in range(world.num_components)]
+    return np.array(names)[assign_components(world, samples)]

@@ -38,7 +38,6 @@ from guidelab.oracle import Condition, GmmWorld, epsilon_oracle
 from guidelab.schedule import NoiseSchedule
 
 __all__ = [
-    "SamplerStepCoeffs",
     "TrajectoryBatch",
     "DualTrajectoryBatch",
     "ancestral_coeffs",
@@ -58,15 +57,6 @@ _COMBINE = {
     "TDD_ONLY": lambda plus, minus, cfg: tdd_only_combine(plus, minus, cfg.w),
     "SDG": lambda plus, minus, cfg: sdg_combine(plus, minus, cfg.lambda_, cfg.eps_stab),
 }
-
-
-@dataclass(frozen=True)
-class SamplerStepCoeffs:
-    """Coefficients of one reverse update x_{t-1} = a_t x_t + b_t eps_hat + sigma_t eta."""
-
-    a_t: float
-    b_t: float
-    sigma_t: float
 
 
 @dataclass(frozen=True)
@@ -111,9 +101,10 @@ class DualTrajectoryBatch:
         return self.plus.finals
 
 
-def ancestral_coeffs(schedule: NoiseSchedule, t: int, deterministic: bool = True) -> SamplerStepCoeffs:
-    """Standard ancestral update coefficients at step t.
+def ancestral_coeffs(schedule: NoiseSchedule, t: int, deterministic: bool = True) -> tuple:
+    """Standard ancestral update coefficients (a_t, b_t, sigma_t) at step t.
 
+    One reverse update is x_{t-1} = a_t x_t + b_t eps_hat + sigma_t eta, with
     a_t = 1/sqrt(1-beta_t), b_t = -beta_t/(sqrt(1-beta_t)*sqrt(1-alpha_bar_t)),
     sigma_t = sqrt(beta_t), forced to zero in deterministic mode.
     """
@@ -122,7 +113,7 @@ def ancestral_coeffs(schedule: NoiseSchedule, t: int, deterministic: bool = True
     a_t = 1.0 / np.sqrt(1.0 - b)
     b_t = -b / (np.sqrt(1.0 - b) * np.sqrt(1.0 - ab))
     sigma_t = 0.0 if deterministic else float(np.sqrt(b))
-    return SamplerStepCoeffs(a_t=float(a_t), b_t=float(b_t), sigma_t=sigma_t)
+    return float(a_t), float(b_t), sigma_t
 
 
 def _draw(rngs, copies: int, dim: int) -> np.ndarray:
@@ -173,7 +164,7 @@ def run_lockstep(
         for i, t in enumerate(range(T, 0, -1)):
             if record:
                 states[i] = x
-            coeffs = ancestral_coeffs(schedule, t, deterministic)
+            a_t, b_t, sigma_t = ancestral_coeffs(schedule, t, deterministic)
             eps = {c: np.empty_like(x) for c in rows}
             for c, idx in rows.items():
                 eps[c][idx] = epsilon_oracle(world, conditions[c], schedule, x[idx], t)
@@ -196,9 +187,9 @@ def run_lockstep(
                     rec["eps_pos"][i], rec["correction"][i] = eps_pos, step[r] - base
                     if eps_neg is not None:
                         rec["eps_neg"][i], rec["delta"][i] = eps_neg, eps_pos - eps_neg
-            x = coeffs.a_t * x + coeffs.b_t * step
+            x = a_t * x + b_t * step
             if not deterministic:
-                x = x + coeffs.sigma_t * _draw(rngs, len(blocks), world.dim)
+                x = x + sigma_t * _draw(rngs, len(blocks), world.dim)
             bad = dict.fromkeys(blocks[row // n][0].strategy for row in np.flatnonzero(~np.isfinite(x).all(axis=1)))
             if bad:
                 raise ValueError(f"sampling under {', '.join(bad)} went non-finite at step t={t}")

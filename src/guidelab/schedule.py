@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NoiseSchedule", "make_linear_schedule", "forward_step", "forward_marginal"]
+__all__ = ["NoiseSchedule", "make_linear_schedule"]
 
 
 @dataclass(frozen=True)
@@ -57,23 +57,3 @@ def make_linear_schedule(num_steps: int, beta_start: float, beta_end: float) -> 
         betas = np.linspace(beta_start, beta_end, num_steps, dtype=np.float64)
     alpha_bars = np.cumprod(1.0 - betas)
     return NoiseSchedule(num_steps=num_steps, betas=betas, alpha_bars=alpha_bars)
-
-
-def forward_step(schedule: NoiseSchedule, x_prev: np.ndarray, t: int, noise: np.ndarray) -> np.ndarray:
-    """One forward transition x_{t-1} -> x_t with the supplied unit Gaussian draw."""
-    b = schedule.beta(t)
-    x_prev = np.asarray(x_prev, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    if x_prev.shape != noise.shape:
-        raise ValueError(f"x_prev shape {x_prev.shape} != noise shape {noise.shape}")
-    return np.sqrt(1.0 - b) * x_prev + np.sqrt(b) * noise
-
-
-def forward_marginal(schedule: NoiseSchedule, x0: np.ndarray, t: int, noise: np.ndarray) -> np.ndarray:
-    """Direct jump x_0 -> x_t using the closed-form marginal."""
-    ab = schedule.alpha_bar(t)
-    x0 = np.asarray(x0, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    if x0.shape != noise.shape:
-        raise ValueError(f"x0 shape {x0.shape} != noise shape {noise.shape}")
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise

@@ -22,12 +22,11 @@ from guidelab.diagnostics import (
     leading_eigen,
     mode_mass,
     report_to_json,
-    series_to_csv,
     suppression_projection,
     trajectory_bias_probe,
 )
 from guidelab.guidance import GuidanceConfig
-from guidelab.oracle import Condition, GmmWorld, epsilon_jacobian, epsilon_oracle
+from guidelab.oracle import Condition, GmmWorld, assign_labels, epsilon_jacobian, epsilon_oracle
 from guidelab.sampler import run_single_batch
 from guidelab.schedule import make_linear_schedule
 
@@ -235,6 +234,18 @@ def test_mode_mass_symmetric_monte_carlo():
     assert abs(masses["A"] - 0.5) < 3 * np.sqrt(0.25 / n)
 
 
+def test_mode_mass_equals_label_fractions():
+    # mode_mass is the fraction of each label among assign_labels' labels.
+    rng = np.random.default_rng(16)
+    for _ in range(10):
+        world = random_world(rng, dim=2, num_components=4)
+        samples = rng.normal(scale=4.0, size=(30, 2))
+        label_sets = {"a": [0, 2], "b": [1], "c": [3]}
+        labels = assign_labels(world, samples, label_sets).tolist()
+        masses = mode_mass(samples, world, label_sets)
+        assert masses == {label: labels.count(label) / len(labels) for label in label_sets}
+
+
 def test_mode_mass_validation():
     with pytest.raises(ValueError):
         mode_mass(np.zeros((0, 2)), TWO_WELL, {"A": [0], "B": [1]})
@@ -310,19 +321,6 @@ def test_report_validation():
     with pytest.raises(ValueError):
         DiagnosticsReport(delta_norms=[], leading_eigs=[], suppression_proj=[],
                           mode_masses={"A": 1.2})
-
-
-def test_series_to_csv_round_trip(tmp_path):
-    series = [(3, 0.1234567890123456), (2, 1.5), (1, 0.0)]
-    path = tmp_path / "series.csv"
-    series_to_csv(path, series, "delta_norm")
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,delta_norm"
-    assert len(lines) == 4
-    for (t, val), line in zip(series, lines[1:]):
-        st, sval = line.split(",")
-        assert int(st) == t
-        assert float(sval) == val
 
 
 def test_build_report_shares_the_coupled_batch(monkeypatch):

@@ -131,6 +131,21 @@ def test_load_config_rejects_bad_json(tmp_path):
         load_config(path)
 
 
+def test_cli_names_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    # A Latin-1 byte in the config used to give a bare codec error that
+    # named no file (or decode in the locale's encoding, if not UTF-8).
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps({**small_config(), "note": "caf\u00e9"}, ensure_ascii=False).encode("latin-1"))
+    assert main(["schedule-dump", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"schedule-dump: error: config file {path} is not valid UTF-8: ")
+
+
+def test_default_config_is_the_shipped_demo_config():
+    assert default_config() == json.loads(DEMO_CONFIG.read_text())
+
+
 def test_config_hash_is_canonical():
     a = {"x": 1, "y": [1, 2]}
     b = {"y": [1, 2], "x": 1}
@@ -294,6 +309,33 @@ def test_cmd_diagnose_emits_summary(tmp_path):
     }
     assert summary["bias_gap_at_T"] == 0.0
     assert summary["window"] == 1
+
+
+def test_cmd_diagnose_csv_floats_parse_back_exactly(tmp_path):
+    # Every float the diagnose-lag CSVs hold parses back to the report's value bit for bit.
+    from guidelab.diagnostics import build_report
+
+    raw = small_config()
+    raw["guidance"]["strategy"] = "NP"
+    path = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert cmd_diagnose_lag(path, out_dir=out) == 0
+    c = load_config(path)
+    report = build_report(c.world, c.positive_condition, c.negative_condition, c.schedule, c.guidance, c.seeds,
+                          c.mass_labels)
+    for name, header, series in (("delta_norms.csv", "delta_norm", report.delta_norms),
+                                 ("suppression_proj.csv", "projection", report.suppression_proj),
+                                 ("bias_gap.csv", "gap", report.bias_gap)):
+        lines = (out / name).read_text().splitlines()
+        assert lines[0] == f"t,{header}"
+        assert [(int(t), float(val)) for t, val in (line.split(",") for line in lines[1:])] == series
+    lines = (out / "eigen.csv").read_text().splitlines()
+    assert lines[0] == "t,eigenvalue,v0,v1"
+    assert len(lines) == len(report.leading_eigs) + 1
+    for line, (t, lam, v) in zip(lines[1:], report.leading_eigs):
+        fields = line.split(",")
+        assert (int(fields[0]), float(fields[1])) == (t, lam)
+        assert [float(x) for x in fields[2:]] == v.tolist()
 
 
 def test_cmd_diagnose_strict_on_shipped_np_config(tmp_path):
@@ -511,6 +553,24 @@ def test_cmd_par_generate_unknown_prompt_fails(tmp_path):
     prompts = tmp_path / "prompts.txt"
     prompts.write_text("a prompt no fixture answers\n")
     assert cmd_par_generate(path, prompts, out_dir=tmp_path / "out", mock=FIXTURES) == 1
+
+
+@pytest.mark.parametrize("case", ["prompts_not_utf8", "missing_mock_dir"])
+def test_cmd_par_generate_bad_input_leaves_no_output_directory(tmp_path, capsys, case):
+    # An unreadable input used to be found only after the output directory was made.
+    path = write_config(tmp_path, small_config())
+    prompts, mock, out = tmp_path / "prompts.txt", FIXTURES, tmp_path / "out"
+    prompts.write_text((FIXTURES / "butter.prompt.txt").read_text().strip() + "\n")
+    if case == "prompts_not_utf8":
+        prompts.write_bytes(b"a prompt\n\xff\n")
+        expected = f"par-generate: error: prompts file {prompts} is not valid UTF-8: "
+    else:
+        mock = tmp_path / "no-such-fixtures"
+        expected = f"par-generate: error: [Errno 2] No such file or directory: '{mock}'"
+    assert main(["par-generate", "--config", str(path), str(prompts), "--mock", str(mock), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(expected)
+    assert not out.exists()
 
 
 class CountingStdout:

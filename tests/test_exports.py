@@ -1,7 +1,9 @@
-"""Every name a guidelab module exports through __all__ resolves."""
+"""Every name a guidelab module exports through __all__ resolves, and every name it imports is used."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +20,16 @@ def test_all_names_resolve(name):
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == [], f"{name}.__all__ names {missing}, which {name} does not define"
     assert len(set(exported)) == len(exported), f"{name}.__all__ repeats a name"
+
+
+@pytest.mark.parametrize("path", sorted(Path(guidelab.__file__).parent.glob("*.py")), ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    # Every name a module imports is used as a name in it or exported through its __all__.
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    module = importlib.import_module("guidelab" if path.stem == "__init__" else f"guidelab.{path.stem}")
+    exported = set(getattr(module, "__all__", ()))
+    assert sorted(imported - used - exported) == []

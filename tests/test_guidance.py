@@ -5,7 +5,7 @@ import pytest
 
 from guidelab.guidance import (
     GuidanceConfig,
-    branch_guided_eps,
+    branch_prediction,
     cfg_combine,
     np_combine,
     row_norms,
@@ -163,9 +163,10 @@ def test_branch_guided_w_zero_is_conditional():
     s = make_linear_schedule(10, 0.05, 0.25)
     cond = Condition.subset([0, 1])
     x = rng.normal(size=2)
+    eps_c = epsilon_oracle(world, cond, s, x, 4)
     np.testing.assert_array_equal(
-        branch_guided_eps(world, cond, s, x, 4, 0.0),
-        epsilon_oracle(world, cond, s, x, 4),
+        branch_prediction(eps_c, epsilon_oracle(world, Condition.null(), s, x, 4), 0.0),
+        eps_c,
     )
 
 
@@ -175,10 +176,11 @@ def test_branch_guided_full_set_collapses():
     s = make_linear_schedule(10, 0.05, 0.25)
     full = Condition.subset(range(world.num_components))
     x = rng.normal(size=2)
+    eps_u = epsilon_oracle(world, Condition.null(), s, x, 7)
     for w in (0.0, 3.0, 6.0):
         np.testing.assert_array_equal(
-            branch_guided_eps(world, full, s, x, 7, w),
-            epsilon_oracle(world, Condition.null(), s, x, 7),
+            branch_prediction(epsilon_oracle(world, full, s, x, 7), eps_u, w),
+            eps_u,
         )
 
 
@@ -196,18 +198,10 @@ def test_branch_guided_compositional():
         u = epsilon_oracle(world, Condition.null(), s, x, t)
         c = epsilon_oracle(world, cond, s, x, t)
         np.testing.assert_allclose(
-            branch_guided_eps(world, cond, s, x, t, w),
+            branch_prediction(c, u, w),
             cfg_combine(u, c, w + 1.0),
             atol=1e-10,
         )
-
-
-def test_branch_guided_rejects_null_condition():
-    rng = np.random.default_rng(801)
-    world = random_world(rng, dim=2, num_components=2)
-    s = make_linear_schedule(5, 0.1, 0.2)
-    with pytest.raises(ValueError):
-        branch_guided_eps(world, Condition.null(), s, np.zeros(2), 1, 6.0)
 
 
 def test_guidance_config_validation():

@@ -18,6 +18,7 @@ from guidelab.oracle import (
     GmmWorld,
     NoisedMixture,
     assign_components,
+    assign_labels,
     epsilon_oracle,
     log_density_and_score,
     noised_mixture,
@@ -30,7 +31,7 @@ from conftest import random_world
 def ref_log_density(world, cond, schedule, x, t):
     """Independent log-density of the conditioned noised mixture."""
     ab = schedule.alpha_bar(t)
-    if cond.is_null:
+    if cond.indices is None:
         idx = list(range(world.num_components))
     else:
         idx = list(cond.indices)
@@ -252,8 +253,7 @@ def test_condition_validation_and_dedup():
         Condition.subset([])
     c = Condition.subset([2, 0, 2, 1])
     assert c.indices == (0, 1, 2)
-    assert not c.is_null
-    assert Condition.null().is_null
+    assert Condition.null().indices is None
     world = GmmWorld(means=np.zeros((2, 2)), cov_diags=np.ones((2, 2)), weights=np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         Condition.subset([3]).resolve(world)
@@ -328,3 +328,14 @@ def test_assign_components_matches_scipy_argmax():
             for x in X
         ]
         np.testing.assert_array_equal(assign_components(world, X), ref)
+
+
+def test_assign_labels_names_unclaimed_components_by_index():
+    world = GmmWorld(means=np.array([[-10.0, 0.0], [0.0, 0.0], [10.0, 0.0], [0.0, 10.0]]),
+                     cov_diags=np.ones((4, 2)), weights=np.full(4, 0.25))
+    samples = world.means[[3, 0, 2, 1, 0]]
+    assert assign_labels(world, samples, {"left": [0], "middle": (1, 2)}).tolist() == \
+        ["3", "left", "middle", "middle", "left"]
+    assert assign_labels(world, samples, {}).tolist() == ["3", "0", "2", "1", "0"]
+    # the first label that claims a component names it
+    assert assign_labels(world, samples[:2], {"a": [3], "b": [3, 0]}).tolist() == ["a", "b"]

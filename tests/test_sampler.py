@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from guidelab.guidance import GuidanceConfig
+from guidelab.guidance import GuidanceConfig, branch_prediction
 from guidelab.oracle import Condition, GmmWorld, epsilon_oracle
 from guidelab.sampler import ancestral_coeffs, run_dual_batch, run_lockstep, run_single_batch
 from guidelab.schedule import NoiseSchedule, make_linear_schedule
@@ -28,14 +28,14 @@ TWO_WELL = GmmWorld(
 
 def test_ancestral_coeffs_arithmetic():
     s = NoiseSchedule(num_steps=1, betas=np.array([0.19]), alpha_bars=np.array([0.81]))
-    c = ancestral_coeffs(s, 1, deterministic=True)
-    assert c.a_t == pytest.approx(1.0 / 0.9, abs=1e-12)
-    assert c.b_t == pytest.approx(-0.19 / (0.9 * np.sqrt(0.19)), abs=1e-12)
-    assert c.b_t == pytest.approx(-0.48432, abs=1e-5)
-    assert c.sigma_t == 0.0
-    c2 = ancestral_coeffs(s, 1, deterministic=False)
-    assert c2.sigma_t == pytest.approx(np.sqrt(0.19), abs=1e-12)
-    assert (c2.a_t, c2.b_t) == (c.a_t, c.b_t)
+    a_t, b_t, sigma_t = ancestral_coeffs(s, 1, deterministic=True)
+    assert a_t == pytest.approx(1.0 / 0.9, abs=1e-12)
+    assert b_t == pytest.approx(-0.19 / (0.9 * np.sqrt(0.19)), abs=1e-12)
+    assert b_t == pytest.approx(-0.48432, abs=1e-5)
+    assert sigma_t == 0.0
+    a2_t, b2_t, sigma2_t = ancestral_coeffs(s, 1, deterministic=False)
+    assert sigma2_t == pytest.approx(np.sqrt(0.19), abs=1e-12)
+    assert (a2_t, b2_t) == (a_t, b_t)
 
 
 def test_initial_state_follows_seeding_contract():
@@ -248,6 +248,33 @@ def test_dual_runs_on_random_worlds():
             np.testing.assert_array_equal(delta, eps_pos - eps_neg)
             dn = np.linalg.norm(delta)
             assert np.linalg.norm(correction) == pytest.approx(30.0 * dn / (dn + 1e-8), abs=1e-10)
+
+
+@pytest.mark.parametrize("strategy", ["TDD_ONLY", "SDG"])
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_dual_branch_predictions_match_fresh_oracle_calls(strategy, deterministic):
+    # Independent of the stacked loop's row bookkeeping: at every step each
+    # branch's recorded prediction is branch_prediction of fresh oracle calls
+    # on that branch's own recorded latents, bit for bit.
+    rng = np.random.default_rng(97)
+    s = make_linear_schedule(8, 0.05, 0.25)
+    null = Condition.null()
+    for dim in (1, 2, 3, 4):
+        k = int(rng.integers(2, 5))
+        world = random_world(rng, dim=dim, num_components=k)
+        plus, minus = (Condition.subset(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False))
+                       for _ in range(2))
+        cfg = GuidanceConfig(strategy, w=float(rng.uniform(0.5, 8.0)))
+        d = run_dual_batch(world, plus, minus, s, cfg, [3, 0, 7], deterministic=deterministic)
+        for i, t in enumerate(d.plus.steps):
+            xp, xm = d.plus.states[i], d.minus.states[i]
+            want_plus = branch_prediction(epsilon_oracle(world, plus, s, xp, t),
+                                          epsilon_oracle(world, null, s, xp, t), cfg.w)
+            want_minus = branch_prediction(epsilon_oracle(world, minus, s, xm, t),
+                                           epsilon_oracle(world, null, s, xm, t), cfg.w)
+            assert np.array_equal(d.plus.eps_pos[i], want_plus), (dim, t)
+            assert np.array_equal(d.plus.eps_neg[i], want_minus), (dim, t)
+            assert np.array_equal(d.minus.eps_pos[i], want_minus), (dim, t)
 
 
 def assert_same_path(batch, i, alone):
