@@ -25,7 +25,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from guidelab.config import ConfigError, config_hash, number, output_dir, read_config
+from guidelab.config import ConfigError, config_hash, field, output_dir, read_config
 
 __all__ = [
     "cmd_sample",
@@ -225,20 +225,15 @@ def cmd_diagnose_lag(config_path, out_dir=None, seed_base=None, *, strict=False)
 def _endpoint_from_config(raw: dict, mock: bool):
     from guidelab.par import LlmEndpointConfig
 
-    par = raw.get("par")
+    par = field(raw, "par", "par", dict, None)
     if par is None and not mock:
         raise ConfigError("field 'par' (endpoint settings) is required without --mock")
     par = par or {}
-    if not isinstance(par, dict):
-        raise ConfigError(f"field 'par' must be a mapping, got {par!r}")
-    # only the keys present are passed on, so the other fields take LlmEndpointConfig's defaults
-    fields = {"base_url": str(par.get("base_url", "http://localhost:0")),
-              "model": str(par.get("model", "mock-model"))}
-    if "api_key_env" in par:
-        fields["api_key_env"] = str(par["api_key_env"])
-    for key, kind in (("timeout", float), ("max_retries", int)):
+    # base_url and model default here; the other keys absent from par take LlmEndpointConfig's defaults
+    fields = {"base_url": "http://localhost:0", "model": "mock-model"}
+    for key, kind in (("base_url", str), ("model", str), ("api_key_env", str), ("timeout", float), ("max_retries", int)):
         if key in par:
-            fields[key] = number(par[key], f"par.{key}", kind)
+            fields[key] = field(par, key, f"par.{key}", kind)
     try:
         return LlmEndpointConfig(**fields)
     except ValueError as exc:

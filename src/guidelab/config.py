@@ -1,62 +1,79 @@
 """Config primitives shared by every command, with no numpy behind them.
 
-Reading the JSON file, checking a numeric field, requiring a key,
-resolving the output directory and hashing the resolved config are all
-the config work `par-generate` needs, so they live apart from the
-experiment layer and its array stack.
+Reading the JSON file, reading a typed field, resolving the output
+directory and hashing the resolved config are all the config work
+`par-generate` needs, so they live apart from the experiment layer and
+its array stack.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
-__all__ = ["ConfigError", "number", "read_config", "output_dir", "config_hash"]
+__all__ = ["ConfigError", "field", "read_config", "output_dir", "config_hash"]
+
+_REQUIRED = object()
+_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list",
+          dict: "a mapping"}
 
 
 class ConfigError(ValueError):
     """Config parsing/validation error; the message names the offending field."""
 
 
-def number(value, field: str, kind=float):
-    """A numeric config value as kind (float or int), or a ConfigError naming field.
+def field(section, key, name: str, kind, default=_REQUIRED, length=None):
+    """section[key] as kind, or a ConfigError naming the field by its full name.
 
-    The value must be a JSON number: not null, a bool, a string, a list
-    or a mapping. An int field must also be integral (3 or 3.0, not 3.7).
+    kind is int, float, bool, str, list or dict, or [int] or [float] for a
+    list of JSON numbers (exactly length of them, if length is given). A
+    number is never null, a bool or a string, and an int must be integral
+    (3 or 3.0, not 3.7). An absent key reads as default, and is an error
+    without one; a field whose default is None reads a null as None too.
     """
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (kind is int and isinstance(value, float) and not value.is_integer())):
-        raise ConfigError(f"field '{field}' must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    return kind(value)
-
-
-def _need(raw: dict, key: str, where: str):
-    if not isinstance(raw, dict):
-        raise ConfigError(f"field '{where.rstrip('.') or 'config'}' must be a mapping")
-    if key not in raw:
-        raise ConfigError(f"missing field '{where}{key}'")
-    return raw[key]
+    try:
+        value = section[key]
+    except KeyError:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing field '{name}'") from None
+        return default
+    if value is None and default is None:
+        return None
+    if isinstance(kind, list):
+        if isinstance(value, list) and length in (None, len(value)):
+            return [field(value, i, f"{name}[{i}]", kind[0]) for i in range(len(value))]
+        size = "" if length is None else f"{length} "
+        what = f"a list of {size}{'integers' if kind[0] is int else 'numbers'}"
+    else:
+        what = _KINDS[kind]
+        if kind not in (int, float):
+            if isinstance(value, kind):
+                return value
+        elif (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and (kind is float or isinstance(value, int) or value.is_integer())):
+            return kind(value)
+    raise ConfigError(f"field '{name}' must be {what}, got {value!r}")
 
 
 def read_config(path) -> dict:
     """The raw config dict of a JSON file, read as UTF-8 whatever the locale."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    return field({"config": raw}, "config", "config", dict)
 
 
 def output_dir(raw: dict, out_dir=None) -> Path:
     """The run's output directory: out_dir if given (recorded in raw), else output.directory."""
-    out = _need(raw, "output", "")
-    if out_dir is None:
-        return Path(_need(out, "directory", "output."))
-    if not isinstance(out, dict):
-        raise ConfigError(f"field 'output' must be a mapping, got {out!r}")
-    out["directory"] = str(Path(out_dir))
-    return Path(out_dir)
+    out = field(raw, "output", "output", dict)
+    # out_dir replaces output.directory, which may then be absent but not of another kind
+    directory = field(out, "directory", "output.directory", str, _REQUIRED if out_dir is None else "")
+    if out_dir is not None:
+        out["directory"] = directory = str(Path(out_dir))
+    return Path(directory)
 
 
 def config_hash(raw: dict) -> str:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from guidelab.config import ConfigError, _need, number, output_dir, read_config
+from guidelab.config import ConfigError, field, output_dir, read_config
 from guidelab.guidance import DEFAULT_EPS_STAB, DEFAULT_LAMBDA, DEFAULT_W, STRATEGIES, GuidanceConfig
 from guidelab.oracle import Condition, GmmWorld, assign_labels
 from guidelab.sampler import run_lockstep
@@ -86,46 +86,7 @@ class ExperimentConfig:
 
     @property
     def negative_condition(self):
-        return self.conditions[self.negative] if self.negative else None
-
-
-def _parse_world(raw) -> GmmWorld:
-    comps = _need(raw, "components", "world.")
-    if not isinstance(comps, list) or not comps:
-        raise ConfigError("field 'world.components' must be a nonempty list")
-    means = [_need(comp, "mean", f"world.components[{i}].") for i, comp in enumerate(comps)]
-    covs = [_need(comp, "cov_diag", f"world.components[{i}].") for i, comp in enumerate(comps)]
-    if not isinstance(means[0], list) or not means[0]:
-        raise ConfigError(f"field 'world.components[0].mean' must be a nonempty list, got {means[0]!r}")
-    dim = len(means[0])
-    for i, (mean, cov) in enumerate(zip(means, covs)):
-        for key, vector in (("mean", mean), ("cov_diag", cov)):
-            if not isinstance(vector, list) or len(vector) != dim:
-                raise ConfigError(f"field 'world.components[{i}].{key}' must be a list of {dim} numbers"
-                                  f" (the length of world.components[0].mean), got {vector!r}")
-    weights = _need(raw, "weights", "world.")
-    try:
-        return GmmWorld(means=means, cov_diags=covs, weights=weights)
-    except ValueError as exc:
-        raise ConfigError(f"field 'world' invalid: {exc}") from exc
-
-
-def _parse_conditions(raw, world: GmmWorld) -> dict:
-    if not isinstance(raw, dict) or not raw:
-        raise ConfigError("field 'conditions' must be a nonempty mapping")
-    conditions = {}
-    for name, spec in raw.items():
-        comps = _need(spec, "components", f"conditions.{name}.")
-        if not isinstance(comps, list):
-            raise ConfigError(f"field 'conditions.{name}.components' must be a list of component indices")
-        comps = [number(c, f"conditions.{name}.components[{i}]", int) for i, c in enumerate(comps)]
-        try:
-            cond = Condition.subset(comps)
-            cond.resolve(world)
-        except ValueError as exc:
-            raise ConfigError(f"field 'conditions.{name}' invalid: {exc}") from exc
-        conditions[name] = cond
-    return conditions
+        return None if self.negative is None else self.conditions[self.negative]
 
 
 def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
@@ -137,77 +98,86 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
     embedding.
     """
     raw = json.loads(json.dumps(raw))
-    world = _parse_world(_need(raw, "world", ""))
-    conditions = _parse_conditions(_need(raw, "conditions", ""), world)
+    world_raw = field(raw, "world", "world", dict)
+    comps = field(world_raw, "components", "world.components", list)
+    if not comps:
+        raise ConfigError("field 'world.components' must be a nonempty list")
+    comps = [field(comps, i, f"world.components[{i}]", dict) for i in range(len(comps))]
+    dim = len(field(comps[0], "mean", "world.components[0].mean", [float]))
+    if not dim:
+        raise ConfigError("field 'world.components[0].mean' must be a nonempty list, got []")
+    means, covs = ([field(comp, key, f"world.components[{i}].{key}", [float], length=dim)
+                    for i, comp in enumerate(comps)] for key in ("mean", "cov_diag"))
+    weights = field(world_raw, "weights", "world.weights", [float])
+    try:
+        world = GmmWorld(means=means, cov_diags=covs, weights=weights)
+    except ValueError as exc:
+        raise ConfigError(f"field 'world' invalid: {exc}") from exc
 
-    positive, negative = _need(raw, "positive", ""), raw.get("negative")
+    conditions, specs = {}, field(raw, "conditions", "conditions", dict)
+    if not specs:
+        raise ConfigError("field 'conditions' must be a nonempty mapping")
+    for name in specs:
+        spec = field(specs, name, f"conditions.{name}", dict)
+        indices = field(spec, "components", f"conditions.{name}.components", [int])
+        try:
+            conditions[name] = Condition.subset(indices)
+            conditions[name].resolve(world)
+        except ValueError as exc:
+            raise ConfigError(f"field 'conditions.{name}' invalid: {exc}") from exc
+
+    positive, negative = field(raw, "positive", "positive", str), field(raw, "negative", "negative", str, None)
     for key, name in (("positive", positive), ("negative", negative)):
-        if name is not None and not isinstance(name, str):
-            raise ConfigError(f"field '{key}' must be a condition name, got {name!r}")
         if name is not None and name not in conditions:
             raise ConfigError(f"field '{key}' names unknown condition '{name}'")
 
-    sched_raw = _need(raw, "schedule", "")
-    steps, beta_start, beta_end = (number(_need(sched_raw, key, "schedule."), f"schedule.{key}", kind)
+    sched = field(raw, "schedule", "schedule", dict)
+    steps, beta_start, beta_end = (field(sched, key, f"schedule.{key}", kind)
                                    for key, kind in (("num_steps", int), ("beta_start", float), ("beta_end", float)))
     try:
         schedule = make_linear_schedule(steps, beta_start, beta_end)
     except ValueError as exc:
         raise ConfigError(f"field 'schedule' invalid: {exc}") from exc
 
-    g = _need(raw, "guidance", "")
-    strategy = _need(g, "strategy", "guidance.")
+    g = field(raw, "guidance", "guidance", dict)
+    strategy = field(g, "strategy", "guidance.strategy", str)
     if strategy not in STRATEGIES:
         raise ConfigError(f"field 'guidance.strategy' has unknown value '{strategy}'")
-    w, lambda_, eps_stab = (number(g.get(key, default), f"guidance.{key}") for key, default
+    w, lambda_, eps_stab = (field(g, key, f"guidance.{key}", float, default) for key, default
                             in (("w", DEFAULT_W), ("lambda", DEFAULT_LAMBDA), ("eps_stab", DEFAULT_EPS_STAB)))
     try:
         guidance = GuidanceConfig(strategy=strategy, w=w, lambda_=lambda_, eps_stab=eps_stab)
     except ValueError as exc:
         raise ConfigError(f"field 'guidance' invalid: {exc}") from exc
 
-    run = _need(raw, "run", "")
-    seeds_raw = _need(run, "seeds", "run.")
-    if isinstance(seeds_raw, dict):
-        count = number(_need(seeds_raw, "count", "run.seeds."), "run.seeds.count", int)
-        base = number(seeds_raw.get("base", 0), "run.seeds.base", int)
+    run = field(raw, "run", "run", dict)
+    counted = isinstance(run.get("seeds"), dict)  # a {count, base} mapping; anything else is read as a seed list
+    if counted:
+        count = field(run["seeds"], "count", "run.seeds.count", int)
+        base = field(run["seeds"], "base", "run.seeds.base", int, 0)
         if seed_base is not None:
-            base = int(seed_base)
-            raw["run"]["seeds"]["base"] = base
+            base = run["seeds"]["base"] = int(seed_base)
         if count < 1:
             raise ConfigError("field 'run.seeds.count' must be >= 1")
         seeds = list(range(base, base + count))
-    elif isinstance(seeds_raw, list):
-        seeds = [number(s, f"run.seeds[{i}]", int) for i, s in enumerate(seeds_raw)]
-        if seed_base is not None:
-            seeds = [s + int(seed_base) for s in seeds]
-            raw["run"]["seeds"] = seeds
     else:
-        raise ConfigError("field 'run.seeds' must be a list or a {count, base} mapping")
+        seeds = field(run, "seeds", "run.seeds", [int])
+        if seed_base is not None:
+            seeds = run["seeds"] = [s + int(seed_base) for s in seeds]
     if not seeds:
         raise ConfigError("field 'run.seeds' must be nonempty")
     for i, s in enumerate(seeds):
         if s < 0:
-            where = "run.seeds.base" if isinstance(seeds_raw, dict) else f"run.seeds[{i}]"
+            where = "run.seeds.base" if counted else f"run.seeds[{i}]"
             raise ConfigError(f"field '{where}' must be >= 0, got {s}")
     seeds = list(dict.fromkeys(seeds))  # duplicates dropped, first occurrence kept
-    if "sample_count" in run:
-        sample_count = number(run["sample_count"], "run.sample_count", int)
-        if sample_count < 1:
-            raise ConfigError("field 'run.sample_count' must be >= 1")
-        seeds = seeds[:sample_count]
-    deterministic = run.get("deterministic", True)
-    if not isinstance(deterministic, bool):
-        raise ConfigError(f"field 'run.deterministic' must be true or false, got {deterministic!r}")
+    sample_count = field(run, "sample_count", "run.sample_count", int, len(seeds))
+    if sample_count < 1:
+        raise ConfigError("field 'run.sample_count' must be >= 1")
+    deterministic = field(run, "deterministic", "run.deterministic", bool, True)
 
-    mass_labels = {}
-    labels_raw = raw.get("mass_labels", {})
-    if not isinstance(labels_raw, dict):
-        raise ConfigError(f"field 'mass_labels' must be a mapping, got {labels_raw!r}")
-    for label, comps in labels_raw.items():
-        if not isinstance(comps, list):
-            raise ConfigError(f"field 'mass_labels.{label}' must be a list of component indices")
-        mass_labels[label] = tuple(number(c, f"mass_labels.{label}[{i}]", int) for i, c in enumerate(comps))
+    labels = field(raw, "mass_labels", "mass_labels", dict, {})
+    mass_labels = {label: tuple(field(labels, label, f"mass_labels.{label}", [int])) for label in labels}
     # an absent mass_labels leaves samples labelled by component index
     if "mass_labels" in raw and sorted(sum(mass_labels.values(), ())) != list(range(world.num_components)):
         raise ConfigError(f"field 'mass_labels' must partition components 0..{world.num_components - 1}")
@@ -219,7 +189,7 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
         negative=negative,
         schedule=schedule,
         guidance=guidance,
-        seeds=tuple(seeds),
+        seeds=tuple(seeds[:sample_count]),
         deterministic=deterministic,
         mass_labels=mass_labels,
         out_dir=output_dir(raw, out_dir),

@@ -9,7 +9,7 @@ the null condition is the full mixture, matching the unconditional
 branch semantics of classifier-free guidance.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -110,7 +110,6 @@ class NoisedMixture:
     means: np.ndarray
     cov_diags: np.ndarray
     weights: np.ndarray
-    t: int = field(default=0)
 
     @property
     def dim(self) -> int:
@@ -132,7 +131,6 @@ def noised_mixture(world: GmmWorld, cond: Condition, schedule: NoiseSchedule, t:
         means=np.sqrt(ab) * world.means[idx],
         cov_diags=ab * world.cov_diags[idx] + (1.0 - ab),
         weights=weights / weights.sum(),
-        t=t,
     )
 
 

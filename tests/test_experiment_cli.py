@@ -245,6 +245,39 @@ def test_cmd_compare_degenerate_conditions(tmp_path):
         assert seeds == "4"
 
 
+def test_cmd_sample_negative_condition_named_empty_string(tmp_path):
+    # A condition named "" bound as negative parsed, then read as no binding:
+    # SDG failed with "requires a 'negative' condition binding".
+    raw = small_config()
+    raw["conditions"][""] = raw["conditions"].pop("counterfactual")
+    raw["negative"] = ""
+    cfg = parse_config(raw)
+    assert cfg.negative_condition.indices == (1,)
+    assert cmd_sample(write_config(tmp_path, raw), out_dir=tmp_path / "out") == 0
+
+
+def test_cmd_sample_cfg_with_null_negative(tmp_path):
+    # A present "negative": null means no binding, like an absent one; CFG needs none.
+    raw = small_config(negative=None)
+    raw["guidance"]["strategy"] = "CFG"
+    assert parse_config(raw).negative_condition is None
+    assert cmd_sample(write_config(tmp_path, raw), out_dir=tmp_path / "out") == 0
+
+
+def test_cmd_compare_dotted_condition_and_label_names(tmp_path):
+    # Field names are built from keys, never split on dots: "a.b" and "x.y" are plain names.
+    raw = small_config()
+    raw["conditions"]["a.b"] = raw["conditions"].pop("counterfactual")
+    raw["negative"] = "a.b"
+    raw["mass_labels"] = {"x.y": [0], "counterfactual": [1]}
+    cfg = parse_config(raw)
+    assert cfg.negative_condition.indices == (1,)
+    assert cfg.mass_labels == {"x.y": (0,), "counterfactual": (1,)}
+    out = tmp_path / "out"
+    assert cmd_compare_guidance(write_config(tmp_path, raw), out_dir=out) == 0
+    assert len((out / "comparison.csv").read_text().splitlines()) == 6
+
+
 def test_cmd_compare_requires_negative(tmp_path, capsys):
     raw = small_config()
     del raw["negative"]
@@ -395,12 +428,21 @@ def test_cmd_sample_rejects_bad_world(tmp_path, capsys, world_edit):
     (("run", "seeds"), [2, -3], "run.seeds[1]"),
     (("world", "components", 1, "mean"), [1.0, 2.0, 3.0], "world.components[1].mean"),
     (("world", "components", 0, "cov_diag"), [1.0], "world.components[0].cov_diag"),
+    (("output", "directory"), 5, "output.directory"),
+    (("output", "directory"), None, "output.directory"),
+    (("output", "directory"), ["a"], "output.directory"),
+    (("world", "components", 0, "mean"), ["-12.0", "0"], "world.components[0].mean[0]"),
+    (("world", "components", 0, "mean"), [True, 0], "world.components[0].mean[0]"),
+    (("world", "components", 1, "cov_diag"), ["-12.0", "0"], "world.components[1].cov_diag[0]"),
+    (("world", "components", 1, "cov_diag"), [True, 0], "world.components[1].cov_diag[0]"),
+    (("world", "weights"), {"a": 1}, "world.weights"),
 ], ids=["w_null", "lambda_list", "num_steps_null", "num_steps_fraction", "beta_string", "seed_mapping",
         "count_fraction", "base_null", "sample_count_bool", "mass_label_int", "mass_label_fraction",
         "deterministic_string", "deterministic_int", "positive_list", "negative_list", "run_int",
         "condition_int", "mass_labels_list", "output_list", "component_fraction", "component_string",
         "component_bool", "components_int", "seeds_empty", "base_negative", "seed_negative",
-        "mean_too_long", "cov_diag_too_short"])
+        "mean_too_long", "cov_diag_too_short", "directory_int", "directory_null", "directory_list",
+        "mean_strings", "mean_bool", "cov_diag_strings", "cov_diag_bool", "weights_mapping"])
 def test_cmd_sample_rejects_non_numeric_fields(tmp_path, capsys, path, value, field):
     # A null, list or mapping used to end in a TypeError traceback; 2.5, 3.7, "0.05" and
     # true were truncated or coerced and ran with exit 0. Each must fail naming its field.
@@ -409,7 +451,9 @@ def test_cmd_sample_rejects_non_numeric_fields(tmp_path, capsys, path, value, fi
     # TypeError or AttributeError traceback. Condition components of [0.7], ["1"] and
     # [true] ran as components 0, 1 and 1 with exit 0, and a bare 1 was a TypeError
     # traceback. An empty or negative seed failed with a message naming no field, and a
-    # world vector of the wrong length with numpy's "inhomogeneous shape".
+    # world vector of the wrong length with numpy's "inhomogeneous shape". An output.directory
+    # of 5, null or ["a"] and world weights of {"a": 1} were TypeError tracebacks; world
+    # vector entries of "-12.0" or true were read as numbers.
     raw = small_config()
     section = raw
     for key in path[:-1]:
@@ -473,8 +517,10 @@ def test_integral_floats_are_accepted_for_int_fields():
     assert cfg.schedule.num_steps == 10
 
 
-@pytest.mark.parametrize("key, value", [("timeout", None), ("max_retries", 1.5), ("timeout", "60")])
+@pytest.mark.parametrize("key, value", [("timeout", None), ("max_retries", 1.5), ("timeout", "60"),
+                                        ("model", None), ("base_url", 5), ("api_key_env", ["KEY"])])
 def test_cmd_par_generate_rejects_non_numeric_endpoint_fields(tmp_path, capsys, key, value):
+    # The string fields went through str(), so "model": null ran and recorded model_id "None".
     raw = {"par": {"model": "mock-model", key: value}, "output": {"directory": str(tmp_path / "out")}}
     path = write_config(tmp_path, raw)
     prompts = tmp_path / "prompts.txt"
@@ -546,6 +592,15 @@ def test_cmd_par_generate_needs_only_par_and_output(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"] == {**raw, "output": {"directory": str(out)}}
     assert manifest["config_hash"] == config_hash(manifest["config"])
+
+
+def test_cmd_par_generate_null_endpoint_under_mock(tmp_path):
+    # "par": null is the same as no par section, which --mock allows.
+    path = write_config(tmp_path, {"par": None, "output": {"directory": str(tmp_path / "out")}})
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text((FIXTURES / "butter.prompt.txt").read_text().strip() + "\n")
+    assert cmd_par_generate(path, prompts, mock=FIXTURES) == 0
+    assert json.loads((tmp_path / "out" / "corpus.jsonl").read_text())["model_id"] == "mock-model"
 
 
 def test_cmd_par_generate_unknown_prompt_fails(tmp_path):

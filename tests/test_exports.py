@@ -1,4 +1,4 @@
-"""Every name a guidelab module exports through __all__ resolves, and every name it imports is used."""
+"""Every name a guidelab module exports through __all__ resolves, and every name it imports or keeps private is used."""
 
 import ast
 import importlib
@@ -33,3 +33,20 @@ def test_no_unused_imports(path):
     module = importlib.import_module("guidelab" if path.stem == "__init__" else f"guidelab.{path.stem}")
     exported = set(getattr(module, "__all__", ()))
     assert sorted(imported - used - exported) == []
+
+
+def test_private_names_are_used():
+    # Every private module-level function, class and constant is read as a name somewhere in the
+    # package, so a helper whose last caller is gone does not linger.
+    trees = [ast.parse(path.read_text()) for path in sorted(Path(guidelab.__file__).parent.glob("*.py"))]
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    read = {node.id for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(private - read) == []

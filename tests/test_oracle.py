@@ -113,7 +113,7 @@ def test_full_subset_equals_null_exactly():
 
 
 def test_score_zero_at_unit_gaussian_mode():
-    m = NoisedMixture(means=np.zeros((1, 2)), cov_diags=np.ones((1, 2)), weights=np.array([1.0]), t=1)
+    m = NoisedMixture(means=np.zeros((1, 2)), cov_diags=np.ones((1, 2)), weights=np.array([1.0]))
     logp, score = log_density_and_score(m, np.zeros(2))
     np.testing.assert_array_equal(score, [0.0, 0.0])
     assert logp == pytest.approx(-np.log(2 * np.pi), abs=1e-12)
@@ -124,7 +124,6 @@ def test_score_zero_by_symmetry():
         means=np.array([[3.0, 1.0], [-3.0, -1.0]]),
         cov_diags=np.full((2, 2), 1.7),
         weights=np.array([0.5, 0.5]),
-        t=1,
     )
     _, score = log_density_and_score(m, np.zeros(2))
     np.testing.assert_allclose(score, [0.0, 0.0], atol=1e-15)
@@ -263,7 +262,7 @@ def test_condition_validation_and_dedup():
 
 
 def test_score_dimension_mismatch():
-    m = NoisedMixture(means=np.zeros((1, 2)), cov_diags=np.ones((1, 2)), weights=np.array([1.0]), t=1)
+    m = NoisedMixture(means=np.zeros((1, 2)), cov_diags=np.ones((1, 2)), weights=np.array([1.0]))
     with pytest.raises(ValueError):
         log_density_and_score(m, np.zeros(3))
 
