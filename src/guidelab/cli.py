@@ -72,6 +72,12 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _create(path: Path, **options):
+    """path opened for writing, its directory made first: a command that fails before writing leaves none."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", **options)
+
+
 def _write_manifest(out_dir: Path, command: str, raw_config: dict, seeds, artifact_names) -> None:
     manifest = {
         "command": command,
@@ -80,7 +86,7 @@ def _write_manifest(out_dir: Path, command: str, raw_config: dict, seeds, artifa
         "seeds": list(seeds),
         "artifacts": {name: _sha256(out_dir / name) for name in artifact_names},
     }
-    with open(out_dir / "manifest.json", "w") as fh:
+    with _create(out_dir / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -88,13 +94,13 @@ def _write_manifest(out_dir: Path, command: str, raw_config: dict, seeds, artifa
 def _write_json(path: Path, obj, **options) -> None:
     """obj as strict JSON (a NaN or an infinity is a ValueError), indented, with a final newline."""
     text = json.dumps(obj, indent=2, allow_nan=False, **options)
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         fh.write(text + "\n")
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
     """A CSV file of the header row and then each row of an iterable, as the caller formatted them."""
-    with open(path, "w", newline="") as fh:
+    with _create(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -116,29 +122,20 @@ def _trajectory_lines(result):
                 yield json.dumps({"seed": seed, "branch": branch_name, "t": t, **record}, sort_keys=True)
 
 
-def _prepare(config_path, out_dir, seed_base):
-    """The resolved experiment config, with its output directory made."""
-    from guidelab.experiment import load_config
-
-    config = load_config(config_path, out_dir=out_dir, seed_base=seed_base)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    return config
-
-
 @_command("sample", "run the configured strategy over the seed sweep")
 def cmd_sample(config_path, out_dir=None, seed_base=None, *, strict=False) -> int:
     """Run the configured strategy over the seeds; write samples + trajectories."""
-    from guidelab.experiment import run_strategy
+    from guidelab.experiment import load_config, run_strategy
     from guidelab.oracle import assign_labels
 
-    config = _prepare(config_path, out_dir, seed_base)
+    config = load_config(config_path, out_dir=out_dir, seed_base=seed_base)
     result = run_strategy(config, config.guidance.strategy, config.seeds)
 
     labels = assign_labels(config.world, result.finals, config.mass_labels).tolist()
     _write_csv(config.out_dir / "samples.csv", ["seed"] + [f"x{i}" for i in range(config.world.dim)] + ["mode"],
                ([seed] + [repr(float(c)) for c in x] + [label]
                 for seed, x, label in zip(result.seeds, result.finals, labels)))
-    with open(config.out_dir / "trajectories.jsonl", "w") as fh:
+    with _create(config.out_dir / "trajectories.jsonl") as fh:
         for line in _trajectory_lines(result):
             fh.write(line + "\n")
 
@@ -149,10 +146,10 @@ def cmd_sample(config_path, out_dir=None, seed_base=None, *, strict=False) -> in
 @_command("compare-guidance", "compare all strategies on one world")
 def cmd_compare_guidance(config_path, out_dir=None, seed_base=None, *, strict=False) -> int:
     """All five strategies on the same world/seeds; one comparison table."""
-    from guidelab.experiment import strategy_comparison
+    from guidelab.experiment import load_config, strategy_comparison
     from guidelab.guidance import STRATEGIES
 
-    config = _prepare(config_path, out_dir, seed_base)
+    config = load_config(config_path, out_dir=out_dir, seed_base=seed_base)
     table = strategy_comparison(config)
 
     _write_csv(config.out_dir / "comparison.csv",
@@ -172,8 +169,9 @@ def cmd_diagnose_lag(config_path, out_dir=None, seed_base=None, *, strict=False)
     import numpy as np
 
     from guidelab.diagnostics import build_report, report_to_json
+    from guidelab.experiment import load_config
 
-    config = _prepare(config_path, out_dir, seed_base)
+    config = load_config(config_path, out_dir=out_dir, seed_base=seed_base)
     if config.guidance.strategy not in ("NP", "SDN"):
         raise ConfigError(f"diagnose-lag needs guidance.strategy NP or SDN, got '{config.guidance.strategy}'")
     if config.negative is None:
@@ -229,10 +227,11 @@ def _endpoint_from_config(raw: dict, mock: bool):
     if par is None and not mock:
         raise ConfigError("field 'par' (endpoint settings) is required without --mock")
     par = par or {}
-    # base_url and model default here; the other keys absent from par take LlmEndpointConfig's defaults
-    fields = {"base_url": "http://localhost:0", "model": "mock-model"}
+    # base_url and model default here under --mock and are required without it;
+    # the other keys absent from par take LlmEndpointConfig's defaults
+    fields = {"base_url": "http://localhost:0", "model": "mock-model"} if mock else {}
     for key, kind in (("base_url", str), ("model", str), ("api_key_env", str), ("timeout", float), ("max_retries", int)):
-        if key in par:
+        if key in par or (key in ("base_url", "model") and not mock):
             fields[key] = field(par, key, f"par.{key}", kind)
     try:
         return LlmEndpointConfig(**fields)
@@ -292,7 +291,9 @@ def cmd_par_generate(config_path, prompts_path, out_dir=None, mock=None, jobs=1,
 @_command("schedule-dump", "dump the resolved noise schedule")
 def cmd_schedule_dump(config_path, out_dir=None, seed_base=None, *, strict=False) -> int:
     """Write the resolved noise schedule as a (t, beta, alpha_bar) table."""
-    config = _prepare(config_path, out_dir, seed_base)
+    from guidelab.experiment import load_config
+
+    config = load_config(config_path, out_dir=out_dir, seed_base=seed_base)
     s = config.schedule
     _write_csv(config.out_dir / "schedule.csv", ["t", "beta", "alpha_bar"],
                ([t, repr(s.beta(t)), repr(s.alpha_bar(t))] for t in range(1, s.num_steps + 1)))

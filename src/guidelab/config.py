@@ -26,9 +26,10 @@ def field(section, key, name: str, kind, default=_REQUIRED, length=None):
 
     kind is int, float, bool, str, list or dict, or [int] or [float] for a
     list of JSON numbers (exactly length of them, if length is given). A
-    number is never null, a bool or a string, and an int must be integral
-    (3 or 3.0, not 3.7). An absent key reads as default, and is an error
-    without one; a field whose default is None reads a null as None too.
+    number is never null, a bool, a string or beyond the float range, and
+    an int must be integral (3 or 3.0, not 3.7). An absent key reads as
+    default, and is an error without one; a field whose default is None
+    reads a null as None too.
     """
     try:
         value = section[key]
@@ -50,7 +51,10 @@ def field(section, key, name: str, kind, default=_REQUIRED, length=None):
                 return value
         elif (isinstance(value, (int, float)) and not isinstance(value, bool)
                 and (kind is float or isinstance(value, int) or value.is_integer())):
-            return kind(value)
+            try:
+                return kind(value)
+            except OverflowError:  # a JSON integer beyond the float range
+                pass
     raise ConfigError(f"field '{name}' must be {what}, got {value!r}")
 
 

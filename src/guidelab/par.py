@@ -198,43 +198,6 @@ def build_instruction(user_prompt: str) -> list:
     ]
 
 
-def _split_sections(text: str) -> tuple:
-    lines = text.splitlines()
-    try:
-        a = next(i for i, ln in enumerate(lines) if ln.strip() == ANALYSIS_MARKER)
-    except StopIteration:
-        raise FormatViolation(ANALYSIS_MARKER) from None
-    try:
-        c = next(i for i, ln in enumerate(lines) if i > a and ln.strip() == COUNTERFACTUAL_MARKER)
-    except StopIteration:
-        raise FormatViolation(COUNTERFACTUAL_MARKER) from None
-    return lines[a + 1:c], "\n".join(lines[c + 1:]).strip()
-
-
-def _parse_subfields(analysis_lines: list) -> dict:
-    found = {}
-    current = None
-    for ln in analysis_lines:
-        stripped = ln.strip()
-        matched = None
-        for label in SUBFIELD_LABELS:
-            if stripped.startswith(label):
-                matched = label
-                break
-        if matched is not None:
-            current = matched
-            found[current] = stripped[len(matched):].strip()
-        elif current is not None and stripped:
-            found[current] = (found[current] + "\n" + stripped).strip()
-    for label in SUBFIELD_LABELS:
-        key = label.rstrip(":")
-        if label not in found:
-            raise FormatViolation(key, "subfield absent from analysis section")
-        if not found[label]:
-            raise FormatViolation(key, "subfield present but empty")
-    return found
-
-
 def parse_response(
     text: str,
     user_prompt: str = "",
@@ -243,43 +206,47 @@ def parse_response(
 ) -> CounterfactualRecord:
     """Parse a strict-format response into a record.
 
-    Raises FormatViolation naming the first missing marker or subfield.
-    Whitespace around every extracted value is trimmed.
+    Raises FormatViolation naming the first missing marker or subfield,
+    subfields checked in SUBFIELD_LABELS order. Every value is trimmed.
     """
-    analysis_lines, counterfactual = _split_sections(text)
-    fields = _parse_subfields(analysis_lines)
+    lines = text.splitlines()
+    found, current, started = {}, None, False
+    for c, line in enumerate(lines):
+        stripped = line.strip()
+        if not started:
+            started = stripped == ANALYSIS_MARKER
+        elif stripped == COUNTERFACTUAL_MARKER:
+            break
+        else:
+            for label in SUBFIELD_LABELS:
+                if stripped.startswith(label):
+                    current = label
+                    found[label] = stripped[len(label):].strip()
+                    break
+            else:
+                if current is not None and stripped:
+                    found[current] = (found[current] + "\n" + stripped).strip()
+    else:
+        raise FormatViolation(COUNTERFACTUAL_MARKER if started else ANALYSIS_MARKER)
+    for label in SUBFIELD_LABELS:
+        if not found.get(label):
+            detail = "subfield present but empty" if label in found else "subfield absent from analysis section"
+            raise FormatViolation(label.rstrip(":"), detail)
+    counterfactual = "\n".join(lines[c + 1:]).strip()
     if not counterfactual:
         raise FormatViolation("counterfactual", "section present but empty")
-    analysis = Analysis(
-        entities=fields["Entities:"],
-        environment=fields["Environment:"],
-        interactions=fields["Interactions:"],
-        temporal_evolution=fields["Temporal evolution:"],
-    )
-    return CounterfactualRecord(
-        user_prompt=user_prompt,
-        analysis=analysis,
-        counterfactual=counterfactual,
-        model_id=model_id,
-        created_at=created_at,
-    )
+    analysis = Analysis(*(found[label] for label in SUBFIELD_LABELS))
+    return CounterfactualRecord(user_prompt, analysis, counterfactual, model_id, created_at)
 
 
 def render_record(rec: CounterfactualRecord) -> str:
-    """Render a record back to the strict response format.
+    """Render a record back to the strict response format, one line per subfield in SUBFIELD_LABELS order.
 
     parse_response of the rendered text reproduces the record exactly
     (round-trip identity for valid records).
     """
-    return (
-        f"{ANALYSIS_MARKER}\n"
-        f"Entities: {rec.analysis.entities}\n"
-        f"Environment: {rec.analysis.environment}\n"
-        f"Interactions: {rec.analysis.interactions}\n"
-        f"Temporal evolution: {rec.analysis.temporal_evolution}\n"
-        f"{COUNTERFACTUAL_MARKER}\n"
-        f"{rec.counterfactual}"
-    )
+    subfields = (f"{label} {value}" for label, value in zip(SUBFIELD_LABELS, vars(rec.analysis).values()))
+    return "\n".join((ANALYSIS_MARKER, *subfields, COUNTERFACTUAL_MARKER, rec.counterfactual))
 
 
 # a maximal run of characters for which str.isalnum() is true

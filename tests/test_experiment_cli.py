@@ -436,13 +436,14 @@ def test_cmd_sample_rejects_bad_world(tmp_path, capsys, world_edit):
     (("world", "components", 1, "cov_diag"), ["-12.0", "0"], "world.components[1].cov_diag[0]"),
     (("world", "components", 1, "cov_diag"), [True, 0], "world.components[1].cov_diag[0]"),
     (("world", "weights"), {"a": 1}, "world.weights"),
+    (("guidance", "w"), 10 ** 400, "guidance.w"),
 ], ids=["w_null", "lambda_list", "num_steps_null", "num_steps_fraction", "beta_string", "seed_mapping",
         "count_fraction", "base_null", "sample_count_bool", "mass_label_int", "mass_label_fraction",
         "deterministic_string", "deterministic_int", "positive_list", "negative_list", "run_int",
         "condition_int", "mass_labels_list", "output_list", "component_fraction", "component_string",
         "component_bool", "components_int", "seeds_empty", "base_negative", "seed_negative",
         "mean_too_long", "cov_diag_too_short", "directory_int", "directory_null", "directory_list",
-        "mean_strings", "mean_bool", "cov_diag_strings", "cov_diag_bool", "weights_mapping"])
+        "mean_strings", "mean_bool", "cov_diag_strings", "cov_diag_bool", "weights_mapping", "w_overflow"])
 def test_cmd_sample_rejects_non_numeric_fields(tmp_path, capsys, path, value, field):
     # A null, list or mapping used to end in a TypeError traceback; 2.5, 3.7, "0.05" and
     # true were truncated or coerced and ran with exit 0. Each must fail naming its field.
@@ -453,7 +454,8 @@ def test_cmd_sample_rejects_non_numeric_fields(tmp_path, capsys, path, value, fi
     # traceback. An empty or negative seed failed with a message naming no field, and a
     # world vector of the wrong length with numpy's "inhomogeneous shape". An output.directory
     # of 5, null or ["a"] and world weights of {"a": 1} were TypeError tracebacks; world
-    # vector entries of "-12.0" or true were read as numbers.
+    # vector entries of "-12.0" or true were read as numbers. A JSON integer too large for a
+    # float was an OverflowError traceback.
     raw = small_config()
     section = raw
     for key in path[:-1]:
@@ -463,6 +465,45 @@ def test_cmd_sample_rejects_non_numeric_fields(tmp_path, capsys, path, value, fi
     assert main(["sample", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert f"field '{field}' must be" in capsys.readouterr().err
     assert not (tmp_path / "out" / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("world", "components"), [], "field 'world.components' must be a nonempty list"),
+    (("world", "components", 0, "mean"), [], "field 'world.components[0].mean' must be a nonempty list, got []"),
+    (("conditions",), {}, "field 'conditions' must be a nonempty mapping"),
+    (("guidance", "w"), -1, "field 'guidance' invalid: w must be finite and >= 0, got -1.0"),
+    (("run", "seeds", "count"), 0, "field 'run.seeds.count' must be >= 1"),
+    (("run", "sample_count"), 0, "field 'run.sample_count' must be >= 1"),
+], ids=["components_empty", "mean_empty", "conditions_empty", "w_negative", "count_zero", "sample_count_zero"])
+def test_cmd_sample_names_empty_and_out_of_range_fields(tmp_path, capsys, path, value, message):
+    raw = small_config()
+    section = raw
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    out = tmp_path / "out"
+    assert main(["sample", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"sample: error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("sample", {"negative": None}, "strategy SDG requires a 'negative' condition binding"),
+    ("compare-guidance", {"negative": None}, "comparison runs need a 'negative' condition binding"),
+    ("compare-guidance", {"mass_labels": {"plausible": [0, 1]}},
+     "field 'mass_labels' must define a 'counterfactual' label for comparison runs"),
+    ("diagnose-lag", {"guidance": {"strategy": "CFG"}}, "diagnose-lag needs guidance.strategy NP or SDN, got 'CFG'"),
+    ("diagnose-lag", {"guidance": {"strategy": "NP"}, "negative": None},
+     "diagnose-lag needs a 'negative' condition binding"),
+], ids=["sample_sdg_no_negative", "compare_no_negative", "compare_no_counterfactual_label", "diagnose_cfg",
+        "diagnose_no_negative"])
+def test_failed_sampling_command_leaves_no_output_directory(tmp_path, capsys, command, edit, message):
+    # The output directory used to be made before the run, so each of these left an empty one.
+    raw = small_config(**edit)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"{command}: error: {message}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seeds, seed_base, field", [
@@ -528,6 +569,26 @@ def test_cmd_par_generate_rejects_non_numeric_endpoint_fields(tmp_path, capsys, 
     assert cmd_par_generate(path, prompts, mock=FIXTURES) == 2
     assert f"field 'par.{key}' must be" in capsys.readouterr().err
     assert not (tmp_path / "out" / "corpus.jsonl").exists()
+
+
+@pytest.mark.parametrize("par, mock, message", [
+    ({}, False, "missing field 'par.base_url'"),
+    ({"base_url": "https://llm.example"}, False, "missing field 'par.model'"),
+    (None, False, "field 'par' (endpoint settings) is required without --mock"),
+    ({"timeout": 0}, True, "field 'par' invalid: timeout must be > 0, got 0.0"),
+], ids=["live_no_base_url", "live_no_model", "live_no_par", "timeout_zero"])
+def test_cmd_par_generate_rejects_incomplete_endpoint(tmp_path, capsys, par, mock, message):
+    # base_url and model default only under --mock: a live run on "par": {} used to
+    # send every prompt to http://localhost:0 and exit 1 with transport errors.
+    raw = {"output": {"directory": str(tmp_path / "out")}}
+    if par is not None:
+        raw["par"] = par
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text((FIXTURES / "butter.prompt.txt").read_text().strip() + "\n")
+    argv = ["par-generate", "--config", str(write_config(tmp_path, raw)), str(prompts)]
+    assert main(argv + ["--mock", str(FIXTURES)] * mock) == 2
+    assert capsys.readouterr().err.splitlines() == [f"par-generate: error: {message}"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_par_generate_rejects_non_mapping_endpoint(tmp_path, capsys):
@@ -710,7 +771,7 @@ def test_cli_fails_on_non_finite_latents(tmp_path, capsys, name, command, edit, 
     out = tmp_path / "out"
     assert command(write_config(tmp_path, raw), out_dir=out) == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"{name}: error: {message}"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("strict", [False, True])

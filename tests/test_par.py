@@ -10,7 +10,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from guidelab.par import (
     COUNTERFACTUAL_MARKER,
     OUTPUT_FORMAT_SPEC,
     REQUIREMENTS,
+    SUBFIELD_LABELS,
     SYSTEM_MESSAGE,
     Analysis,
     CounterfactualRecord,
@@ -145,6 +146,44 @@ def test_parse_rejects_empty_subfield_and_counterfactual():
     with pytest.raises(FormatViolation) as exc2:
         parse_response(text2)
     assert exc2.value.missing == "counterfactual"
+
+
+def test_parse_joins_continuation_lines_of_a_subfield():
+    # A continuation line joins its label's value with a newline, blank
+    # lines are skipped, and a line before the first label is ignored.
+    text = ("[ANALYSIS]\n"
+            "a preamble line before any label\n"
+            "Entities:\n"
+            "   a block of butter  \n"
+            "\n"
+            "  a heat source\n"
+            "Environment: a warm surface\n"
+            "Interactions: heat flows in\n"
+            "\n"
+            "and melts it\n"
+            "Temporal evolution: it softens\n"
+            "[COUNTERFACTUAL]\n"
+            "The butter is liquid from the start.")
+    rec = parse_response(text)
+    assert rec.analysis == Analysis("a block of butter\na heat source", "a warm surface",
+                                    "heat flows in\nand melts it", "it softens")
+    assert rec.counterfactual == "The butter is liquid from the start."
+
+
+def test_round_trip_multi_line_subfields():
+    rec = CounterfactualRecord(
+        user_prompt="Ice melts on a hot plate.",
+        analysis=Analysis("an ice cube\na hot plate", "a kitchen", "heat flows\ninto the ice\nfast",
+                          "the cube shrinks"),
+        counterfactual="The ice cube grows on the hot plate.",
+    )
+    assert parse_response(render_record(rec), user_prompt=rec.user_prompt) == rec
+
+
+def test_analysis_fields_follow_subfield_labels():
+    # render_record pairs SUBFIELD_LABELS with the Analysis fields in order.
+    assert [f.name for f in fields(Analysis)] == [
+        label.rstrip(":").lower().replace(" ", "_") for label in SUBFIELD_LABELS]
 
 
 def test_round_trip_hand_built_record():
@@ -441,6 +480,13 @@ def test_mock_transport_from_dir_requires_pairs(tmp_path):
         MockTransport.from_dir(tmp_path)
     with pytest.raises(FileNotFoundError):
         MockTransport.from_dir(tmp_path / "empty_missing")
+
+
+def test_mock_transport_from_dir_needs_a_fixture(tmp_path):
+    (tmp_path / "notes.txt").write_text("not a fixture")
+    with pytest.raises(FileNotFoundError) as exc:
+        MockTransport.from_dir(tmp_path)
+    assert str(exc.value) == f"no *.prompt.txt fixtures found in {tmp_path}"
 
 
 def test_mock_transport_from_dir_reads_utf8(tmp_path):
