@@ -107,15 +107,21 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 
 def _trajectory_lines(result):
-    """One JSON line per seed, branch and step, in that nesting order, read from the (T, N, dim) arrays."""
+    """One JSON line per seed, branch and step, in that nesting order, each recorded number written once.
+
+    A plus or single line holds eps_pos, eps_neg (null under CFG), correction and x_after; a minus
+    line holds x_after alone. The rest follows bit for bit: delta = eps_pos - eps_neg, a minus
+    branch's eps_pos is the plus line's eps_neg at the same seed and t, and its correction is 0.
+    """
     from guidelab.sampler import DualTrajectoryBatch
 
     dual = isinstance(result, DualTrajectoryBatch)
     branches = [("plus", result.plus), ("minus", result.minus)] if dual else [("single", result)]
     for i, seed in enumerate(result.seeds):
         for branch_name, b in branches:
-            fields = {"eps_pos": b.eps_pos, "eps_neg": b.eps_neg, "delta": b.delta,
-                      "correction": b.correction, "x_after": b.states[1:]}
+            fields = {"x_after": b.states[1:]}
+            if branch_name != "minus":
+                fields.update(eps_pos=b.eps_pos, eps_neg=b.eps_neg, correction=b.correction)
             rows = {key: None if a is None else a[:, i].tolist() for key, a in fields.items()}
             for j, t in enumerate(b.steps):
                 record = {key: None if r is None else r[j] for key, r in rows.items()}
@@ -176,6 +182,10 @@ def cmd_diagnose_lag(config_path, out_dir=None, seed_base=None, *, strict=False)
         raise ConfigError(f"diagnose-lag needs guidance.strategy NP or SDN, got '{config.guidance.strategy}'")
     if config.negative is None:
         raise ConfigError("diagnose-lag needs a 'negative' condition binding")
+    if config.schedule.num_steps < 2:
+        # the bias gap is 0 by construction at t=T, so its early and late means need a later step
+        raise ConfigError(f"field 'schedule.num_steps' must be at least 2 for diagnose-lag,"
+                          f" got {config.schedule.num_steps}")
     report = build_report(
         config.world,
         config.positive_condition,

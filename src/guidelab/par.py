@@ -147,16 +147,29 @@ class LlmEndpointConfig:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
 
-_WORKED_EXAMPLE = """Worked example.
-User prompt: A timelapse captures the gradual transformation of butter as the temperature rises significantly.
-Response:
-[ANALYSIS]
-Entities: a block of butter, a heat source
-Environment: a warm surface whose temperature climbs steadily over the timelapse
-Interactions: heat transfers into the butter and drives a solid-to-liquid phase transition
-Temporal evolution: the butter first softens at the edges, then progressively melts and spreads into a liquid pool
-[COUNTERFACTUAL]
-The butter is fully liquefied from the start, with no observable melting process."""
+def render_record(rec: CounterfactualRecord) -> str:
+    """Render a record back to the strict response format, one line per subfield in SUBFIELD_LABELS order.
+
+    parse_response of the rendered text reproduces the record exactly
+    (round-trip identity for valid records).
+    """
+    subfields = (f"{label} {value}" for label, value in zip(SUBFIELD_LABELS, vars(rec.analysis).values()))
+    return "\n".join((ANALYSIS_MARKER, *subfields, COUNTERFACTUAL_MARKER, rec.counterfactual))
+
+
+# The worked example and the format spec are rendered like any record, so their labels are SUBFIELD_LABELS.
+_WORKED_RECORD = CounterfactualRecord(
+    "A timelapse captures the gradual transformation of butter as the temperature rises significantly.",
+    Analysis(
+        "a block of butter, a heat source",
+        "a warm surface whose temperature climbs steadily over the timelapse",
+        "heat transfers into the butter and drives a solid-to-liquid phase transition",
+        "the butter first softens at the edges, then progressively melts and spreads into a liquid pool",
+    ),
+    "The butter is fully liquefied from the start, with no observable melting process.",
+)
+_WORKED_EXAMPLE = (f"Worked example.\nUser prompt: {_WORKED_RECORD.user_prompt}\n"
+                   f"Response:\n{render_record(_WORKED_RECORD)}")
 
 
 REQUIREMENTS = (
@@ -166,16 +179,16 @@ REQUIREMENTS = (
     "Target the physical process identified in the analysis, not an unrelated one.",
 )
 
-OUTPUT_FORMAT_SPEC = (
-    "Respond in exactly this format:\n"
-    "[ANALYSIS]\n"
-    "Entities: <entities present in the scene>\n"
-    "Environment: <environmental conditions>\n"
-    "Interactions: <how the entities interact physically>\n"
-    "Temporal evolution: <how the scene evolves over time>\n"
-    "[COUNTERFACTUAL]\n"
-    "<one counterfactual version of the prompt>"
-)
+OUTPUT_FORMAT_SPEC = "Respond in exactly this format:\n" + render_record(CounterfactualRecord(
+    "",
+    Analysis(
+        "<entities present in the scene>",
+        "<environmental conditions>",
+        "<how the entities interact physically>",
+        "<how the scene evolves over time>",
+    ),
+    "<one counterfactual version of the prompt>",
+))
 
 # The system message of every generation call: framing, worked example, numbered requirements, format spec.
 SYSTEM_MESSAGE = "\n\n".join((
@@ -237,16 +250,6 @@ def parse_response(
         raise FormatViolation("counterfactual", "section present but empty")
     analysis = Analysis(*(found[label] for label in SUBFIELD_LABELS))
     return CounterfactualRecord(user_prompt, analysis, counterfactual, model_id, created_at)
-
-
-def render_record(rec: CounterfactualRecord) -> str:
-    """Render a record back to the strict response format, one line per subfield in SUBFIELD_LABELS order.
-
-    parse_response of the rendered text reproduces the record exactly
-    (round-trip identity for valid records).
-    """
-    subfields = (f"{label} {value}" for label, value in zip(SUBFIELD_LABELS, vars(rec.analysis).values()))
-    return "\n".join((ANALYSIS_MARKER, *subfields, COUNTERFACTUAL_MARKER, rec.counterfactual))
 
 
 # a maximal run of characters for which str.isalnum() is true

@@ -224,6 +224,58 @@ def test_cmd_sample_rerun_byte_identical(tmp_path):
     assert (out1 / "trajectories.jsonl").read_bytes() == (out2 / "trajectories.jsonl").read_bytes()
 
 
+def _bits(a):
+    """The float64 bytes of an array, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "stochastic"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_trajectories_jsonl_rebuilds_every_recorded_array(tmp_path, strategy, deterministic):
+    # trajectories.jsonl writes each recorded number once. What it leaves
+    # out (delta, a minus branch's eps_pos and zero correction) follows
+    # from what it keeps, bit for bit against the in-process batch.
+    raw = small_config()
+    raw["guidance"]["strategy"] = strategy
+    raw["run"]["deterministic"] = deterministic
+    cfg = parse_config(raw)
+    out = tmp_path / "out"
+    assert cmd_sample(write_config(tmp_path, raw), out_dir=out) == 0
+    batch = run_strategy(cfg, strategy, cfg.seeds)
+    dual = strategy in ("TDD_ONLY", "SDG")
+    lines = [json.loads(line) for line in (out / "trajectories.jsonl").read_text().splitlines()]
+    branches = ("plus", "minus") if dual else ("single",)
+    steps = range(cfg.schedule.num_steps, 0, -1)
+    assert [(r["seed"], r["branch"], r["t"]) for r in lines] == [
+        (seed, branch, t) for seed in cfg.seeds for branch in branches for t in steps]
+    predicted = {"branch", "correction", "eps_neg", "eps_pos", "seed", "t", "x_after"}
+    keys = {"plus": predicted, "single": predicted, "minus": {"branch", "seed", "t", "x_after"}}
+    for r in lines:
+        assert set(r) == keys[r["branch"]]
+
+    def column(branch, key):
+        """The key's values of one branch as a (T, N, dim) array, like the batch's."""
+        return np.array([[r[key] for r in lines if r["seed"] == seed and r["branch"] == branch]
+                         for seed in cfg.seeds], dtype=np.float64).transpose(1, 0, 2)
+
+    name, kept = branches[0], batch.plus if dual else batch
+    eps_pos, correction = column(name, "eps_pos"), column(name, "correction")
+    assert _bits(eps_pos) == _bits(kept.eps_pos)
+    assert _bits(correction) == _bits(kept.correction)
+    assert _bits(column(name, "x_after")) == _bits(kept.states[1:])
+    if strategy == "CFG":
+        assert kept.eps_neg is None and kept.delta is None
+        assert all(r["eps_neg"] is None for r in lines)
+        return
+    eps_neg = column(name, "eps_neg")
+    assert _bits(eps_neg) == _bits(kept.eps_neg)
+    assert _bits(eps_pos - eps_neg) == _bits(kept.delta)
+    if dual:
+        assert _bits(eps_neg) == _bits(batch.minus.eps_pos)
+        assert _bits(np.zeros_like(eps_neg)) == _bits(batch.minus.correction)
+        assert _bits(column("minus", "x_after")) == _bits(batch.minus.states[1:])
+
+
 def test_cmd_compare_degenerate_conditions(tmp_path):
     # Positive bound to the counterfactual condition itself: every
     # strategy collapses to conditional sampling of that component, so
@@ -371,15 +423,6 @@ def test_cmd_diagnose_csv_floats_parse_back_exactly(tmp_path):
         assert [float(x) for x in fields[2:]] == v.tolist()
 
 
-def test_cmd_diagnose_strict_on_shipped_np_config(tmp_path):
-    # The shipped two_well world under NP must pass --strict: no
-    # diagnostic step may raise a RuntimeWarning.
-    raw = json.loads(DEMO_CONFIG.read_text())
-    raw["guidance"]["strategy"] = "NP"
-    path = write_config(tmp_path, raw)
-    assert cmd_diagnose_lag(path, out_dir=tmp_path / "out", strict=True) == 0
-
-
 @pytest.mark.parametrize("world_edit", [
     {"components": [{"mean": [float("nan"), 0.0], "cov_diag": [1.0, 1.0]},
                     {"mean": [12.0, 0.0], "cov_diag": [1.0, 1.0]}]},
@@ -504,6 +547,43 @@ def test_failed_sampling_command_leaves_no_output_directory(tmp_path, capsys, co
     assert main([command, "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"{command}: error: {message}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_diagnose_rejects_a_one_step_schedule(tmp_path, capsys, strict):
+    # With one step the bias gap's early window was empty: numpy warned
+    # "Mean of empty slice", the summary failed on a NaN, and five
+    # artifacts were left with no summary or manifest.
+    raw = json.loads(DEMO_CONFIG.read_text())
+    raw["guidance"]["strategy"] = "NP"
+    raw["schedule"]["num_steps"] = 1
+    raw["run"]["seeds"] = {"count": 4, "base": 0}
+    out = tmp_path / "out"
+    argv = ["diagnose-lag", "--config", str(write_config(tmp_path, raw)), "--out", str(out)] + ["--strict"] * strict
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert caught == []
+    assert capsys.readouterr().err.splitlines() == [
+        "diagnose-lag: error: field 'schedule.num_steps' must be at least 2 for diagnose-lag, got 1"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, strategy", [("sample", s) for s in STRATEGIES]
+                         + [("compare-guidance", None), ("diagnose-lag", "NP"), ("diagnose-lag", "SDN"),
+                            ("schedule-dump", None)])
+def test_strict_passes_on_the_shipped_config(tmp_path, capsys, command, strategy):
+    # Every command on the shipped two_well world passes --strict: no
+    # sampling or diagnostic step raises a RuntimeWarning or prints anything to stderr.
+    path = DEMO_CONFIG
+    if strategy is not None:
+        raw = json.loads(DEMO_CONFIG.read_text())
+        raw["guidance"]["strategy"] = strategy
+        path = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out), "--strict"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("seeds, seed_base, field", [

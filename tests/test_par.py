@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 import requests
 
+from guidelab import par
 from guidelab.par import (
     ANALYSIS_MARKER,
     COUNTERFACTUAL_MARKER,
@@ -109,6 +110,27 @@ def test_parse_condensation_fixture():
 def test_parse_butter_fixture():
     rec = parse_response(fixture_text("butter.response.txt"))
     assert rec.counterfactual == BUTTER_COUNTERFACTUAL
+
+
+def test_instruction_text_follows_the_format_it_asks_for():
+    # The worked example and the format spec are rendered from
+    # SUBFIELD_LABELS, so the parser reads both; a label spelled apart
+    # from SUBFIELD_LABELS would fail here.
+    response = par._WORKED_EXAMPLE.split("Response:\n", 1)[1]
+    assert par._WORKED_EXAMPLE in SYSTEM_MESSAGE
+    rec = parse_response(response)
+    assert rec.analysis == Analysis(
+        entities="a block of butter, a heat source",
+        environment="a warm surface whose temperature climbs steadily over the timelapse",
+        interactions="heat transfers into the butter and drives a solid-to-liquid phase transition",
+        temporal_evolution="the butter first softens at the edges, then progressively melts and spreads"
+                           " into a liquid pool",
+    )
+    assert rec.counterfactual == BUTTER_COUNTERFACTUAL
+    spec = parse_response(OUTPUT_FORMAT_SPEC)
+    assert spec.analysis == Analysis("<entities present in the scene>", "<environmental conditions>",
+                                     "<how the entities interact physically>", "<how the scene evolves over time>")
+    assert spec.counterfactual == "<one counterfactual version of the prompt>"
 
 
 def test_parse_magnifier_fixture():
