@@ -72,10 +72,10 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _create(path: Path, **options):
+def _create(path: Path, mode="w", **options):
     """path opened for writing, its directory made first: a command that fails before writing leaves none."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w", **options)
+    return open(path, mode, **options)
 
 
 def _write_manifest(out_dir: Path, command: str, raw_config: dict, seeds, artifact_names) -> None:
@@ -107,25 +107,43 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 
 def _trajectory_lines(result):
-    """One JSON line per seed, branch and step, in that nesting order, each recorded number written once.
+    """One encoded JSON line per seed, branch and step, in that nesting order, each recorded number written once.
 
     A plus or single line holds eps_pos, eps_neg (null under CFG), correction and x_after; a minus
     line holds x_after alone. The rest follows bit for bit: delta = eps_pos - eps_neg, a minus
     branch's eps_pos is the plus line's eps_neg at the same seed and t, and its correction is 0.
+    Every field is checked before the lines are made, so a NaN or an infinity is a ValueError naming
+    the field and the step t; the lines are then encoded one at a time as they are consumed.
     """
+    import numpy as np
+    import orjson
+
     from guidelab.sampler import DualTrajectoryBatch
 
     dual = isinstance(result, DualTrajectoryBatch)
-    branches = [("plus", result.plus), ("minus", result.minus)] if dual else [("single", result)]
-    for i, seed in enumerate(result.seeds):
-        for branch_name, b in branches:
-            fields = {"x_after": b.states[1:]}
-            if branch_name != "minus":
-                fields.update(eps_pos=b.eps_pos, eps_neg=b.eps_neg, correction=b.correction)
-            rows = {key: None if a is None else a[:, i].tolist() for key, a in fields.items()}
-            for j, t in enumerate(b.steps):
-                record = {key: None if r is None else r[j] for key, r in rows.items()}
-                yield json.dumps({"seed": seed, "branch": branch_name, "t": t, **record}, sort_keys=True)
+    branches = []
+    for name, b in [("plus", result.plus), ("minus", result.minus)] if dual else [("single", result)]:
+        fields = {"x_after": b.states[1:]}
+        if name != "minus":
+            fields.update(eps_pos=b.eps_pos, eps_neg=b.eps_neg, correction=b.correction)
+        for key, a in fields.items():
+            if a is not None and not np.isfinite(a).all():
+                first = np.flatnonzero(~np.isfinite(a).all(axis=(1, 2)))[0]
+                raise ValueError(f"sampling under {b.config.strategy} recorded a non-finite {key}"
+                                 f" at step t={b.steps[first]}")
+        branches.append((name, b.steps, fields))
+    # orjson writes the shortest decimal that reads back as the same float64, as repr does, in compact form
+    option = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+
+    def lines():
+        for i, seed in enumerate(result.seeds):
+            for name, steps, fields in branches:
+                rows = {key: None if a is None else a[:, i].tolist() for key, a in fields.items()}
+                for j, t in enumerate(steps):
+                    record = {key: None if r is None else r[j] for key, r in rows.items()}
+                    yield orjson.dumps({"seed": seed, "branch": name, "t": t, **record}, option=option)
+
+    return lines()
 
 
 @_command("sample", "run the configured strategy over the seed sweep")
@@ -136,14 +154,14 @@ def cmd_sample(config_path, out_dir=None, seed_base=None, *, strict=False) -> in
 
     config = load_config(config_path, out_dir=out_dir, seed_base=seed_base)
     result = run_strategy(config, config.guidance.strategy, config.seeds)
+    lines = _trajectory_lines(result)  # checks every recorded number before any artifact is written
 
     labels = assign_labels(config.world, result.finals, config.mass_labels).tolist()
     _write_csv(config.out_dir / "samples.csv", ["seed"] + [f"x{i}" for i in range(config.world.dim)] + ["mode"],
                ([seed] + [repr(float(c)) for c in x] + [label]
                 for seed, x, label in zip(result.seeds, result.finals, labels)))
-    with _create(config.out_dir / "trajectories.jsonl") as fh:
-        for line in _trajectory_lines(result):
-            fh.write(line + "\n")
+    with _create(config.out_dir / "trajectories.jsonl", "wb") as fh:
+        fh.writelines(lines)
 
     _write_manifest(config.out_dir, "sample", config.raw, config.seeds, ["samples.csv", "trajectories.jsonl"])
     return 0

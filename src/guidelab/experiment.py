@@ -167,9 +167,12 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
     if not seeds:
         raise ConfigError("field 'run.seeds' must be nonempty")
     for i, s in enumerate(seeds):
+        where = "run.seeds.base" if counted else f"run.seeds[{i}]"
         if s < 0:
-            where = "run.seeds.base" if counted else f"run.seeds[{i}]"
             raise ConfigError(f"field '{where}' must be >= 0, got {s}")
+        if s >= 2**64:
+            # trajectories.jsonl holds each seed as a JSON integer its encoder keeps to 64 bits
+            raise ConfigError(f"field '{where}' must give seeds below 2**64, got seed {s}")
     seeds = list(dict.fromkeys(seeds))  # duplicates dropped, first occurrence kept
     sample_count = field(run, "sample_count", "run.sample_count", int, len(seeds))
     if sample_count < 1:

@@ -70,6 +70,31 @@ def test_delta_norm_curve_rejects_cfg_trajectory():
         delta_norm_curve(tr)
 
 
+@pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "stochastic"])
+@pytest.mark.parametrize("strategy", ["NP", "SDN"])
+def test_delta_norm_curve_equals_the_closed_form(strategy, deterministic):
+    # Positive and negative conditions are one component each, with the
+    # same diagonal covariance c. Each noised conditional is then Gaussian,
+    # eps_k(x, t) = sqrt(1 - ab_t) (x - sqrt(ab_t) mu_k) / (ab_t c + 1 - ab_t),
+    # so delta_t = sqrt(ab_t (1 - ab_t)) (mu_neg - mu_pos) / (ab_t c + 1 - ab_t)
+    # for every latent and seed. ab_t is formed here, apart from schedule.py.
+    c = np.array([0.8, 1.6, 0.5])
+    mu_pos, mu_neg = np.array([1.0, -2.0, 0.5]), np.array([-3.0, 1.5, 2.0])
+    world = GmmWorld(means=np.array([mu_pos, mu_neg, [6.0, 0.0, -4.0]]),
+                     cov_diags=np.array([c, c, [2.0, 0.3, 1.1]]), weights=np.array([0.3, 0.5, 0.2]))
+    T, beta_start, beta_end = 30, 0.02, 0.2
+    ab = np.cumprod(1.0 - np.linspace(beta_start, beta_end, T))  # ab[t - 1] is alpha_bar_t
+    batch = run_single_batch(world, Condition.subset([0]), Condition.subset([1]),
+                             make_linear_schedule(T, beta_start, beta_end), GuidanceConfig(strategy), range(8),
+                             deterministic)
+    curve = delta_norm_curve(batch)
+    assert [t for t, _ in curve] == list(range(T, 0, -1))
+    for t, val in curve:
+        a = ab[t - 1]
+        exact = np.linalg.norm(np.sqrt(a * (1 - a)) * (mu_neg - mu_pos) / (a * c + 1 - a))
+        assert abs(val - exact) <= 1e-12 * exact, (t, val, exact)
+
+
 def test_jacobian_unit_gaussian_closed_form():
     world = GmmWorld(means=np.zeros((1, 2)), cov_diags=np.ones((1, 2)), weights=np.array([1.0]))
     s = make_linear_schedule(10, 0.05, 0.25)

@@ -4,12 +4,14 @@ import hashlib
 import json
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from guidelab.cli import (
+    _trajectory_lines,
     cmd_compare_guidance,
     cmd_diagnose_lag,
     cmd_par_generate,
@@ -26,7 +28,8 @@ from guidelab.experiment import (
     strategy_comparison,
 )
 
-from guidelab.guidance import STRATEGIES
+from guidelab.guidance import STRATEGIES, GuidanceConfig
+from guidelab.sampler import TrajectoryBatch
 
 from test_par import FIXTURES
 
@@ -274,6 +277,54 @@ def test_trajectories_jsonl_rebuilds_every_recorded_array(tmp_path, strategy, de
         assert _bits(eps_neg) == _bits(batch.minus.eps_pos)
         assert _bits(np.zeros_like(eps_neg)) == _bits(batch.minus.correction)
         assert _bits(column("minus", "x_after")) == _bits(batch.minus.states[1:])
+
+
+def test_trajectory_writer_round_trips_every_float64(tmp_path):
+    # The writer spells some floats unlike repr (0.00001 for 1e-05, 1e16
+    # for 1e+16). Read back by the stdlib's own parser, every value must
+    # still be the float64 that was recorded, sign of zero included.
+    rng = np.random.default_rng(20261018)
+    drawn = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)
+    near = np.concatenate([v * (1 + np.arange(-40, 41) * 2.0**-52)
+                           for v in (1e-5, -1e-5, 1e-4, 1e15, 1e16, -1e16, 1e22)])
+    edges = [0.0, -0.0, 5e-324, -5e-324, np.finfo(np.float64).max, -np.finfo(np.float64).max,
+             np.finfo(np.float64).tiny, 1e-5, 1e16, 1e22]
+    values = np.concatenate([drawn[np.isfinite(drawn)], near, edges])
+    dim = 100
+    values = np.concatenate([values, np.zeros(-len(values) % dim)]).reshape(-1, 1, dim)
+    batch = TrajectoryBatch(seeds=(7,), config=GuidanceConfig("NP"), states=np.concatenate([values[:1], values[::-1]]),
+                            eps_pos=values, eps_neg=-values, delta=None, correction=values[::-1] * 0.5)
+    path = tmp_path / "trajectories.jsonl"
+    with open(path, "wb") as fh:
+        fh.writelines(_trajectory_lines(batch))
+    lines = [json.loads(line) for line in path.read_bytes().splitlines()]
+    assert [(r["seed"], r["branch"], r["t"]) for r in lines] == [(7, "single", t) for t in batch.steps]
+    assert all(type(v) is float for r in lines for v in r["eps_pos"])
+    for key, recorded in (("eps_pos", values), ("eps_neg", -values), ("correction", values[::-1] * 0.5),
+                          ("x_after", values[::-1])):
+        assert _bits([r[key] for r in lines]) == _bits(recorded[:, 0])
+    # the spellings that differ from repr are covered
+    tokens = path.read_text().replace("[", ",").replace("]", ",").split(",")
+    assert "0.00001" in tokens and "1e16" in tokens and "-0.0" in tokens and "5e-324" in tokens
+
+
+def test_cmd_sample_refuses_non_finite_records(tmp_path, capsys, monkeypatch):
+    # The latents can stay finite while a recorded prediction overflows
+    # (correction = step - base with step near 1e308 and base near -1e308).
+    # Such a value must stop the run with its field and step, not reach
+    # trajectories.jsonl as NaN, Infinity or null.
+    def poisoned(*args):
+        batch = run_strategy(*args)
+        correction = batch.plus.correction.copy()
+        correction[3, 1, 0] = np.nan
+        return type(batch)(plus=replace(batch.plus, correction=correction), minus=batch.minus)
+
+    monkeypatch.setattr("guidelab.experiment.run_strategy", poisoned)
+    out = tmp_path / "out"
+    assert main(["sample", "--config", str(write_config(tmp_path, small_config())), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "sample: error: sampling under SDG recorded a non-finite correction at step t=7"]
+    assert not out.exists()
 
 
 def test_cmd_compare_degenerate_conditions(tmp_path):
@@ -598,6 +649,36 @@ def test_cli_rejects_seed_base_that_gives_negative_seeds(tmp_path, capsys, seeds
     assert main(["sample", "--config", str(config), "--out", str(tmp_path / "out"), "--seed-base", seed_base]) == 2
     assert f"field '{field}' must" in capsys.readouterr().err
     assert not (tmp_path / "out" / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("seeds, seed_base, message", [
+    ([3, 2**64], None, "field 'run.seeds[1]' must give seeds below 2**64, got seed 18446744073709551616"),
+    ({"count": 3, "base": 2**64 - 2}, None,
+     "field 'run.seeds.base' must give seeds below 2**64, got seed 18446744073709551616"),
+    ({"count": 2, "base": 0}, str(2**64 - 1),
+     "field 'run.seeds.base' must give seeds below 2**64, got seed 18446744073709551616"),
+    ([0, 1], str(2**64 - 1), "field 'run.seeds[1]' must give seeds below 2**64, got seed 18446744073709551616"),
+], ids=["list", "count_base", "seed_base_count", "seed_base_list"])
+def test_cli_rejects_seeds_of_2_to_the_64_and_above(tmp_path, capsys, seeds, seed_base, message):
+    # trajectories.jsonl holds seeds as 64-bit integers, the widest its
+    # encoder writes. Unchecked, a larger seed stopped the encoder midway,
+    # after samples.csv and part of trajectories.jsonl were written and
+    # before the manifest.
+    raw = small_config()
+    raw["run"]["seeds"] = seeds
+    out = tmp_path / "out"
+    argv = ["sample", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]
+    assert main(argv + (["--seed-base", seed_base] if seed_base else [])) == 2
+    assert capsys.readouterr().err.splitlines() == [f"sample: error: {message}"]
+    assert not out.exists()
+
+
+def test_largest_64_bit_seed_is_written(tmp_path):
+    raw = small_config()
+    raw["run"]["seeds"] = [2**64 - 1]
+    out = tmp_path / "out"
+    assert main(["sample", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 0
+    assert {json.loads(line)["seed"] for line in (out / "trajectories.jsonl").read_text().splitlines()} == {2**64 - 1}
 
 
 @pytest.mark.parametrize("command, artifact", [("sample", "samples.csv"), ("compare-guidance", "comparison.csv")])

@@ -21,13 +21,13 @@ from test_par import FIXTURES
 SRC = Path(guidelab.__file__).parents[1]
 SUBMODULES = sorted(f"guidelab.{m.name}" for m in pkgutil.iter_modules(guidelab.__path__))
 
-# Prints which guidelab modules and whether numpy were loaded, as the last line of stdout.
-LOADED = "import json, sys; print(json.dumps({'numpy': 'numpy' in sys.modules, " \
+# Prints which guidelab modules and whether numpy and orjson were loaded, as the last line of stdout.
+LOADED = "import json, sys; print(json.dumps({'numpy': 'numpy' in sys.modules, 'orjson': 'orjson' in sys.modules, " \
          "'guidelab': sorted(m for m in sys.modules if m.startswith('guidelab'))}))"
 
 
 def loaded_after(code):
-    """{'numpy': bool, 'guidelab': [module names]} after running code in a fresh interpreter."""
+    """{'numpy': bool, 'orjson': bool, 'guidelab': [module names]} after running code in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", f"{code}\n{LOADED}"], capture_output=True, text=True,
                          check=True, env=env)
@@ -41,6 +41,7 @@ def after_main(argv):
 def test_cli_import_loads_only_config():
     loaded = loaded_after("import guidelab.cli")
     assert not loaded["numpy"]
+    assert not loaded["orjson"]
     assert loaded["guidelab"] == ["guidelab", "guidelab.cli", "guidelab.config"]
 
 
@@ -51,6 +52,7 @@ def test_par_generate_leaves_numpy_unloaded(tmp_path):
     loaded = after_main(["par-generate", "--config", str(config), str(prompts), "--mock", str(FIXTURES),
                          "--out", str(tmp_path / "out")])
     assert not loaded["numpy"]
+    assert not loaded["orjson"]
     assert (tmp_path / "out" / "corpus.jsonl").exists()
 
 
@@ -61,6 +63,16 @@ def test_sampling_commands_leave_par_and_diagnostics_unloaded(tmp_path, command)
     assert "guidelab.experiment" in loaded["guidelab"]
     assert "guidelab.par" not in loaded["guidelab"]
     assert "guidelab.diagnostics" not in loaded["guidelab"]
+    # only sample's trajectory writer encodes with orjson
+    assert loaded["orjson"] == (command == "sample")
+
+
+def test_diagnose_lag_leaves_orjson_unloaded(tmp_path):
+    raw = small_config()
+    raw["guidance"]["strategy"] = "NP"
+    loaded = after_main(["diagnose-lag", "--config", str(write_config(tmp_path, raw)), "--out", str(tmp_path / "out")])
+    assert "guidelab.diagnostics" in loaded["guidelab"]
+    assert not loaded["orjson"]
 
 
 @pytest.mark.parametrize("module", SUBMODULES)
