@@ -198,7 +198,7 @@ def cmd_diagnose_lag(config_path, out_dir=None, seed_base=None, *, strict=False)
     config = load_config(config_path, out_dir=out_dir, seed_base=seed_base)
     if config.guidance.strategy not in ("NP", "SDN"):
         raise ConfigError(f"diagnose-lag needs guidance.strategy NP or SDN, got '{config.guidance.strategy}'")
-    if config.negative is None:
+    if config.negative_condition is None:
         raise ConfigError("diagnose-lag needs a 'negative' condition binding")
     if config.schedule.num_steps < 2:
         # the bias gap is 0 by construction at t=T, so its early and late means need a later step

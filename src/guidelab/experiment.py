@@ -11,6 +11,7 @@ the resolved config, so artifact files are byte-reproducible.
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -69,9 +70,8 @@ class ExperimentConfig:
     """Resolved experiment: live objects plus the raw dict they came from."""
 
     world: GmmWorld
-    conditions: dict
-    positive: str
-    negative: str
+    positive_condition: Condition
+    negative_condition: Optional[Condition]
     schedule: NoiseSchedule
     guidance: GuidanceConfig
     seeds: tuple
@@ -79,14 +79,6 @@ class ExperimentConfig:
     mass_labels: dict
     out_dir: Path
     raw: dict
-
-    @property
-    def positive_condition(self) -> Condition:
-        return self.conditions[self.positive]
-
-    @property
-    def negative_condition(self):
-        return None if self.negative is None else self.conditions[self.negative]
 
 
 def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
@@ -187,9 +179,8 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
 
     return ExperimentConfig(
         world=world,
-        conditions=conditions,
-        positive=positive,
-        negative=negative,
+        positive_condition=conditions[positive],
+        negative_condition=None if negative is None else conditions[negative],
         schedule=schedule,
         guidance=guidance,
         seeds=tuple(seeds[:sample_count]),

@@ -94,9 +94,9 @@ def cfg_combine(eps_uncond: np.ndarray, eps_cond: np.ndarray, w: float) -> np.nd
 
 
 def np_combine(eps_pos: np.ndarray, eps_neg: np.ndarray, w: float) -> np.ndarray:
-    """Negative prompting: eps_pos + w * (eps_pos - eps_neg), w > 0."""
-    if w <= 0:
-        raise ValueError(f"negative-prompting strength w must be > 0, got {w}")
+    """Negative prompting: eps_pos + w * (eps_pos - eps_neg), w >= 0; w = 0 gives eps_pos."""
+    if w < 0:
+        raise ValueError(f"negative-prompting strength w must be >= 0, got {w}")
     eps_pos, eps_neg = _check_pair(eps_pos, eps_neg)
     return eps_pos + w * (eps_pos - eps_neg)
 

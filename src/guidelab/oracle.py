@@ -19,9 +19,6 @@ from guidelab.schedule import NoiseSchedule
 __all__ = [
     "GmmWorld",
     "Condition",
-    "NoisedMixture",
-    "noised_mixture",
-    "log_density_and_score",
     "epsilon_oracle",
     "epsilon_jacobian",
     "assign_components",
@@ -103,37 +100,6 @@ class Condition:
         return idx
 
 
-@dataclass(frozen=True)
-class NoisedMixture:
-    """Closed-form Gaussian mixture marginal of a (conditioned) world at step t."""
-
-    means: np.ndarray
-    cov_diags: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
-
-
-def noised_mixture(world: GmmWorld, cond: Condition, schedule: NoiseSchedule, t: int) -> NoisedMixture:
-    """Conditioned mixture pushed through the forward process to step t.
-
-    Component means scale by sqrt(alpha_bar_t); each diagonal variance
-    becomes alpha_bar_t * sigma^2 + (1 - alpha_bar_t). Subset conditions
-    renormalize the selected weights. The null condition and the
-    full-index subset share this code path, so they agree exactly.
-    """
-    ab = schedule.alpha_bar(t)
-    idx = cond.resolve(world)
-    weights = world.weights[idx]
-    return NoisedMixture(
-        means=np.sqrt(ab) * world.means[idx],
-        cov_diags=ab * world.cov_diags[idx] + (1.0 - ab),
-        weights=weights / weights.sum(),
-    )
-
-
 def _log_components(means: np.ndarray, covs: np.ndarray, weights: np.ndarray, x: np.ndarray) -> tuple:
     """Offsets diff = mu_k - x (N, K, dim) and log w_k + log N(x; mu_k, diag(c_k)) (N, K) at x (dim,) or (N, dim)."""
     diff = means - np.atleast_2d(x)[:, None, :]
@@ -146,47 +112,47 @@ def _log_components(means: np.ndarray, covs: np.ndarray, weights: np.ndarray, x:
     return diff, log_comp
 
 
-def _responsibilities(mixture: NoisedMixture, x: np.ndarray) -> tuple:
-    """Component offsets, log-density and responsibilities at x, via stable log-sum-exp.
+def _posterior(world: GmmWorld, cond: Condition, schedule: NoiseSchedule, x: np.ndarray, t: int) -> tuple:
+    """The conditioned mixture noised to step t, and its component posterior at x.
 
-    x is one point (dim,) or a batch (N, dim); the results are batched:
-    diff = mu_k - x of shape (N, K, dim), log_density (N, 1) and
-    responsibilities (N, K).
+    Component means scale by sqrt(alpha_bar_t); each diagonal variance
+    becomes alpha_bar_t * sigma^2 + (1 - alpha_bar_t). Subset conditions
+    renormalize the selected weights. The null condition and the
+    full-index subset share this code path, so they agree exactly.
+
+    x is one point (dim,) or a batch (N, dim). Gives the noised variances
+    (K, dim), the offsets diff = mu_k - x (N, K, dim) and the
+    responsibilities (N, K), normalized by a stable log-sum-exp. Every
+    row goes through the same operations in the same order, so a batch
+    row equals the one-point result bit for bit.
     """
+    ab = schedule.alpha_bar(t)
+    idx = cond.resolve(world)
+    weights = world.weights[idx]
+    means = np.sqrt(ab) * world.means[idx]
+    covs = ab * world.cov_diags[idx] + (1.0 - ab)
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] != mixture.dim:
-        raise ValueError(f"x shape {x.shape} incompatible with mixture dim {mixture.dim}")
-    diff, log_comp = _log_components(mixture.means, mixture.cov_diags, mixture.weights, x)
+    if x.ndim not in (1, 2) or x.shape[-1] != world.dim:
+        raise ValueError(f"x shape {x.shape} incompatible with mixture dim {world.dim}")
+    diff, log_comp = _log_components(means, covs, weights / weights.sum(), x)
     m = log_comp.max(axis=1, keepdims=True)
     log_density = m + np.log(np.sum(np.exp(log_comp - m), axis=1, keepdims=True))
-    return diff, log_density, np.exp(log_comp - log_density)
-
-
-def log_density_and_score(mixture: NoisedMixture, x: np.ndarray) -> tuple:
-    """Log-density and its gradient at x.
-
-    x is one point of shape (dim,) or a batch of shape (N, dim). One
-    point gives a float and a (dim,) score; a batch gives (N,)
-    log-densities and an (N, dim) score whose rows equal the one-point
-    results bit for bit, because every row goes through the same
-    operations in the same order.
-    """
-    diff, log_density, resp = _responsibilities(mixture, x)
-    score = np.sum(resp[:, :, None] * diff / mixture.cov_diags, axis=1)
-    if np.ndim(x) == 1:
-        return float(log_density[0, 0]), score[0]
-    return log_density[:, 0], score
+    return covs, diff, np.exp(log_comp - log_density)
 
 
 def epsilon_oracle(world: GmmWorld, cond: Condition, schedule: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
     """Bayes-optimal noise prediction for the conditioned world at (x, t).
 
     Uses the identity eps*(x, t) = -sqrt(1 - alpha_bar_t) * score of the
-    noised conditional marginal. Deterministic and exact. x is one point
-    (dim,) or a batch (N, dim); the result has the same shape.
+    noised conditional marginal, where the score is sum_k r_k (mu_k - x) / c_k.
+    Deterministic and exact. x is one point (dim,) or a batch (N, dim);
+    the result has the same shape, and each batch row equals the
+    one-point result bit for bit.
     """
-    mixture = noised_mixture(world, cond, schedule, t)
-    _, score = log_density_and_score(mixture, x)
+    covs, diff, resp = _posterior(world, cond, schedule, x, t)
+    score = np.sum(resp[:, :, None] * diff / covs, axis=1)
+    if np.ndim(x) == 1:
+        score = score[0]
     return -np.sqrt(1.0 - schedule.alpha_bar(t)) * score
 
 
@@ -200,12 +166,11 @@ def epsilon_jacobian(world: GmmWorld, cond: Condition, schedule: NoiseSchedule, 
     """
     if np.ndim(x) != 1:
         raise ValueError(f"epsilon_jacobian takes one point of shape (dim,), got shape {np.shape(x)}")
-    mixture = noised_mixture(world, cond, schedule, t)
-    diff, _, resp = _responsibilities(mixture, x)
+    covs, diff, resp = _posterior(world, cond, schedule, x, t)
     r = resp[0]
-    s_k = diff[0] / mixture.cov_diags
+    s_k = diff[0] / covs
     s = r @ s_k
-    hessian = (s_k.T * r) @ s_k - np.diag(r @ (1.0 / mixture.cov_diags)) - np.outer(s, s)
+    hessian = (s_k.T * r) @ s_k - np.diag(r @ (1.0 / covs)) - np.outer(s, s)
     return -np.sqrt(1.0 - schedule.alpha_bar(t)) * hessian
 
 

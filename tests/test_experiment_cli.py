@@ -637,6 +637,35 @@ def test_strict_passes_on_the_shipped_config(tmp_path, capsys, command, strategy
     assert (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command, strategy", [("sample", "NP"), ("sample", "TDD_ONLY"), ("compare-guidance", None),
+                                               ("diagnose-lag", "NP")])
+def test_guidance_w_zero_runs_under_strict(tmp_path, capsys, command, strategy):
+    # w has one rule, w >= 0, in the config and in every combine rule that reads it, so
+    # a run at w = 0 never stops mid-sampling with an error that names no field.
+    raw = small_config()
+    raw["guidance"]["w"] = 0
+    if strategy is not None:
+        raw["guidance"]["strategy"] = strategy
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, raw)), "--out", str(out), "--strict"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+@pytest.mark.parametrize("strategy", ["NP", "TDD_ONLY"])
+def test_w_zero_push_samples_like_cfg_at_w_one(tmp_path, strategy, deterministic):
+    # With no push, NP and TDD_ONLY advance on the positive prediction alone: CFG at w = 1.
+    samples = {}
+    for name, w in ((strategy, 0), ("CFG", 1)):
+        raw = small_config()
+        raw["guidance"].update(strategy=name, w=w)
+        raw["run"]["deterministic"] = deterministic
+        assert cmd_sample(write_config(tmp_path, raw, f"{name}.json"), out_dir=tmp_path / name) == 0
+        samples[name] = (tmp_path / name / "samples.csv").read_bytes()
+    assert samples[strategy] == samples["CFG"]
+
+
 @pytest.mark.parametrize("seeds, seed_base, field", [
     ({"count": 3, "base": 0}, "-2", "run.seeds.base"),
     ([0, 5], "-2", "run.seeds[0]"),

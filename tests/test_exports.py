@@ -50,3 +50,13 @@ def test_private_names_are_used():
     read = {node.id for tree in trees for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(private - read) == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(guidelab.__file__).parent.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_imports_another_modules_private_name(path):
+    # A private helper stays behind its module's public functions: no `from guidelab.X import _name`.
+    tree = ast.parse(path.read_text())
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("guidelab")
+               for alias in node.names if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert private == []

@@ -40,13 +40,14 @@ def test_np_degenerate_and_arithmetic():
 
 
 def test_np_rejects_nonpositive_w():
-    a = np.zeros(2)
+    # w = 0 is the config's lower bound: no push, the positive prediction itself; only w < 0 is rejected.
+    a, b = np.array([1.5, -2.0]), np.array([-0.25, 3.0])
+    np.testing.assert_array_equal(np_combine(a, b, 0.0), a)
+    np.testing.assert_array_equal(tdd_only_combine(a, b, 0.0), a)
     with pytest.raises(ValueError):
-        np_combine(a, a, 0.0)
+        np_combine(a, b, -1.0)
     with pytest.raises(ValueError):
-        np_combine(a, a, -1.0)
-    with pytest.raises(ValueError):
-        tdd_only_combine(a, a, 0.0)
+        tdd_only_combine(a, b, -1.0)
 
 
 def test_sdn_degenerate_discrepancy():

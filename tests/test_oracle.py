@@ -2,8 +2,10 @@
 
 The reference log-density below is built from scipy.stats Gaussian
 logpdfs combined with scipy's log-sum-exp, so it shares no code with the
-package implementation. Scores are then checked against central finite
-differences of that reference.
+package implementation. The oracle's predictions, -sqrt(1 - alpha_bar_t)
+times the score, are then checked against central finite differences of
+that reference, so a wrong normalizer, which would rescale every
+responsibility, shows up as a wrong score.
 """
 
 import re
@@ -13,16 +15,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from guidelab.oracle import (
-    Condition,
-    GmmWorld,
-    NoisedMixture,
-    assign_components,
-    assign_labels,
-    epsilon_oracle,
-    log_density_and_score,
-    noised_mixture,
-)
+from guidelab.oracle import Condition, GmmWorld, assign_components, assign_labels, epsilon_oracle
 from guidelab.schedule import make_linear_schedule
 
 from conftest import random_world
@@ -68,34 +61,48 @@ def jacobian_fd(world, cond, schedule, x, t, h):
     return ((eps[:len(x)] - eps[len(x):]) / (2.0 * h)).T
 
 
+def single_gaussian_eps(mu, c, ab, x):
+    """Closed-form prediction of a one-Gaussian world N(mu, diag(c)) noised to alpha_bar = ab."""
+    return np.sqrt(1.0 - ab) * (x - np.sqrt(ab) * mu) / (ab * c + 1.0 - ab)
+
+
 def test_noised_mixture_unit_gaussian_fixed_point():
+    # N(0, I) is the forward process's fixed point: the prediction is sqrt(1 - alpha_bar) x at every step.
     world = GmmWorld(means=np.zeros((1, 2)), cov_diags=np.ones((1, 2)), weights=np.array([1.0]))
     s = make_linear_schedule(10, 0.05, 0.25)
+    x = np.array([0.7, -1.9])
     for t in (1, 5, 10):
-        m = noised_mixture(world, Condition.null(), s, t)
-        np.testing.assert_array_equal(m.means, np.zeros((1, 2)))
-        np.testing.assert_allclose(m.cov_diags, np.ones((1, 2)), rtol=0, atol=1e-15)
+        eps = epsilon_oracle(world, Condition.null(), s, x, t)
+        np.testing.assert_allclose(eps, np.sqrt(1.0 - s.alpha_bar(t)) * x, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(eps, single_gaussian_eps(np.zeros(2), np.ones(2), s.alpha_bar(t), x),
+                                   rtol=1e-15, atol=0)
 
 
 def test_noised_mixture_subset_renormalizes():
-    world = GmmWorld(
-        means=np.array([[0.0], [4.0]]),
-        cov_diags=np.ones((2, 1)),
-        weights=np.array([0.25, 0.75]),
-    )
-    s = make_linear_schedule(5, 0.1, 0.2)
-    m = noised_mixture(world, Condition.subset([0]), s, 3)
-    assert m.means.shape == (1, 1)
-    np.testing.assert_array_equal(m.weights, [1.0])
+    # A subset condition is the oracle of a world holding just that subset, with its weights renormalized.
+    rng = np.random.default_rng(61)
+    s = make_linear_schedule(10, 0.05, 0.25)
+    for _ in range(20):
+        world = random_world(rng, dim=3, num_components=4)
+        idx = sorted(rng.choice(4, size=int(rng.integers(1, 4)), replace=False))
+        sub = GmmWorld(means=world.means[idx], cov_diags=world.cov_diags[idx],
+                       weights=world.weights[idx] / world.weights[idx].sum())
+        x = rng.normal(scale=3.0, size=(5, 3))
+        t = int(rng.integers(1, 11))
+        np.testing.assert_allclose(epsilon_oracle(world, Condition.subset(idx), s, x, t),
+                                   epsilon_oracle(sub, Condition.null(), s, x, t), rtol=1e-12, atol=0)
 
 
 def test_noised_mixture_arithmetic():
+    # alpha_bar = 1/4 halves the mean and leaves unit variances at one: eps = sqrt(3/4) (x - (1, 0)).
     world = GmmWorld(means=np.array([[2.0, 0.0]]), cov_diags=np.ones((1, 2)), weights=np.array([1.0]))
     s = make_linear_schedule(1, 0.75, 0.75)
     assert s.alpha_bar(1) == 0.25
-    m = noised_mixture(world, Condition.null(), s, 1)
-    np.testing.assert_allclose(m.means, [[1.0, 0.0]], atol=1e-15)
-    np.testing.assert_allclose(m.cov_diags, [[1.0, 1.0]], atol=1e-15)
+    x = np.array([3.0, -2.0])
+    eps = epsilon_oracle(world, Condition.null(), s, x, 1)
+    np.testing.assert_allclose(eps, np.sqrt(0.75) * (x - [1.0, 0.0]), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(eps, single_gaussian_eps(world.means[0], world.cov_diags[0], 0.25, x),
+                               rtol=1e-15, atol=0)
 
 
 def test_full_subset_equals_null_exactly():
@@ -113,35 +120,19 @@ def test_full_subset_equals_null_exactly():
 
 
 def test_score_zero_at_unit_gaussian_mode():
-    m = NoisedMixture(means=np.zeros((1, 2)), cov_diags=np.ones((1, 2)), weights=np.array([1.0]))
-    logp, score = log_density_and_score(m, np.zeros(2))
-    np.testing.assert_array_equal(score, [0.0, 0.0])
-    assert logp == pytest.approx(-np.log(2 * np.pi), abs=1e-12)
+    world = GmmWorld(means=np.zeros((1, 2)), cov_diags=np.ones((1, 2)), weights=np.array([1.0]))
+    s = make_linear_schedule(10, 0.05, 0.25)
+    np.testing.assert_array_equal(epsilon_oracle(world, Condition.null(), s, np.zeros(2), 4), [0.0, 0.0])
 
 
 def test_score_zero_by_symmetry():
-    m = NoisedMixture(
+    world = GmmWorld(
         means=np.array([[3.0, 1.0], [-3.0, -1.0]]),
         cov_diags=np.full((2, 2), 1.7),
         weights=np.array([0.5, 0.5]),
     )
-    _, score = log_density_and_score(m, np.zeros(2))
-    np.testing.assert_allclose(score, [0.0, 0.0], atol=1e-15)
-
-
-def test_log_density_matches_scipy_reference():
-    rng = np.random.default_rng(21)
     s = make_linear_schedule(10, 0.05, 0.25)
-    for _ in range(20):
-        world = random_world(rng)
-        cond = Condition.null() if rng.random() < 0.5 else Condition.subset(
-            rng.choice(world.num_components, size=int(rng.integers(1, world.num_components + 1)), replace=False)
-        )
-        x = rng.normal(scale=3.0, size=world.dim)
-        t = int(rng.integers(1, 11))
-        logp, _ = log_density_and_score(noised_mixture(world, cond, s, t), x)
-        ref = ref_log_density(world, cond, s, x, t)
-        assert logp == pytest.approx(ref, rel=1e-10, abs=1e-10)
+    np.testing.assert_allclose(epsilon_oracle(world, Condition.null(), s, np.zeros(2), 4), [0.0, 0.0], atol=1e-15)
 
 
 def test_score_matches_finite_differences():
@@ -153,8 +144,7 @@ def test_score_matches_finite_differences():
     for _ in range(100):
         x = rng.normal(scale=3.0, size=2)
         t = int(rng.integers(1, 11))
-        m = noised_mixture(world, Condition.null(), s, t)
-        _, score = log_density_and_score(m, x)
+        score = -epsilon_oracle(world, Condition.null(), s, x, t) / np.sqrt(1.0 - s.alpha_bar(t))
         fd = ref_fd_score(world, Condition.null(), s, x, t)
         rel = np.linalg.norm(score - fd) / max(np.linalg.norm(fd), 1e-12)
         worst = max(worst, rel)
@@ -258,30 +248,35 @@ def test_condition_validation_and_dedup():
         Condition.subset([3]).resolve(world)
     s = make_linear_schedule(5, 0.1, 0.2)
     with pytest.raises(ValueError):
-        noised_mixture(world, Condition.subset([2]), s, 1)
+        epsilon_oracle(world, Condition.subset([2]), s, np.zeros(2), 1)
 
 
 def test_score_dimension_mismatch():
-    m = NoisedMixture(means=np.zeros((1, 2)), cov_diags=np.ones((1, 2)), weights=np.array([1.0]))
+    world = GmmWorld(means=np.zeros((1, 2)), cov_diags=np.ones((1, 2)), weights=np.array([1.0]))
+    s = make_linear_schedule(5, 0.1, 0.2)
     with pytest.raises(ValueError):
-        log_density_and_score(m, np.zeros(3))
+        epsilon_oracle(world, Condition.null(), s, np.zeros(3), 1)
 
 
 def one_point_eps(world, cond, schedule, x, t):
     """The prediction at one point, each operation written out in the package's order."""
-    m = noised_mixture(world, cond, schedule, t)
-    diff = m.means - x[None, :]
+    ab = schedule.alpha_bar(t)
+    idx = cond.resolve(world)
+    means = np.sqrt(ab) * world.means[idx]
+    covs = ab * world.cov_diags[idx] + (1.0 - ab)
+    weights = world.weights[idx] / world.weights[idx].sum()
+    diff = means - x[None, :]
     log_comp = (
-        -0.5 * np.sum(diff * diff / m.cov_diags, axis=1)
-        - 0.5 * np.sum(np.log(m.cov_diags), axis=1)
-        - 0.5 * m.dim * np.log(2.0 * np.pi)
-        + np.log(m.weights)
+        -0.5 * np.sum(diff * diff / covs, axis=1)
+        - 0.5 * np.sum(np.log(covs), axis=1)
+        - 0.5 * world.dim * np.log(2.0 * np.pi)
+        + np.log(weights)
     )
     top = log_comp.max()
     log_density = top + np.log(np.sum(np.exp(log_comp - top)))
     resp = np.exp(log_comp - log_density)
-    score = np.sum(resp[:, None] * diff / m.cov_diags, axis=0)
-    return -np.sqrt(1.0 - schedule.alpha_bar(t)) * score, log_density
+    score = np.sum(resp[:, None] * diff / covs, axis=0)
+    return -np.sqrt(1.0 - ab) * score
 
 
 def test_batched_oracle_equals_row_by_row_exactly():
@@ -298,13 +293,10 @@ def test_batched_oracle_equals_row_by_row_exactly():
         X = rng.normal(scale=4.0, size=(int(rng.integers(1, 40)), world.dim))
         t = int(rng.integers(1, 21))
         eps = epsilon_oracle(world, cond, s, X, t)
-        logp, score = log_density_and_score(noised_mixture(world, cond, s, t), X)
-        assert eps.shape == score.shape == X.shape and logp.shape == (len(X),)
+        assert eps.shape == X.shape
         for i, x in enumerate(X):
-            expect, expect_logp = one_point_eps(world, cond, s, x, t)
-            assert np.array_equal(eps[i], expect)
+            assert np.array_equal(eps[i], one_point_eps(world, cond, s, x, t))
             assert np.array_equal(eps[i], epsilon_oracle(world, cond, s, x, t))
-            assert logp[i] == expect_logp
 
 
 def test_oracle_rejects_bad_batch_shapes():

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from guidelab.experiment import default_config, parse_config
 from guidelab.guidance import GuidanceConfig, branch_prediction
 from guidelab.oracle import Condition, GmmWorld, epsilon_oracle
 from guidelab.sampler import ancestral_coeffs, run_dual_batch, run_lockstep, run_single_batch
@@ -145,6 +146,46 @@ def test_np_with_matching_negative_collapses_to_conditional():
             np.testing.assert_array_equal(got, expect)
         for delta in tr.delta[:, 0]:
             np.testing.assert_array_equal(delta, np.zeros(2))
+
+
+@pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "stochastic"])
+@pytest.mark.parametrize("strategy", ["NP", "SDN"])
+def test_np_and_sdn_chains_equal_the_closed_form_replay(strategy, deterministic):
+    # two_well with "positive": "plausible" makes the positive and the negative condition one
+    # Gaussian each, with a shared covariance c. Each prediction is then closed form,
+    # eps_k(x, t) = sqrt(1 - ab_t) (x - sqrt(ab_t) mu_k) / (ab_t c + 1 - ab_t), and the replay
+    # below uses no oracle and no combine rule of the package. Betas and ab_t are formed from
+    # the raw config, apart from schedule.py; noise is drawn by the seeding contract.
+    raw = default_config()
+    raw["positive"] = "plausible"
+    raw["guidance"]["strategy"] = strategy
+    raw["run"].update(seeds={"count": 16, "base": 0}, deterministic=deterministic)
+    config = parse_config(raw)
+    batch = run_single_batch(config.world, config.positive_condition, config.negative_condition, config.schedule,
+                             config.guidance, config.seeds, deterministic)
+
+    comps, sched, g = raw["world"]["components"], raw["schedule"], raw["guidance"]
+    assert comps[0]["cov_diag"] == comps[1]["cov_diag"]
+    mu_pos, mu_neg, c = np.array(comps[0]["mean"]), np.array(comps[1]["mean"]), np.array(comps[0]["cov_diag"])
+    T = sched["num_steps"]
+    betas = np.linspace(sched["beta_start"], sched["beta_end"], T)
+    ab = np.cumprod(1.0 - betas)  # ab[t - 1] is alpha_bar_t
+    for i, seed in enumerate(config.seeds):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(2)
+        for t in range(T, 0, -1):
+            a, b = ab[t - 1], betas[t - 1]
+            eps_pos, eps_neg = (np.sqrt(1 - a) * (x - np.sqrt(a) * mu) / (a * c + 1 - a) for mu in (mu_pos, mu_neg))
+            delta = eps_pos - eps_neg
+            if strategy == "NP":
+                correction = g["w"] * delta
+            else:
+                correction = g["lambda"] * delta / (np.sqrt(delta @ delta) + g["eps_stab"])
+            x = x / np.sqrt(1 - b) - b / (np.sqrt(1 - b) * np.sqrt(1 - a)) * (eps_pos + correction)
+            if not deterministic:
+                x = x + np.sqrt(b) * rng.standard_normal(2)
+        got = batch.finals[i]
+        assert np.abs(got - x).max() <= 1e-12 * max(1.0, np.abs(x).max()), (seed, got, x)
 
 
 def test_cfg_unit_weight_equals_conditional_sampling():
