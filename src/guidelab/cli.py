@@ -25,7 +25,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from guidelab.config import ConfigError, config_hash, field, output_dir, read_config
+from guidelab.config import ConfigError, config_hash, field, output_dir, read_config, read_text
 
 __all__ = [
     "cmd_sample",
@@ -277,11 +277,8 @@ def cmd_par_generate(config_path, prompts_path, out_dir=None, mock=None, jobs=1,
     raw = read_config(config_path)
     out = output_dir(raw, out_dir)
     endpoint = _endpoint_from_config(raw, mock is not None)
-    try:
-        with open(prompts_path, encoding="utf-8") as fh:
-            prompts = [line.strip() for line in fh if line.strip()]
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"prompts file {prompts_path} is not valid UTF-8: {exc}") from None
+    # split on "\n" alone, as a file's lines are read: splitlines() would also split at form feeds and the like
+    prompts = [line.strip() for line in read_text(prompts_path, "prompts file").split("\n") if line.strip()]
     transport = MockTransport.from_dir(mock) if mock is not None else HttpTransport()
     # every input is read before the output directory is made, so a bad input leaves none behind
     out.mkdir(parents=True, exist_ok=True)

@@ -195,12 +195,12 @@ def load_config(path, out_dir=None, seed_base=None) -> ExperimentConfig:
     return parse_config(read_config(path), out_dir=out_dir, seed_base=seed_base)
 
 
-def _lockstep(config: ExperimentConfig, strategies, seeds, record: bool = True) -> list:
+def _lockstep(config: ExperimentConfig, strategies, seeds) -> list:
     """The strategies stepped over the seeds as one batch, with the config's world, conditions and knobs."""
     g = config.guidance
     cfgs = [GuidanceConfig(strategy=s, w=g.w, lambda_=g.lambda_, eps_stab=g.eps_stab) for s in strategies]
     return run_lockstep(config.world, config.positive_condition, config.negative_condition, config.schedule,
-                        cfgs, seeds, deterministic=config.deterministic, record=record)
+                        cfgs, seeds, deterministic=config.deterministic)
 
 
 def run_strategy(config: ExperimentConfig, strategy: str, seeds):
@@ -219,19 +219,18 @@ def strategy_comparison(config: ExperimentConfig) -> dict:
     """Counterfactual-mode mass per strategy over the config's seeds.
 
     Returns {strategy: {"mass_mean", "mass_stderr", "seeds", "finals"}}.
-    All five strategies step the seeds as one lockstep batch that keeps
-    only the final latents. The counterfactual label must be present in
-    config.mass_labels.
+    All five strategies step the seeds as one lockstep batch. The
+    counterfactual label must be present in config.mass_labels.
     """
     if config.negative_condition is None:
         raise ConfigError("comparison runs need a 'negative' condition binding")
     if "counterfactual" not in config.mass_labels:
         raise ConfigError("field 'mass_labels' must define a 'counterfactual' label for comparison runs")
     table = {}
-    for strategy, finals in zip(STRATEGIES, _lockstep(config, STRATEGIES, config.seeds, record=False)):
-        per_seed = (assign_labels(config.world, finals, config.mass_labels) == "counterfactual").astype(float)
+    for strategy, batch in zip(STRATEGIES, _lockstep(config, STRATEGIES, config.seeds)):
+        per_seed = (assign_labels(config.world, batch.finals, config.mass_labels) == "counterfactual").astype(float)
         n = len(per_seed)
         stderr = float(per_seed.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         table[strategy] = {"mass_mean": float(per_seed.mean()), "mass_stderr": stderr, "seeds": n,
-                           "finals": finals}
+                           "finals": batch.finals}
     return table

@@ -100,60 +100,71 @@ class Condition:
         return idx
 
 
-def _log_components(means: np.ndarray, covs: np.ndarray, weights: np.ndarray, x: np.ndarray) -> tuple:
-    """Offsets diff = mu_k - x (N, K, dim) and log w_k + log N(x; mu_k, diag(c_k)) (N, K) at x (dim,) or (N, dim)."""
+def _log_components(means: np.ndarray, covs: np.ndarray, x: np.ndarray) -> tuple:
+    """Offsets diff = mu_k - x (N, K, dim) and unweighted log N(x; mu_k, diag(c_k)) (N, K) at x (dim,) or (N, dim)."""
     diff = means - np.atleast_2d(x)[:, None, :]
-    log_comp = (
+    terms = (
         -0.5 * np.sum(diff * diff / covs, axis=2)
         - 0.5 * np.sum(np.log(covs), axis=1)
         - 0.5 * means.shape[1] * np.log(2.0 * np.pi)
-        + np.log(weights)
     )
-    return diff, log_comp
+    return diff, terms
 
 
-def _posterior(world: GmmWorld, cond: Condition, schedule: NoiseSchedule, x: np.ndarray, t: int) -> tuple:
-    """The conditioned mixture noised to step t, and its component posterior at x.
+def _posterior(world: GmmWorld, conds: tuple, schedule: NoiseSchedule, x: np.ndarray, t: int) -> tuple:
+    """Each condition's component posterior at x (dim,) or (N, dim) under the mixture noised to step t.
 
-    Component means scale by sqrt(alpha_bar_t); each diagonal variance
-    becomes alpha_bar_t * sigma^2 + (1 - alpha_bar_t). Subset conditions
-    renormalize the selected weights. The null condition and the
-    full-index subset share this code path, so they agree exactly.
-
-    x is one point (dim,) or a batch (N, dim). Gives the noised variances
-    (K, dim), the offsets diff = mu_k - x (N, K, dim) and the
-    responsibilities (N, K), normalized by a stable log-sum-exp. Every
-    row goes through the same operations in the same order, so a batch
-    row equals the one-point result bit for bit.
+    Means scale by sqrt(alpha_bar_t) and variances become
+    alpha_bar_t * sigma^2 + (1 - alpha_bar_t). One condition noises its
+    own components; several share all components' Gaussian terms, and
+    each distinct component set adds its renormalized log weights. Gives
+    each condition's component set as a key, and per distinct key the
+    noised variances (k, dim), offsets mu_k - x (N, k, dim) and
+    responsibilities (N, k). np.take keeps gathered columns C-ordered,
+    so every reduction adds in the one-condition order: a shared
+    posterior and a batch row equal the lone results bit for bit.
     """
     ab = schedule.alpha_bar(t)
-    idx = cond.resolve(world)
-    weights = world.weights[idx]
-    means = np.sqrt(ab) * world.means[idx]
-    covs = ab * world.cov_diags[idx] + (1.0 - ab)
+    idxs = [cond.resolve(world) for cond in conds]
+    comps = idxs[0] if len(idxs) == 1 else np.arange(world.num_components)
+    means = np.sqrt(ab) * world.means[comps]
+    covs = ab * world.cov_diags[comps] + (1.0 - ab)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != world.dim:
         raise ValueError(f"x shape {x.shape} incompatible with mixture dim {world.dim}")
-    diff, log_comp = _log_components(means, covs, weights / weights.sum(), x)
-    m = log_comp.max(axis=1, keepdims=True)
-    log_density = m + np.log(np.sum(np.exp(log_comp - m), axis=1, keepdims=True))
-    return covs, diff, np.exp(log_comp - log_density)
+    diff, terms = _log_components(means, covs, x)
+    keys = [tuple(idx.tolist()) for idx in idxs]
+    posteriors = {}
+    for key, idx in dict(zip(keys, idxs)).items():  # each distinct component set once
+        own_covs, own_diff, own_terms = (covs, diff, terms) if len(idx) == len(comps) else (
+            np.take(covs, idx, axis=0), np.take(diff, idx, axis=1), np.take(terms, idx, axis=1))
+        weights = world.weights[idx]
+        log_comp = own_terms + np.log(weights / weights.sum())
+        m = log_comp.max(axis=1, keepdims=True)
+        log_density = m + np.log(np.sum(np.exp(log_comp - m), axis=1, keepdims=True))
+        posteriors[key] = (own_covs, own_diff, np.exp(log_comp - log_density))
+    return keys, posteriors
 
 
-def epsilon_oracle(world: GmmWorld, cond: Condition, schedule: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
+def epsilon_oracle(world: GmmWorld, cond, schedule: NoiseSchedule, x: np.ndarray, t: int):
     """Bayes-optimal noise prediction for the conditioned world at (x, t).
 
     Uses the identity eps*(x, t) = -sqrt(1 - alpha_bar_t) * score of the
     noised conditional marginal, where the score is sum_k r_k (mu_k - x) / c_k.
     Deterministic and exact. x is one point (dim,) or a batch (N, dim);
-    the result has the same shape, and each batch row equals the
-    one-point result bit for bit.
+    each prediction has the same shape, and each batch row equals the
+    one-point result bit for bit. cond is one Condition, or a tuple of
+    them for a tuple of predictions from one evaluation of the mixture,
+    the same array for conditions that select the same components.
     """
-    covs, diff, resp = _posterior(world, cond, schedule, x, t)
-    score = np.sum(resp[:, :, None] * diff / covs, axis=1)
-    if np.ndim(x) == 1:
-        score = score[0]
-    return -np.sqrt(1.0 - schedule.alpha_bar(t)) * score
+    single = isinstance(cond, Condition)
+    keys, posteriors = _posterior(world, (cond,) if single else tuple(cond), schedule, x, t)
+    scale = -np.sqrt(1.0 - schedule.alpha_bar(t))
+    eps = {}
+    for key, (covs, diff, resp) in posteriors.items():
+        score = np.sum(resp[:, :, None] * diff / covs, axis=1)
+        eps[key] = scale * (score[0] if np.ndim(x) == 1 else score)
+    return eps[keys[0]] if single else tuple(eps[key] for key in keys)
 
 
 def epsilon_jacobian(world: GmmWorld, cond: Condition, schedule: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
@@ -166,7 +177,7 @@ def epsilon_jacobian(world: GmmWorld, cond: Condition, schedule: NoiseSchedule, 
     """
     if np.ndim(x) != 1:
         raise ValueError(f"epsilon_jacobian takes one point of shape (dim,), got shape {np.shape(x)}")
-    covs, diff, resp = _posterior(world, cond, schedule, x, t)
+    (covs, diff, resp), = _posterior(world, (cond,), schedule, x, t)[1].values()
     r = resp[0]
     s_k = diff[0] / covs
     s = r @ s_k
@@ -180,8 +191,8 @@ def assign_components(world: GmmWorld, samples: np.ndarray) -> np.ndarray:
     Hard argmax of log w_k + log N(x; mu_k, diag(sigma_k^2)) on the
     un-noised world.
     """
-    _, log_comp = _log_components(world.means, world.cov_diags, world.weights, samples)
-    return np.argmax(log_comp, axis=1)
+    _, terms = _log_components(world.means, world.cov_diags, samples)
+    return np.argmax(terms + np.log(world.weights), axis=1)
 
 
 def assign_labels(world: GmmWorld, samples: np.ndarray, label_sets: dict) -> np.ndarray:

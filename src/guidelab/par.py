@@ -20,6 +20,8 @@ from datetime import datetime, timezone
 from functools import partial
 from typing import Callable
 
+from guidelab.config import read_text
+
 __all__ = [
     "ANALYSIS_MARKER",
     "COUNTERFACTUAL_MARKER",
@@ -284,27 +286,6 @@ def validate_record(rec: CounterfactualRecord) -> list:
     return reasons
 
 
-def _read_text(path: str) -> str:
-    """The file's text as open(path, encoding="utf-8").read() returns it: strict UTF-8, CRLF and CR read as LF.
-
-    Raw reads skip the io stack's buffer and decoder set-up, which took
-    most of the time of loading a few thousand small fixture files; the
-    64 KiB read size keeps each call's buffer allocation cheap.
-    """
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        chunks = []
-        while chunk := os.read(fd, 65536):
-            chunks.append(chunk)
-    finally:
-        os.close(fd)
-    try:
-        text = b"".join(chunks).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"fixture {path} is not valid UTF-8: {exc}") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
 class MockTransport:
     """Canned responses keyed by user prompt, for offline runs and tests."""
 
@@ -321,8 +302,8 @@ class MockTransport:
             response_name = name[:-len(".prompt.txt")] + ".response.txt"
             if response_name not in names:
                 raise FileNotFoundError(f"fixture {name} has no matching response file")
-            prompt = _read_text(os.path.join(path, name)).strip()
-            responses[prompt] = _read_text(os.path.join(path, response_name))
+            prompt = read_text(os.path.join(path, name), "fixture").strip()
+            responses[prompt] = read_text(os.path.join(path, response_name), "fixture")
         if not responses:
             raise FileNotFoundError(f"no *.prompt.txt fixtures found in {path}")
         return cls(responses)

@@ -8,10 +8,10 @@ combined prediction and the minus branch on its own, so it stays a
 clean sample of the negative condition.
 
 One lockstep loop steps any set of strategies over the same seeds, all
-latents as rows of one array, with one oracle call per condition per
-step. Rows never mix, so a seed's path is bit for bit its path in a
-one-strategy, one-seed run; run_single_batch and run_dual_batch are
-one-strategy calls of the loop.
+latents as rows of one array, with one oracle call per step. Rows never
+mix, so a seed's path is bit for bit its path in a one-strategy,
+one-seed run; run_single_batch and run_dual_batch are one-strategy
+calls of the loop.
 
 Seeding contract: rng = numpy.random.default_rng(seed) for each seed;
 the initial latent x_T is the first draw. Deterministic mode draws
@@ -45,10 +45,6 @@ __all__ = [
     "run_single_batch",
     "run_dual_batch",
 ]
-
-# The conditions the oracle evaluates on each kind of latent block.
-_CONDITIONS = {"CFG": ("pos", "null"), "NP": ("pos", "neg"), "SDN": ("pos", "neg"),
-               "plus": ("pos", "null"), "minus": ("neg", "null")}
 
 # The combine rule of each strategy with a negative side, as (positive, negative, config) -> prediction.
 _COMBINE = {
@@ -129,15 +125,14 @@ def run_lockstep(
     cfgs: list,
     seeds,
     deterministic: bool = True,
-    record: bool = True,
 ) -> list:
     """Step the strategies of cfgs over the same seeds as one stacked batch.
 
     Gives one result per config, in order: a TrajectoryBatch for
-    CFG/NP/SDN, a DualTrajectoryBatch for TDD_ONLY/SDG, or with
-    record=False just the (N, dim) final latents (a dual strategy's plus
-    branch). CFG ignores p_neg. A latent that goes non-finite is a
-    ValueError naming the strategy and the step t.
+    CFG/NP/SDN, a DualTrajectoryBatch for TDD_ONLY/SDG. CFG ignores
+    p_neg. One oracle call per step predicts, on every row, the positive
+    condition, the null one if read and the negative one if bound. A latent
+    that goes non-finite is a ValueError naming the strategy and the step t.
     """
     for cfg in cfgs:
         if cfg.strategy != "CFG" and p_neg is None:
@@ -150,24 +145,21 @@ def run_lockstep(
     # block j (rows j*n to (j+1)*n) holds one strategy's latents, or one branch of a dual strategy
     blocks = [(cfg, kind) for cfg in cfgs for kind in (("plus", "minus") if cfg.strategy in ("TDD_ONLY", "SDG")
                                                        else (cfg.strategy,))]
+    # the null prediction is made when a CFG latent or a dual branch reads it, the negative one when bound
+    null = None if all(cfg.strategy in ("NP", "SDN") for cfg in cfgs) else Condition.null()
+    conditions = {c: cond for c, cond in (("pos", p_plus), ("null", null), ("neg", p_neg)) if cond is not None}
     x = _draw(rngs, len(blocks), world.dim)
-    conditions = {"pos": p_plus, "null": Condition.null(), "neg": p_neg}
-    rows = {c: np.flatnonzero(np.repeat([c in _CONDITIONS[kind] for _, kind in blocks], n)) for c in conditions}
-    rows = {c: idx for c, idx in rows.items() if len(idx)}
     # a minus branch records nothing itself: its predictions are its plus branch's eps_neg
     records = [{name: np.empty((T, n, world.dim))
                 for name in ("eps_pos", "correction") + (() if kind == "CFG" else ("eps_neg", "delta"))}
-               if record and kind != "minus" else None for _, kind in blocks]
-    states = np.empty((T + 1,) + x.shape) if record else None
+               if kind != "minus" else None for _, kind in blocks]
+    states = np.empty((T + 1,) + x.shape)
     # an overflowing guidance scale surfaces as the named non-finite error below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for i, t in enumerate(range(T, 0, -1)):
-            if record:
-                states[i] = x
+            states[i] = x
             a_t, b_t, sigma_t = ancestral_coeffs(schedule, t, deterministic)
-            eps = {c: np.empty_like(x) for c in rows}
-            for c, idx in rows.items():
-                eps[c][idx] = epsilon_oracle(world, conditions[c], schedule, x[idx], t)
+            eps = dict(zip(conditions, epsilon_oracle(world, tuple(conditions.values()), schedule, x, t)))
             step = np.empty_like(x)  # the prediction each row advances on
             for j, ((cfg, kind), rec) in enumerate(zip(blocks, records)):
                 r, m = slice(j * n, (j + 1) * n), slice((j + 1) * n, (j + 2) * n)
@@ -193,8 +185,6 @@ def run_lockstep(
             bad = dict.fromkeys(blocks[row // n][0].strategy for row in np.flatnonzero(~np.isfinite(x).all(axis=1)))
             if bad:
                 raise ValueError(f"sampling under {', '.join(bad)} went non-finite at step t={t}")
-    if not record:
-        return [x[j * n:(j + 1) * n] for j, (_, kind) in enumerate(blocks) if kind != "minus"]
     states[T] = x
     results = []
     for j, ((cfg, kind), rec) in enumerate(zip(blocks, records)):

@@ -145,6 +145,25 @@ def test_cli_names_a_config_file_that_is_not_utf8(tmp_path, capsys):
     assert err[0].startswith(f"schedule-dump: error: config file {path} is not valid UTF-8: ")
 
 
+def test_cli_names_an_input_that_is_a_directory(tmp_path, capsys):
+    # The config, the prompts file and the fixtures share one reader, and
+    # its error must name the path, as open() does: a raw os.read of a
+    # directory fails with "[Errno 21] Is a directory" and no name.
+    config = write_config(tmp_path, small_config())
+    fixtures = tmp_path / "fixtures"
+    (fixtures / "dir.response.txt").mkdir(parents=True)
+    (fixtures / "dir.prompt.txt").write_text("a prompt\n")
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("a prompt\n")
+    for argv, named in ((["schedule-dump", "--config", str(tmp_path)], tmp_path),
+                        (["par-generate", "--config", str(config), str(tmp_path), "--mock", str(FIXTURES)], tmp_path),
+                        (["par-generate", "--config", str(config), str(prompts), "--mock", str(fixtures)],
+                         fixtures / "dir.response.txt")):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"{argv[0]}: error: [Errno 21] Is a directory: '{named}'"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_default_config_is_the_shipped_demo_config():
     assert default_config() == json.loads(DEMO_CONFIG.read_text())
 
@@ -879,6 +898,21 @@ def test_cmd_par_generate_bad_input_leaves_no_output_directory(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_cmd_par_generate_splits_prompts_at_line_ends_only(tmp_path, monkeypatch):
+    # Prompts are split at "\n" (CRLF and CR read as LF), as a file's
+    # lines are read; str.splitlines would also split a prompt at a form
+    # feed, a file separator, NEL or U+2028.
+    import guidelab.par
+
+    seen = []
+    monkeypatch.setattr(guidelab.par, "generate_batch", lambda endpoint, prompts, *a, **k: seen.extend(prompts) or [])
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_bytes("one\x0cprompt\u2028still\x1cone\x85\r\nsecond\rthird\n\n".encode("utf-8"))
+    assert cmd_par_generate(write_config(tmp_path, small_config()), prompts, out_dir=tmp_path / "out",
+                            mock=FIXTURES) == 0
+    assert seen == ["one\x0cprompt\u2028still\x1cone", "second", "third"]
+
+
 class CountingStdout:
     """A stdout stand-in that keeps each write."""
 
@@ -1008,17 +1042,17 @@ def oracle_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("command, strategy, expected", [
-    (cmd_compare_guidance, "SDG", 150),
-    (cmd_sample, "SDG", 150),
-    (cmd_sample, "NP", 100),
-    (cmd_diagnose_lag, "NP", 150),
+    (cmd_compare_guidance, "SDG", 50),
+    (cmd_sample, "SDG", 50),
+    (cmd_sample, "NP", 50),
+    (cmd_diagnose_lag, "NP", 100),
 ])
 def test_oracle_call_budget(tmp_path, oracle_calls, command, strategy, expected):
-    # One oracle call per condition per step over all seeds and strategies
-    # at once: compare-guidance steps all five strategies in lockstep
-    # (positive, null and negative: 3 x 50), a dual strategy asks for the
-    # null prediction of both branches in one call, and diagnose-lag adds
-    # one call per step for the decoupled reference chain.
+    # One oracle call per step over all seeds, strategies and conditions
+    # at once: compare-guidance steps all five strategies in lockstep and
+    # asks for the positive, null and negative predictions in one call
+    # (50), and diagnose-lag adds one call per step for the decoupled
+    # reference chain.
     raw = json.loads(DEMO_CONFIG.read_text())
     raw["guidance"]["strategy"] = strategy
     assert command(write_config(tmp_path, raw), out_dir=tmp_path / "out") == 0

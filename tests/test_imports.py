@@ -21,13 +21,13 @@ from test_par import FIXTURES
 SRC = Path(guidelab.__file__).parents[1]
 SUBMODULES = sorted(f"guidelab.{m.name}" for m in pkgutil.iter_modules(guidelab.__path__))
 
-# Prints which guidelab modules and whether numpy and orjson were loaded, as the last line of stdout.
-LOADED = "import json, sys; print(json.dumps({'numpy': 'numpy' in sys.modules, 'orjson': 'orjson' in sys.modules, " \
+# Prints which guidelab modules and whether numpy, numpy.ma and orjson were loaded, as the last line of stdout.
+LOADED = "import json, sys; print(json.dumps({**{m: m in sys.modules for m in ('numpy', 'numpy.ma', 'orjson')}, " \
          "'guidelab': sorted(m for m in sys.modules if m.startswith('guidelab'))}))"
 
 
 def loaded_after(code):
-    """{'numpy': bool, 'orjson': bool, 'guidelab': [module names]} after running code in a fresh interpreter."""
+    """{'numpy': bool, 'numpy.ma': bool, 'orjson': bool, 'guidelab': [module names]} after code in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", f"{code}\n{LOADED}"], capture_output=True, text=True,
                          check=True, env=env)
@@ -65,6 +65,8 @@ def test_sampling_commands_leave_par_and_diagnostics_unloaded(tmp_path, command)
     assert "guidelab.diagnostics" not in loaded["guidelab"]
     # only sample's trajectory writer encodes with orjson
     assert loaded["orjson"] == (command == "sample")
+    # numpy's set operations (np.unique and kin) import numpy.ma, a start-up cost no sampling command needs
+    assert not loaded["numpy.ma"]
 
 
 def test_diagnose_lag_leaves_orjson_unloaded(tmp_path):
@@ -73,6 +75,7 @@ def test_diagnose_lag_leaves_orjson_unloaded(tmp_path):
     loaded = after_main(["diagnose-lag", "--config", str(write_config(tmp_path, raw)), "--out", str(tmp_path / "out")])
     assert "guidelab.diagnostics" in loaded["guidelab"]
     assert not loaded["orjson"]
+    assert not loaded["numpy.ma"]
 
 
 @pytest.mark.parametrize("module", SUBMODULES)

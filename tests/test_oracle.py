@@ -299,6 +299,51 @@ def test_batched_oracle_equals_row_by_row_exactly():
             assert np.array_equal(eps[i], epsilon_oracle(world, cond, s, x, t))
 
 
+def subset_eps(world, cond, schedule, x, t):
+    """The prediction at x (dim,) or (N, dim) from the condition's own C-ordered means, variances and weights."""
+    ab = schedule.alpha_bar(t)
+    idx = cond.resolve(world)
+    means = np.ascontiguousarray(np.sqrt(ab) * world.means[idx])
+    covs = np.ascontiguousarray(ab * world.cov_diags[idx] + (1.0 - ab))
+    weights = world.weights[idx] / world.weights[idx].sum()
+    diff = means - np.atleast_2d(x)[:, None, :]
+    log_comp = (
+        -0.5 * np.sum(diff * diff / covs, axis=2)
+        - 0.5 * np.sum(np.log(covs), axis=1)
+        - 0.5 * world.dim * np.log(2.0 * np.pi)
+        + np.log(weights)
+    )
+    top = log_comp.max(axis=1, keepdims=True)
+    log_density = top + np.log(np.sum(np.exp(log_comp - top), axis=1, keepdims=True))
+    resp = np.exp(log_comp - log_density)
+    score = np.sum(resp[:, :, None] * diff / covs, axis=1)
+    return -np.sqrt(1.0 - ab) * (score[0] if np.ndim(x) == 1 else score)
+
+
+@pytest.mark.parametrize("num_components, sizes", [(8, (1, 3, 4, 8)), (12, (8, 9, 12))])
+def test_shared_evaluation_equals_each_condition_alone_exactly(num_components, sizes):
+    # A tuple of conditions shares one evaluation of every component's
+    # Gaussian terms; each prediction must still equal the one computed
+    # from that condition's own components alone, bit for bit. The world
+    # is 16-D, and the 12-component one gathers subsets of 8 and more, so
+    # each reduction adds enough terms for its order to depend on memory
+    # layout: a gather that leaves columns F-ordered shows.
+    rng = np.random.default_rng(num_components)
+    world = random_world(rng, dim=16, num_components=num_components)
+    s = make_linear_schedule(50, 0.03, 0.10)
+    conds = tuple(Condition.subset(rng.choice(num_components, size=k, replace=False)) for k in sizes)
+    conds += (Condition.null(),)
+    for x in (rng.normal(scale=4.0, size=16), rng.normal(scale=4.0, size=(64, 16))):
+        for t in (1, 25, 50):
+            want = [subset_eps(world, cond, s, x, t) for cond in conds]
+            got = epsilon_oracle(world, conds, s, x, t)
+            assert len(got) == len(conds)
+            for cond, g, w in zip(conds, got, want):
+                assert g.shape == x.shape
+                assert np.array_equal(g, w), (cond, t, x.shape)
+                assert np.array_equal(epsilon_oracle(world, cond, s, x, t), w), (cond, t, x.shape)
+
+
 def test_oracle_rejects_bad_batch_shapes():
     world = GmmWorld(means=np.zeros((2, 2)), cov_diags=np.ones((2, 2)), weights=np.array([0.5, 0.5]))
     s = make_linear_schedule(5, 0.1, 0.2)

@@ -6,6 +6,7 @@ compare states bit-for-bit, which pins the exact seeding and noise
 draw order, not just approximate agreement.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -186,6 +187,45 @@ def test_np_and_sdn_chains_equal_the_closed_form_replay(strategy, deterministic)
                 x = x + np.sqrt(b) * rng.standard_normal(2)
         got = batch.finals[i]
         assert np.abs(got - x).max() <= 1e-12 * max(1.0, np.abs(x).max()), (seed, got, x)
+
+
+@pytest.mark.parametrize("strategy, scale, exact", [("NP", 1.0, 0.074), ("SDN", 0.3, 0.105)])
+def test_np_and_sdn_counterfactual_mass_equals_the_exact_expectation(strategy, scale, exact):
+    # Two unit-variance components at (+-0.5, 0), positive {0}, negative {1}:
+    # each noised condition is one unit Gaussian, so eps_pos is affine in x
+    # and delta = sqrt(1 - ab) sqrt(ab) (mu_neg - mu_pos) does not depend
+    # on x. Each stochastic NP or SDN step is then an affine map of x_1
+    # plus Gaussian noise, and x_1 at t = 0 is Gaussian with a mean and
+    # variance from a scalar recursion. The counterfactual mass is the
+    # chance x_1 lands past the bisecting hyperplane x_1 = 0: Phi(m / sqrt(v)).
+    # (two_well cannot serve here: with positive "plausible" its mass is
+    # 0 for every w >= 0.)
+    mu_pos, mu_neg = -0.5, 0.5
+    world = GmmWorld(means=np.array([[mu_pos, 0.0], [mu_neg, 0.0]]), cov_diags=np.ones((2, 2)),
+                     weights=np.array([0.5, 0.5]))
+    T, eps_stab = 50, 1e-8
+    betas = np.linspace(0.03, 0.10, T)
+    ab = np.cumprod(1.0 - betas)  # ab[t - 1] is alpha_bar_t
+    m, v = 0.0, 1.0  # x_T is a unit Gaussian
+    for t in range(T, 0, -1):
+        a, b = ab[t - 1], betas[t - 1]
+        delta = np.sqrt(1 - a) * np.sqrt(a) * (mu_neg - mu_pos)  # delta_1; delta_2 is 0
+        correction = scale * delta if strategy == "NP" else scale * delta / (abs(delta) + eps_stab)
+        # x_1 <- x_1 / sqrt(1 - b) + coef * (eps_pos_1 + correction) + sqrt(b) eta,
+        # with eps_pos_1 = sqrt(1 - a) (x_1 - sqrt(a) mu_pos)
+        coef = -b / (np.sqrt(1 - b) * np.sqrt(1 - a))
+        slope = 1 / np.sqrt(1 - b) + coef * np.sqrt(1 - a)
+        m = slope * m + coef * (correction - np.sqrt(1 - a) * np.sqrt(a) * mu_pos)
+        v = slope * slope * v + b
+    expected = 0.5 * (1 + math.erf(m / np.sqrt(v) / np.sqrt(2)))
+    assert expected == pytest.approx(exact, abs=5e-4)
+
+    cfg = GuidanceConfig(strategy, w=scale) if strategy == "NP" else GuidanceConfig(strategy, lambda_=scale)
+    batch = run_single_batch(world, Condition.subset([0]), Condition.subset([1]), make_linear_schedule(T, 0.03, 0.10),
+                             cfg, range(64), deterministic=False)
+    mass = np.mean(batch.finals[:, 0] > 0)
+    stderr = np.sqrt(expected * (1 - expected) / 64)
+    assert abs(mass - expected) <= 4 * stderr, (mass, expected, (mass - expected) / stderr)
 
 
 def test_cfg_unit_weight_equals_conditional_sampling():
@@ -385,13 +425,12 @@ def wide_world(seed):
 def test_lockstep_equals_solo_runs(world, plus, neg, seeds, deterministic):
     # All five strategies stepped as one stacked batch: every recorded
     # array of each strategy, both branches of the dual ones, must equal
-    # that strategy's solo run bit for bit, and the record=False finals
-    # must equal the recorded ones.
+    # that strategy's solo run bit for bit, and so must the finals that
+    # strategy_comparison reads (a dual strategy's plus branch).
     s = make_linear_schedule(50, 0.03, 0.10)
     cfgs = [GuidanceConfig(strategy) for strategy in ("CFG", "NP", "SDN", "TDD_ONLY", "SDG")]
     together = run_lockstep(world, plus, neg, s, cfgs, seeds, deterministic=deterministic)
-    finals = run_lockstep(world, plus, neg, s, cfgs, seeds, deterministic=deterministic, record=False)
-    for cfg, batch, final in zip(cfgs, together, finals):
+    for cfg, batch in zip(cfgs, together):
         if cfg.strategy in ("CFG", "NP", "SDN"):
             alone = run_single_batch(world, plus, neg, s, cfg, seeds, deterministic=deterministic)
             pairs = [(batch, alone)]
@@ -405,7 +444,7 @@ def test_lockstep_equals_solo_runs(world, plus, neg, seeds, deterministic):
                 a, b = getattr(got, name), getattr(want, name)
                 assert (a is None) == (b is None), (cfg.strategy, name)
                 assert a is None or np.array_equal(a, b), (cfg.strategy, name)
-        assert np.array_equal(final, batch.finals)
+        assert np.array_equal(batch.finals, alone.finals)
 
 
 def test_lockstep_rejects_non_finite_latents():
