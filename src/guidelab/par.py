@@ -11,8 +11,8 @@ instead of the corpus.
 """
 
 import json
+import math
 import os
-import re
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -56,24 +56,6 @@ _STOP_WORDS = frozenset(
     through during before after again more most other only own same so too can will
     just should now""".split()
 )
-
-_VIOLATION_MARKERS = (
-    "without",
-    "instead",
-    "instantly",
-    "never",
-    "no ",
-    "not ",
-    "despite",
-    "from the start",
-    "from the beginning",
-    "remains",
-    "already",
-    "spontaneously",
-    "reverses",
-    "defies",
-)
-
 
 class FormatViolation(ValueError):
     """Raised when a response does not follow the strict output format.
@@ -143,6 +125,8 @@ class LlmEndpointConfig:
     max_retries: int = 2
 
     def __post_init__(self):
+        if not math.isfinite(self.timeout):
+            raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
         if self.timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
         if self.max_retries < 0:
@@ -233,14 +217,14 @@ def parse_response(
         elif stripped == COUNTERFACTUAL_MARKER:
             break
         else:
-            for label in SUBFIELD_LABELS:
-                if stripped.startswith(label):
-                    current = label
-                    found[label] = stripped[len(label):].strip()
-                    break
-            else:
-                if current is not None and stripped:
-                    found[current] = (found[current] + "\n" + stripped).strip()
+            # a line starts with a label exactly when its text through the first colon is one:
+            # each label's one colon is its last character
+            label = stripped[:stripped.find(":") + 1]
+            if label in SUBFIELD_LABELS:
+                current = label
+                found[label] = stripped[len(label):].strip()
+            elif current is not None and stripped:
+                found[current] = (found[current] + "\n" + stripped).strip()
     else:
         raise FormatViolation(COUNTERFACTUAL_MARKER if started else ANALYSIS_MARKER)
     for label in SUBFIELD_LABELS:
@@ -254,12 +238,23 @@ def parse_response(
     return CounterfactualRecord(user_prompt, analysis, counterfactual, model_id, created_at)
 
 
-# a maximal run of characters for which str.isalnum() is true
-_WORD = re.compile(r"[^\W_]+")
+class _Separators(dict):
+    """A str.translate table that keeps alphanumeric characters and maps every other one to a space.
+
+    Each code point's entry is worked out on first use and stored.
+    """
+
+    def __missing__(self, c: int) -> int:
+        self[c] = c if chr(c).isalnum() else 32
+        return self[c]
+
+
+_SEPARATORS = _Separators()
 
 
 def _words(text: str) -> list:
-    return _WORD.findall(text.lower())
+    """The maximal runs of characters for which str.isalnum() is true, in the lowercased text."""
+    return text.lower().translate(_SEPARATORS).split()
 
 
 def validate_record(rec: CounterfactualRecord) -> list:
@@ -267,21 +262,15 @@ def validate_record(rec: CounterfactualRecord) -> list:
 
     Checks, each failure given as "name: reason" in this order:
     entity_overlap (the counterfactual shares at least one content word
-    with the user prompt), violation_marker (it carries a
-    negation/violation marker or at least differs from a naive
-    restatement), non_repetition (it does not repeat the user prompt).
-    Never raises.
+    with the user prompt), non_repetition (its words are not the user
+    prompt's words). Never raises.
     """
     prompt_words = _words(rec.user_prompt)
     cf_words = _words(rec.counterfactual)
     reasons = []
-    # only the prompt's words need the content-word filter: a word that passes it passes on both sides
-    if not {w for w in prompt_words if len(w) > 2 and w not in _STOP_WORDS}.intersection(cf_words):
+    if not any(len(w) > 2 and w not in _STOP_WORDS for w in set(prompt_words).intersection(cf_words)):
         reasons.append("entity_overlap: no shared content words")
     if prompt_words == cf_words:
-        cf_lower = rec.counterfactual.lower()
-        if not any(m in cf_lower for m in _VIOLATION_MARKERS):
-            reasons.append("violation_marker: restates the prompt with no violation cue")
         reasons.append("non_repetition: counterfactual repeats the user prompt")
     return reasons
 
@@ -344,9 +333,12 @@ class HttpTransport:
             raise TransportError(f"endpoint returned status {resp.status_code}: {resp.text[:200]}",
                                  retryable=not client_error)
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            content = resp.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed completion payload: {exc}") from exc
+        if not isinstance(content, str):
+            raise TransportError(f"malformed completion payload: content is {type(content).__name__}, not a string")
+        return content
 
 
 def _utc_now() -> str:
@@ -355,6 +347,10 @@ def _utc_now() -> str:
 
 # The failures a generation call can end in; each class names its status.
 _FAILURES = (TransportError, FormatViolation, ValidationFailure)
+
+
+# json.dumps(obj, sort_keys=True) without building a new encoder for every line
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def _appender(path, stack: ExitStack) -> Callable:
@@ -367,7 +363,7 @@ def _appender(path, stack: ExitStack) -> Callable:
             return
         if fh is None:
             fh = stack.enter_context(open(path, "a"))
-        fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        fh.write(_encode(obj) + "\n")
         fh.flush()
 
     return append

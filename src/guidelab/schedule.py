@@ -51,9 +51,6 @@ def make_linear_schedule(num_steps: int, beta_start: float, beta_end: float) -> 
     for name, b in (("beta_start", beta_start), ("beta_end", beta_end)):
         if not 0.0 < b < 1.0:
             raise ValueError(f"{name} must lie in (0, 1), got {b}")
-    if num_steps == 1:
-        betas = np.array([beta_start], dtype=np.float64)
-    else:
-        betas = np.linspace(beta_start, beta_end, num_steps, dtype=np.float64)
+    betas = np.linspace(beta_start, beta_end, num_steps, dtype=np.float64)
     alpha_bars = np.cumprod(1.0 - betas)
     return NoiseSchedule(num_steps=num_steps, betas=betas, alpha_bars=alpha_bars)

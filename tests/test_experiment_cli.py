@@ -800,6 +800,20 @@ def test_cmd_par_generate_rejects_incomplete_endpoint(tmp_path, capsys, par, moc
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("literal, shown", [("NaN", "nan"), ("Infinity", "inf"), ("1e999", "inf")])
+def test_cmd_par_generate_rejects_a_non_finite_timeout(tmp_path, capsys, literal, shown):
+    # json reads all three literals as floats, and a NaN or infinite timeout used to be accepted.
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"par": {{"timeout": {literal}}}, "output": {{"directory": {json.dumps(str(out))}}}}}')
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text((FIXTURES / "butter.prompt.txt").read_text().strip() + "\n")
+    assert main(["par-generate", "--config", str(path), str(prompts), "--mock", str(FIXTURES)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"par-generate: error: field 'par' invalid: timeout must be finite and > 0, got {shown}"]
+    assert not out.exists()
+
+
 def test_cmd_par_generate_rejects_non_mapping_endpoint(tmp_path, capsys):
     # "par": 5 used to end in an AttributeError traceback.
     path = write_config(tmp_path, {"par": 5, "output": {"directory": str(tmp_path / "out")}})

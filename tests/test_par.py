@@ -8,6 +8,8 @@ monkeypatched requests.post, never a live socket.
 import hashlib
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -272,10 +274,7 @@ def test_validate_rejects_repetition():
         analysis=Analysis("a", "b", "c", "d"),
         counterfactual="A ball rolls down a ramp.",
     )
-    assert validate_record(rec) == [
-        "violation_marker: restates the prompt with no violation cue",
-        "non_repetition: counterfactual repeats the user prompt",
-    ]
+    assert validate_record(rec) == ["non_repetition: counterfactual repeats the user prompt"]
 
 
 def test_validate_rejects_disjoint_vocabulary():
@@ -291,9 +290,112 @@ def test_validate_never_throws():
     rec = CounterfactualRecord(user_prompt="", analysis=Analysis("", "", "", ""), counterfactual="")
     assert validate_record(rec) == [
         "entity_overlap: no shared content words",
-        "violation_marker: restates the prompt with no violation cue",
         "non_repetition: counterfactual repeats the user prompt",
     ]
+
+
+# code points around the edges of str.isalnum and str.lower: Latin-1 and Latin Extended (İ, ß, controls,
+# "_"), the Kelvin sign, a combining dot above, CJK, Arabic-Indic digits, fullwidth forms, a line separator
+WORD_ALPHABET = [chr(c) for c in (*range(0x250), 0x212A, 0x307, *range(0x4E00, 0x4E08), *range(0x660, 0x66A),
+                                  *range(0xFF10, 0xFF1A), *range(0xFF21, 0xFF27), 0xFF3F, 0xFF5E, 0x2028)]
+
+
+def test_words_split_where_the_alnum_regex_does():
+    rng = random.Random(17)
+    for _ in range(10_000):
+        text = "".join(rng.choices(WORD_ALPHABET, k=rng.randrange(24)))
+        assert par._words(text) == re.findall(r"[^\W_]+", text.lower()), repr(text)
+
+
+def parse_response_by_prefix(text, user_prompt="", model_id="", created_at=""):
+    """parse_response with each label found by str.startswith: the reference for its lookup by the text through
+    the first colon."""
+    lines = text.splitlines()
+    found, current, started = {}, None, False
+    for c, line in enumerate(lines):
+        stripped = line.strip()
+        if not started:
+            started = stripped == ANALYSIS_MARKER
+        elif stripped == COUNTERFACTUAL_MARKER:
+            break
+        else:
+            for label in SUBFIELD_LABELS:
+                if stripped.startswith(label):
+                    current = label
+                    found[label] = stripped[len(label):].strip()
+                    break
+            else:
+                if current is not None and stripped:
+                    found[current] = (found[current] + "\n" + stripped).strip()
+    else:
+        raise FormatViolation(COUNTERFACTUAL_MARKER if started else ANALYSIS_MARKER)
+    for label in SUBFIELD_LABELS:
+        if not found.get(label):
+            detail = "subfield present but empty" if label in found else "subfield absent from analysis section"
+            raise FormatViolation(label.rstrip(":"), detail)
+    counterfactual = "\n".join(lines[c + 1:]).strip()
+    if not counterfactual:
+        raise FormatViolation("counterfactual", "section present but empty")
+    analysis = Analysis(*(found[label] for label in SUBFIELD_LABELS))
+    return CounterfactualRecord(user_prompt, analysis, counterfactual, model_id, created_at)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text, user_prompt="p", model_id="m", created_at="t")
+    except FormatViolation as exc:
+        return ("FormatViolation", exc.missing, str(exc))
+
+
+# reply lines that sit near a label: no space, a space before the colon, a second colon, lowercase,
+# a label in the middle of a line, no colon at all, blank and padded lines
+NEAR_LABEL_LINES = (
+    "Entities:x", "Entities :x", "Entities: a, b", "entities: x", "ENTITIES: x", "Entities", "the Entities: x",
+    "Environment:", "Environment: a room", "Environment;x", " Environment:  y ", "Interactions: z", "Interactions",
+    "Interactions:Entities: z", "Temporal evolution: a: b", "Temporal evolution:", "Temporal evolution x",
+    "Temporal  evolution: w", "temporal evolution: w", "note: Temporal evolution: w", "Temporal evolution:: w",
+    "no colon here", ":", "", "   ", "\t Entities: tabbed", "[ANALYSIS]", "[COUNTERFACTUAL]", "a counterfactual",
+)
+
+
+def test_parse_response_equals_the_prefix_loop_on_perturbed_replies():
+    rng = random.Random(5)
+    base = render_record(CounterfactualRecord("p", Analysis("x", "y", "z", "w"), "cf")).split("\n")
+    for _ in range(3000):
+        lines = list(base)
+        for _ in range(rng.randrange(1, 6)):
+            edit = rng.randrange(3)
+            if edit == 0 and lines:
+                del lines[rng.randrange(len(lines))]
+            elif edit == 1 and lines:
+                lines[rng.randrange(len(lines))] = rng.choice(NEAR_LABEL_LINES)
+            else:
+                lines.insert(rng.randrange(len(lines) + 1), rng.choice(NEAR_LABEL_LINES))
+        text = "\n".join(lines)
+        assert parse_outcome(parse_response, text) == parse_outcome(parse_response_by_prefix, text), text
+
+
+def test_subfield_labels_end_at_their_only_colon():
+    # parse_response finds a line's label from its text through the first colon, which is exact only so
+    for label in SUBFIELD_LABELS:
+        assert label.count(":") == 1 and label.endswith(":"), label
+
+
+def test_records_are_written_as_json_dumps_with_sorted_keys(tmp_path):
+    restated = "Une bougie fond sur la table, café 水 \u00e9t\u00e9."
+    transport = MockTransport.from_dir(FIXTURES)
+    transport.responses[restated] = render_record(
+        CounterfactualRecord(restated, Analysis("une bougie", "la table", "chaleur", "fond"), restated))
+    transport.responses["A ball rolls down a ramp."] = HOLLOW_RESPONSE
+    corpus, quarantine = tmp_path / "corpus.jsonl", tmp_path / "quarantine.jsonl"
+    results = generate_batch(endpoint(), FIXTURE_PROMPTS + [restated, "A ball rolls down a ramp."], transport,
+                             corpus_path=corpus, quarantine_path=quarantine)
+    assert [status for _, status, _ in results] == ["ok"] * 3 + ["validation_failure"] * 2
+    for path, count in ((corpus, 3), (quarantine, 2)):
+        lines = path.read_text().splitlines()
+        assert len(lines) == count
+        for line in lines:
+            assert line == json.dumps(json.loads(line), sort_keys=True)
 
 
 def test_generate_persists_validated_record(tmp_path):
@@ -687,6 +789,17 @@ def test_http_connection_errors_are_retried(monkeypatch):
 def test_http_missing_api_key_is_not_retried(monkeypatch):
     monkeypatch.delenv("GUIDELAB_API_KEY", raising=False)
     assert http_generate_failure(monkeypatch, FakeResponse) == (0, [])
+
+
+@pytest.mark.parametrize("content", [None, 5])
+def test_http_non_string_content_is_retried_as_malformed(monkeypatch, content):
+    # A null or numeric content used to reach parse_response and end the batch in an AttributeError.
+    monkeypatch.setenv("GUIDELAB_API_KEY", "k")
+    reply = {"choices": [{"message": {"content": content}}]}
+    assert http_generate_failure(monkeypatch, lambda: FakeResponse(payload=reply)) == (3, [0.5, 1.0])
+    results = generate_batch(endpoint(), ["p"], HttpTransport(), sleep=lambda s: None)
+    assert [status for _, status, _ in results] == ["transport_error"]
+    assert "malformed completion payload" in results[0][2]
 
 
 def test_cli_import_leaves_requests_unloaded():

@@ -15,6 +15,12 @@ def test_single_step_schedule():
     np.testing.assert_array_equal(s.alpha_bars, [0.5])
 
 
+def test_single_step_schedule_takes_beta_start():
+    s = make_linear_schedule(1, 0.03, 0.10)
+    assert s.betas.tolist() == [0.03]
+    assert s.alpha_bars.tolist() == [0.97]
+
+
 def test_two_step_schedule_products():
     s = make_linear_schedule(2, 0.1, 0.3)
     np.testing.assert_allclose(s.betas, [0.1, 0.3], rtol=0, atol=1e-15)
