@@ -198,6 +198,9 @@ def cmd_diagnose_lag(config_path, out_dir=None, seed_base=None, *, strict=False)
     config = load_config(config_path, out_dir=out_dir, seed_base=seed_base)
     if config.guidance.strategy not in ("NP", "SDN"):
         raise ConfigError(f"diagnose-lag needs guidance.strategy NP or SDN, got '{config.guidance.strategy}'")
+    if not config.deterministic:
+        raise ConfigError("field 'run.deterministic' must be true for diagnose-lag, which steps its chains"
+                          " without noise")
     if config.negative_condition is None:
         raise ConfigError("diagnose-lag needs a 'negative' condition binding")
     if config.schedule.num_steps < 2:
@@ -347,11 +350,15 @@ def main(argv=None) -> int:
             p.add_argument(*flags, **options)
 
     args = vars(parser.parse_args(argv))
+    command = args.pop("command")
     if args["jobs"] < 1:
-        sub.choices[args["command"]].error(f"argument --jobs: must be at least 1, got {args['jobs']}")
+        sub.choices[command].error(f"argument --jobs: must be at least 1, got {args['jobs']}")
     # looked up at call time, so a rebound cmd_* (a test double, a tracing wrapper) is what runs
-    run = globals()[COMMANDS[args.pop("command")][0]]
+    run = globals()[COMMANDS[command][0]]
     accepted = inspect.signature(run).parameters
+    for key, value in args.items():
+        if key not in accepted and value != common.get_default(key):
+            sub.choices[command].error(f"argument --{key.replace('_', '-')}: not used by {command}")
     return run(**{key: value for key, value in args.items() if key in accepted})
 
 

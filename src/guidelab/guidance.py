@@ -1,15 +1,14 @@
 """Noise-combination rules for guided sampling.
 
-Five strategies are implemented. CFG interpolates between an
+Three rules serve the five strategies. CFG interpolates between an
 unconditional and a conditional prediction. Negative prompting anchors
 on the positive prediction and pushes away from the negative one by a
-scaled raw discrepancy. The synchronized directional normalization rule
-replaces the raw discrepancy with its unit direction times a fixed
-scale lambda, so the suppression strength is the same at every step no
-matter how small the discrepancy is. The full synchronized decoupled
-combination applies that same rule to predictions coming from two
-separately evolved trajectories, and the decoupling-only ablation uses
-the unnormalized rule across those branches.
+scaled raw discrepancy. The directionally normalized rule replaces the
+raw discrepancy with its unit direction times a fixed scale lambda, so
+the suppression strength is the same at every step no matter how small
+the discrepancy is. The decoupled strategies apply the same two push
+rules to predictions from two separately evolved trajectories: SDG the
+normalized one, the decoupling-only ablation (TDD_ONLY) the raw one.
 """
 
 from dataclasses import dataclass
@@ -23,8 +22,6 @@ __all__ = [
     "np_combine",
     "sdn_combine",
     "sdg_combine",
-    "tdd_only_combine",
-    "branch_prediction",
     "row_norms",
 ]
 
@@ -117,20 +114,5 @@ def sdn_combine(eps_pos: np.ndarray, eps_neg: np.ndarray, lam: float, eps_stab: 
     return eps_pos + lam * delta / (row_norms(delta)[..., None] + eps_stab)
 
 
-def sdg_combine(eps_plus: np.ndarray, eps_minus: np.ndarray, lam: float, eps_stab: float) -> np.ndarray:
-    """Normalized suppression over branch-guided predictions from decoupled latents.
-
-    Same algebra as sdn_combine; typed separately because the inputs
-    come from two different trajectories.
-    """
-    return sdn_combine(eps_plus, eps_minus, lam, eps_stab)
-
-
-def tdd_only_combine(eps_plus: np.ndarray, eps_minus: np.ndarray, w: float) -> np.ndarray:
-    """Decoupling-only ablation: unnormalized push across branch predictions."""
-    return np_combine(eps_plus, eps_minus, w)
-
-
-def branch_prediction(eps_c: np.ndarray, eps_u: np.ndarray, w: float) -> np.ndarray:
-    """A branch's CFG-guided prediction anchored at its conditional one: eps_c + w * (eps_c - eps_u)."""
-    return eps_c + w * (eps_c - eps_u)
+# SDG's rule is SDN's, applied to predictions from the plus and minus branches' decoupled latents.
+sdg_combine = sdn_combine

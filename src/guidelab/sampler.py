@@ -1,11 +1,12 @@
 """Reverse-process samplers: one shared latent, or two decoupled ones.
 
-CFG, negative prompting and the directionally normalized rule step one
-latent per seed. The dual-branch strategies evolve a plus and a minus
-latent per seed from the same initial noise; each branch predicts with
-internal CFG on its own latent, the plus branch advances on the
-combined prediction and the minus branch on its own, so it stays a
-clean sample of the negative condition.
+CFG, NP and SDN step one latent per seed. TDD_ONLY and SDG evolve a
+plus and a minus latent per seed from the same initial noise; each
+branch predicts on its own latent by np_combine against the null, the
+plus branch advances on the push away from the minus prediction and the
+minus branch on its own, so it stays a clean sample of the negative
+condition. The push is np_combine under NP and TDD_ONLY, sdn_combine
+under SDN and SDG.
 
 One lockstep loop steps any set of strategies over the same seeds, all
 latents as rows of one array, with one oracle call per step. Rows never
@@ -25,15 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from guidelab.guidance import (
-    GuidanceConfig,
-    branch_prediction,
-    cfg_combine,
-    np_combine,
-    sdn_combine,
-    sdg_combine,
-    tdd_only_combine,
-)
+from guidelab.guidance import GuidanceConfig, cfg_combine, np_combine, sdn_combine
 from guidelab.oracle import Condition, GmmWorld, epsilon_oracle
 from guidelab.schedule import NoiseSchedule
 
@@ -45,15 +38,6 @@ __all__ = [
     "run_single_batch",
     "run_dual_batch",
 ]
-
-# The combine rule of each strategy with a negative side, as (positive, negative, config) -> prediction.
-_COMBINE = {
-    "NP": lambda pos, neg, cfg: np_combine(pos, neg, cfg.w),
-    "SDN": lambda pos, neg, cfg: sdn_combine(pos, neg, cfg.lambda_, cfg.eps_stab),
-    "TDD_ONLY": lambda plus, minus, cfg: tdd_only_combine(plus, minus, cfg.w),
-    "SDG": lambda plus, minus, cfg: sdg_combine(plus, minus, cfg.lambda_, cfg.eps_stab),
-}
-
 
 @dataclass(frozen=True)
 class TrajectoryBatch:
@@ -168,13 +152,14 @@ def run_lockstep(
                     step[r] = cfg_combine(base, eps_pos, cfg.w)
                 elif kind != "minus":
                     eps_pos = eps["pos"][r]
-                    if kind == "plus":
-                        eps_pos = branch_prediction(eps_pos, eps["null"][r], cfg.w)
-                        eps_neg = step[m] = branch_prediction(eps["neg"][m], eps["null"][m], cfg.w)
+                    if kind == "plus":  # each branch predicts by pushing away from the null
+                        eps_pos = np_combine(eps_pos, eps["null"][r], cfg.w)
+                        eps_neg = step[m] = np_combine(eps["neg"][m], eps["null"][m], cfg.w)
                     else:
                         eps_neg = eps["neg"][r]
                     base = eps_pos
-                    step[r] = _COMBINE[cfg.strategy](eps_pos, eps_neg, cfg)
+                    step[r] = (sdn_combine(eps_pos, eps_neg, cfg.lambda_, cfg.eps_stab)
+                               if cfg.strategy in ("SDN", "SDG") else np_combine(eps_pos, eps_neg, cfg.w))
                 if rec is not None:
                     rec["eps_pos"][i], rec["correction"][i] = eps_pos, step[r] - base
                     if eps_neg is not None:

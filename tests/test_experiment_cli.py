@@ -608,8 +608,12 @@ def test_cmd_sample_names_empty_and_out_of_range_fields(tmp_path, capsys, path, 
     ("diagnose-lag", {"guidance": {"strategy": "CFG"}}, "diagnose-lag needs guidance.strategy NP or SDN, got 'CFG'"),
     ("diagnose-lag", {"guidance": {"strategy": "NP"}, "negative": None},
      "diagnose-lag needs a 'negative' condition binding"),
+    # a stochastic diagnose-lag ran deterministic chains yet wrote the stochastic config to its manifest
+    ("diagnose-lag",
+     {"guidance": {"strategy": "NP"}, "run": {"seeds": {"count": 3, "base": 0}, "deterministic": False}},
+     "field 'run.deterministic' must be true for diagnose-lag, which steps its chains without noise"),
 ], ids=["sample_sdg_no_negative", "compare_no_negative", "compare_no_counterfactual_label", "diagnose_cfg",
-        "diagnose_no_negative"])
+        "diagnose_no_negative", "diagnose_stochastic"])
 def test_failed_sampling_command_leaves_no_output_directory(tmp_path, capsys, command, edit, message):
     # The output directory used to be made before the run, so each of these left an empty one.
     raw = small_config(**edit)
@@ -756,6 +760,33 @@ def test_par_generate_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert exc.value.code == 2
     assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("par-generate", ["--seed-base", "5"]),
+    ("schedule-dump", ["--jobs", "3"]),
+    ("sample", ["--jobs", "2"]),
+    ("compare-guidance", ["--jobs", "2"]),
+    ("diagnose-lag", ["--jobs", "2"]),
+], ids=["par_seed_base", "schedule_jobs", "sample_jobs", "compare_jobs", "diagnose_jobs"])
+def test_cli_rejects_flags_the_command_ignores(tmp_path, capsys, command, flag):
+    # par-generate --seed-base 5 and schedule-dump --jobs 3 used to exit 0 and ignore the flag.
+    config = write_config(tmp_path, small_config())
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text((FIXTURES / "butter.prompt.txt").read_text().strip() + "\n")
+    inputs = [str(prompts), "--mock", str(FIXTURES)] if command == "par-generate" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config), *inputs, "--out", str(tmp_path / "out"), *flag])
+    assert exc.value.code == 2
+    assert f"argument {flag[0]}: not used by {command}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_accepts_an_unused_flag_at_its_default(tmp_path):
+    # The benchmark passes --jobs 1 to every command.
+    config = write_config(tmp_path, small_config())
+    assert main(["schedule-dump", "--config", str(config), "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+    assert (tmp_path / "out" / "schedule.csv").exists()
 
 
 def test_integral_floats_are_accepted_for_int_fields():

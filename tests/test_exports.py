@@ -60,3 +60,22 @@ def test_no_module_imports_another_modules_private_name(path):
                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("guidelab")
                for alias in node.names if alias.name.startswith("_") and not alias.name.startswith("__")]
     assert private == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(guidelab.__file__).parent.glob("*.py")), ids=lambda p: p.stem)
+def test_no_public_function_only_forwards_to_another(path):
+    # A public function whose body, docstring aside, is `return g(<its own parameters, in order>)` with g a
+    # function of the same module is only a second name for g: bind the name (`f = g`), or call g.
+    tree = ast.parse(path.read_text())
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    forwards = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id in functions):
+            continue
+        if not call.keywords and [getattr(a, "id", None) for a in call.args] == [a.arg for a in node.args.args]:
+            forwards.append(f"{node.name} -> {call.func.id}")
+    assert forwards == []

@@ -5,13 +5,11 @@ import pytest
 
 from guidelab.guidance import (
     GuidanceConfig,
-    branch_prediction,
     cfg_combine,
     np_combine,
     row_norms,
     sdg_combine,
     sdn_combine,
-    tdd_only_combine,
 )
 from guidelab.oracle import Condition, epsilon_oracle
 from guidelab.schedule import make_linear_schedule
@@ -43,11 +41,8 @@ def test_np_rejects_nonpositive_w():
     # w = 0 is the config's lower bound: no push, the positive prediction itself; only w < 0 is rejected.
     a, b = np.array([1.5, -2.0]), np.array([-0.25, 3.0])
     np.testing.assert_array_equal(np_combine(a, b, 0.0), a)
-    np.testing.assert_array_equal(tdd_only_combine(a, b, 0.0), a)
     with pytest.raises(ValueError):
         np_combine(a, b, -1.0)
-    with pytest.raises(ValueError):
-        tdd_only_combine(a, b, -1.0)
 
 
 def test_sdn_degenerate_discrepancy():
@@ -82,8 +77,8 @@ def test_sdg_matches_sdn_contract():
 
 def test_tdd_only_arithmetic():
     p = np.array([-0.5, 0.9])
-    np.testing.assert_array_equal(tdd_only_combine(p, p, 6.0), p)
-    np.testing.assert_allclose(tdd_only_combine(np.array([1.0, 0.0]), np.array([0.0, 0.0]), 2.0), [3.0, 0.0], atol=1e-15)
+    np.testing.assert_array_equal(np_combine(p, p, 6.0), p)
+    np.testing.assert_allclose(np_combine(np.array([1.0, 0.0]), np.array([0.0, 0.0]), 2.0), [3.0, 0.0], atol=1e-15)
 
 
 def test_correction_norm_identity():
@@ -125,7 +120,7 @@ def test_rotation_equivariance():
         pairs = [
             (np_combine(q @ a, q @ b, 2.0), q @ np_combine(a, b, 2.0)),
             (sdn_combine(q @ a, q @ b, 30.0, 1e-8), q @ sdn_combine(a, b, 30.0, 1e-8)),
-            (tdd_only_combine(q @ a, q @ b, 6.0), q @ tdd_only_combine(a, b, 6.0)),
+            (np_combine(q @ a, q @ b, 6.0), q @ np_combine(a, b, 6.0)),
             (sdg_combine(q @ a, q @ b, 30.0, 1e-8), q @ sdg_combine(a, b, 30.0, 1e-8)),
         ]
         for got, expect in pairs:
@@ -154,8 +149,6 @@ def test_dimension_mismatch_errors():
         np_combine(a, b, 1.0)
     with pytest.raises(ValueError):
         sdn_combine(a, b, 30.0, 1e-8)
-    with pytest.raises(ValueError):
-        tdd_only_combine(a, b, 1.0)
 
 
 def test_branch_guided_w_zero_is_conditional():
@@ -166,7 +159,7 @@ def test_branch_guided_w_zero_is_conditional():
     x = rng.normal(size=2)
     eps_c = epsilon_oracle(world, cond, s, x, 4)
     np.testing.assert_array_equal(
-        branch_prediction(eps_c, epsilon_oracle(world, Condition.null(), s, x, 4), 0.0),
+        np_combine(eps_c, epsilon_oracle(world, Condition.null(), s, x, 4), 0.0),
         eps_c,
     )
 
@@ -180,7 +173,7 @@ def test_branch_guided_full_set_collapses():
     eps_u = epsilon_oracle(world, Condition.null(), s, x, 7)
     for w in (0.0, 3.0, 6.0):
         np.testing.assert_array_equal(
-            branch_prediction(epsilon_oracle(world, full, s, x, 7), eps_u, w),
+            np_combine(epsilon_oracle(world, full, s, x, 7), eps_u, w),
             eps_u,
         )
 
@@ -199,7 +192,7 @@ def test_branch_guided_compositional():
         u = epsilon_oracle(world, Condition.null(), s, x, t)
         c = epsilon_oracle(world, cond, s, x, t)
         np.testing.assert_allclose(
-            branch_prediction(c, u, w),
+            np_combine(c, u, w),
             cfg_combine(u, c, w + 1.0),
             atol=1e-10,
         )

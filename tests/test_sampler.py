@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from guidelab.experiment import default_config, parse_config
-from guidelab.guidance import GuidanceConfig, branch_prediction
+from guidelab.guidance import STRATEGIES, GuidanceConfig, cfg_combine, np_combine, sdn_combine
 from guidelab.oracle import Condition, GmmWorld, epsilon_oracle
 from guidelab.sampler import ancestral_coeffs, run_dual_batch, run_lockstep, run_single_batch
 from guidelab.schedule import NoiseSchedule, make_linear_schedule
@@ -335,7 +335,7 @@ def test_dual_runs_on_random_worlds():
 @pytest.mark.parametrize("deterministic", [True, False])
 def test_dual_branch_predictions_match_fresh_oracle_calls(strategy, deterministic):
     # Independent of the stacked loop's row bookkeeping: at every step each
-    # branch's recorded prediction is branch_prediction of fresh oracle calls
+    # branch's recorded prediction is np_combine of fresh oracle calls
     # on that branch's own recorded latents, bit for bit.
     rng = np.random.default_rng(97)
     s = make_linear_schedule(8, 0.05, 0.25)
@@ -349,13 +349,44 @@ def test_dual_branch_predictions_match_fresh_oracle_calls(strategy, deterministi
         d = run_dual_batch(world, plus, minus, s, cfg, [3, 0, 7], deterministic=deterministic)
         for i, t in enumerate(d.plus.steps):
             xp, xm = d.plus.states[i], d.minus.states[i]
-            want_plus = branch_prediction(epsilon_oracle(world, plus, s, xp, t),
-                                          epsilon_oracle(world, null, s, xp, t), cfg.w)
-            want_minus = branch_prediction(epsilon_oracle(world, minus, s, xm, t),
-                                           epsilon_oracle(world, null, s, xm, t), cfg.w)
+            want_plus = np_combine(epsilon_oracle(world, plus, s, xp, t),
+                                   epsilon_oracle(world, null, s, xp, t), cfg.w)
+            want_minus = np_combine(epsilon_oracle(world, minus, s, xm, t),
+                                    epsilon_oracle(world, null, s, xm, t), cfg.w)
             assert np.array_equal(d.plus.eps_pos[i], want_plus), (dim, t)
             assert np.array_equal(d.plus.eps_neg[i], want_minus), (dim, t)
             assert np.array_equal(d.minus.eps_pos[i], want_minus), (dim, t)
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_each_strategy_steps_on_its_rule(deterministic):
+    # Each recorded correction is its strategy's rule on the recorded predictions, bit for bit: CFG
+    # interpolates from a fresh null prediction, NP and TDD_ONLY push with np_combine, SDN and SDG with
+    # sdn_combine. In deterministic mode the next latent is the ancestral update on that rule's output.
+    rng = np.random.default_rng(131)
+    s = make_linear_schedule(8, 0.05, 0.25)
+    for dim in (1, 2, 3, 4):
+        k = int(rng.integers(2, 5))
+        world = random_world(rng, dim=dim, num_components=k)
+        plus, neg = (Condition.subset(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False))
+                     for _ in range(2))
+        w, lam = float(rng.uniform(0.5, 8.0)), float(rng.uniform(1.0, 40.0))
+        cfgs = [GuidanceConfig(name, w=w, lambda_=lam) for name in STRATEGIES]
+        for cfg, result in zip(cfgs, run_lockstep(world, plus, neg, s, cfgs, [5, 2], deterministic)):
+            tr = getattr(result, "plus", result)
+            for i, t in enumerate(tr.steps):
+                x, pos = tr.states[i], tr.eps_pos[i]
+                if cfg.strategy == "CFG":
+                    base = epsilon_oracle(world, Condition.null(), s, x, t)
+                    step = cfg_combine(base, pos, w)
+                elif cfg.strategy in ("NP", "TDD_ONLY"):
+                    base, step = pos, np_combine(pos, tr.eps_neg[i], w)
+                else:
+                    base, step = pos, sdn_combine(pos, tr.eps_neg[i], lam, cfg.eps_stab)
+                assert np.array_equal(tr.correction[i], step - base), (cfg.strategy, dim, t)
+                if deterministic:
+                    a_t, b_t, _ = ancestral_coeffs(s, t)
+                    assert np.array_equal(tr.states[i + 1], a_t * x + b_t * step), (cfg.strategy, dim, t)
 
 
 def assert_same_path(batch, i, alone):
