@@ -169,6 +169,9 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
     sample_count = field(run, "sample_count", "run.sample_count", int, len(seeds))
     if sample_count < 1:
         raise ConfigError("field 'run.sample_count' must be >= 1")
+    if sample_count > len(seeds):
+        raise ConfigError(f"field 'run.sample_count' must be at most the {len(seeds)} distinct seeds of 'run.seeds',"
+                          f" got {sample_count}")
     deterministic = field(run, "deterministic", "run.deterministic", bool, True)
 
     labels = field(raw, "mass_labels", "mass_labels", dict, {})

@@ -18,7 +18,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
-from typing import Callable
+from typing import Callable, ClassVar
 
 from guidelab.config import read_text
 
@@ -123,14 +123,16 @@ class LlmEndpointConfig:
     api_key_env: str = "GUIDELAB_API_KEY"
     timeout: float = 60.0
     max_retries: int = 2
+    # retry k waits 0.5 * 2**(k - 1) s first, so at this bound the last wait is 256 s and all of them 511.5 s
+    MAX_RETRIES: ClassVar[int] = 10
 
     def __post_init__(self):
         if not math.isfinite(self.timeout):
             raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
         if self.timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not 0 <= self.max_retries <= self.MAX_RETRIES:
+            raise ValueError(f"max_retries must be from 0 to {self.MAX_RETRIES}, got {self.max_retries}")
 
 
 def render_record(rec: CounterfactualRecord) -> str:

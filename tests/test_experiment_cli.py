@@ -127,6 +127,22 @@ def test_sample_count_truncates():
     assert cfg.seeds == (0, 1, 2, 3)
 
 
+@pytest.mark.parametrize("command", ["sample", "compare-guidance"])
+@pytest.mark.parametrize("seeds, sample_count, distinct", [({"count": 4, "base": 0}, 10, 4), ([3, 3, 5], 3, 2)],
+                         ids=["count", "duplicates"])
+def test_sample_count_above_the_distinct_seeds_is_an_error(tmp_path, capsys, command, seeds, sample_count, distinct):
+    # It used to run the fewer seeds that there were, and say nothing.
+    raw = small_config()
+    raw["run"]["seeds"] = seeds
+    raw["run"]["sample_count"] = sample_count
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"{command}: error: field 'run.sample_count' must be at most the {distinct} distinct seeds of 'run.seeds',"
+        f" got {sample_count}"]
+    assert not out.exists()
+
+
 def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -816,7 +832,10 @@ def test_cmd_par_generate_rejects_non_numeric_endpoint_fields(tmp_path, capsys, 
     ({"base_url": "https://llm.example"}, False, "missing field 'par.model'"),
     (None, False, "field 'par' (endpoint settings) is required without --mock"),
     ({"timeout": 0}, True, "field 'par' invalid: timeout must be > 0, got 0.0"),
-], ids=["live_no_base_url", "live_no_model", "live_no_par", "timeout_zero"])
+    # 30 retries scheduled waits of up to 8.5 years, and from 36 on time.sleep raised OverflowError
+    ({"max_retries": 36}, True, "field 'par' invalid: max_retries must be from 0 to 10, got 36"),
+    ({"max_retries": 11}, True, "field 'par' invalid: max_retries must be from 0 to 10, got 11"),
+], ids=["live_no_base_url", "live_no_model", "live_no_par", "timeout_zero", "retries_36", "retries_11"])
 def test_cmd_par_generate_rejects_incomplete_endpoint(tmp_path, capsys, par, mock, message):
     # base_url and model default only under --mock: a live run on "par": {} used to
     # send every prompt to http://localhost:0 and exit 1 with transport errors.

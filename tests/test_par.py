@@ -459,6 +459,22 @@ def test_generate_raises_after_exhausting_retries():
     assert sleeps == [0.5, 1.0]
 
 
+def test_retries_are_bounded():
+    # The backoff doubles per retry, so the bound caps the last wait at 256 s; 30 retries scheduled one of 8.5 years.
+    calls = []
+
+    def dead(messages, cfg):
+        calls.append(1)
+        raise TransportError("still down")
+
+    sleeps = []
+    with pytest.raises(TransportError):
+        generate(endpoint(max_retries=LlmEndpointConfig.MAX_RETRIES), "p", dead, sleep=sleeps.append)
+    assert len(calls) == 11
+    assert sleeps == [0.5 * 2 ** k for k in range(10)]
+    assert sum(sleeps) == 511.5
+
+
 def test_generate_does_not_retry_unknown_mock_prompt():
     # A missing canned response is missing on every retry; it used to sleep 1.5 s of backoff.
     transport = MockTransport({CONDENSATION_PROMPT: fixture_text("condensation.response.txt")})
@@ -694,6 +710,8 @@ def test_endpoint_config_validation():
         LlmEndpointConfig(base_url="x", model="m", timeout=0.0)
     with pytest.raises(ValueError):
         LlmEndpointConfig(base_url="x", model="m", max_retries=-1)
+    with pytest.raises(ValueError, match="max_retries must be from 0 to 10, got 11"):
+        LlmEndpointConfig(base_url="x", model="m", max_retries=LlmEndpointConfig.MAX_RETRIES + 1)
 
 
 class FakeResponse:
