@@ -15,12 +15,9 @@ import argparse
 import json
 from pathlib import Path
 
-import numpy as np
-
-from guidelab.diagnostics import trajectory_bias_probe
+from guidelab.diagnostics import build_report, lag_summary
 from guidelab.experiment import parse_config
-from guidelab.guidance import GuidanceConfig, row_norms
-from guidelab.sampler import run_single_batch
+from guidelab.guidance import GuidanceConfig
 
 
 def main():
@@ -32,31 +29,20 @@ def main():
 
     with open(args.config) as fh:
         config = parse_config(json.load(fh))
-    seeds = config.seeds[: args.seeds]
-    guidance = GuidanceConfig("NP", w=config.guidance.w)
-
-    batch = run_single_batch(config.world, config.positive_condition,
-                             config.negative_condition, config.schedule,
-                             guidance, seeds)
-    delta_mean = np.array([row_norms(d).mean() for d in batch.delta])
-    ts = list(batch.steps)
-
-    gaps = trajectory_bias_probe(config.world, config.positive_condition,
-                                 config.negative_condition, config.schedule,
-                                 guidance, seeds)
-    gap_by_t = dict(gaps)
+    report = build_report(config.world, config.positive_condition, config.negative_condition, config.schedule,
+                          GuidanceConfig("NP", w=config.guidance.w), config.seeds[: args.seeds], config.mass_labels)
+    summary = lag_summary(report)
 
     print(f"{'t':>4} {'mean |delta|':>14} {'mean bias gap':>14}")
-    for i, t in enumerate(ts):
-        print(f"{t:>4} {delta_mean[i]:>14.4f} {gap_by_t[t]:>14.4f}")
+    for (t, delta), (_, gap) in zip(report["delta_norms"], report["bias_gap"]):
+        print(f"{t:>4} {delta:>14.4f} {gap:>14.4f}")
 
-    k = max(1, config.schedule.num_steps // 10)
-    print(f"\nearly/late |delta| ratio (first vs last {k} steps): "
-          f"{delta_mean[:k].mean() / delta_mean[-k:].mean():.4f}")
-    gap_vals = np.array([v for _, v in gaps])
-    print(f"bias gap at t=T: {gap_vals[0]}")
+    k, ratio = summary["window"], summary["ratio"]
+    ratio = "undefined, the late mean is 0" if ratio is None else f"{ratio:.4f}"
+    print(f"\nearly/late |delta| ratio (first vs last {k} steps): {ratio}")
+    print(f"bias gap at t=T: {summary['bias_gap_at_T']}")
     print(f"bias gap, first {k} after T vs final {k}: "
-          f"{gap_vals[1:1 + k].mean():.4f} vs {gap_vals[-k:].mean():.4f}")
+          f"{summary['bias_gap_early_mean']:.4f} vs {summary['bias_gap_late_mean']:.4f}")
 
 
 if __name__ == "__main__":

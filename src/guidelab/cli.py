@@ -192,9 +192,7 @@ def cmd_compare_guidance(config_path, out_dir=None, seed_base=None, *, strict=Fa
 @_command("diagnose-lag", "emit lag/bias/spectral diagnostic curves")
 def cmd_diagnose_lag(config_path, out_dir=None, seed_base=None, *, strict=False) -> int:
     """Discrepancy-norm, spectral, and trajectory-bias curves for an NP/SDN run."""
-    import numpy as np
-
-    from guidelab.diagnostics import build_report, report_to_json
+    from guidelab.diagnostics import build_report, lag_summary
     from guidelab.experiment import load_config
 
     config = load_config(config_path, out_dir=out_dir, seed_base=seed_base)
@@ -209,61 +207,38 @@ def cmd_diagnose_lag(config_path, out_dir=None, seed_base=None, *, strict=False)
         # the bias gap is 0 by construction at t=T, so its early and late means need a later step
         raise ConfigError(f"field 'schedule.num_steps' must be at least 2 for diagnose-lag,"
                           f" got {config.schedule.num_steps}")
-    report = build_report(
-        config.world,
-        config.positive_condition,
-        config.negative_condition,
-        config.schedule,
-        config.guidance,
-        config.seeds,
-        config.mass_labels or {"all": list(range(config.world.num_components))},
-    )
+    report = build_report(config.world, config.positive_condition, config.negative_condition, config.schedule,
+                          config.guidance, config.seeds, config.mass_labels)
+    summary = lag_summary(report)
 
     out = config.out_dir
-    for name, header, series in (("delta_norms.csv", "delta_norm", report.delta_norms),
-                                 ("suppression_proj.csv", "projection", report.suppression_proj),
-                                 ("bias_gap.csv", "gap", report.bias_gap)):
-        _write_csv(out / name, ["t", header], ([t, repr(float(val))] for t, val in series))
+    for key, header in (("delta_norms", "delta_norm"), ("suppression_proj", "projection"), ("bias_gap", "gap")):
+        _write_csv(out / f"{key}.csv", ["t", header], ([t, repr(val)] for t, val in report[key]))
     _write_csv(out / "eigen.csv", ["t", "eigenvalue"] + [f"v{i}" for i in range(config.world.dim)],
-               ([t, repr(float(lam))] + [repr(float(c)) for c in v] for t, lam, v in report.leading_eigs))
-    _write_json(out / "report.json", report_to_json(report))
-
-    k = max(1, config.schedule.num_steps // 10)
-    delta_vals = [val for _, val in report.delta_norms]
-    gap_vals = [val for _, val in report.bias_gap]
-    early = float(np.mean(delta_vals[:k]))
-    late = float(np.mean(delta_vals[-k:]))
-    ratio = early / late if late > 0 else float("inf")
-    summary = {
-        "early_mean_delta_norm": early,
-        "late_mean_delta_norm": late,
-        # null when the late mean is 0 (negative == positive): strict JSON has no Infinity
-        "ratio": ratio if late > 0 else None,
-        "bias_gap_at_T": gap_vals[0],
-        "bias_gap_early_mean": float(np.mean(gap_vals[1:1 + k])),
-        "bias_gap_late_mean": float(np.mean(gap_vals[-k:])),
-        "window": k,
-    }
+               ([t, repr(lam)] + [repr(c) for c in v] for t, lam, v in report["leading_eigs"]))
+    _write_json(out / "report.json", report)
     _write_json(out / "summary.json", summary, sort_keys=True)
 
     artifacts = ["delta_norms.csv", "suppression_proj.csv", "bias_gap.csv", "eigen.csv",
                  "report.json", "summary.json"]
     _write_manifest(out, "diagnose-lag", config.raw, config.seeds, artifacts)
-    print(f"lag ratio (early/late mean delta norm over window {k}): {ratio:.4f}")
+    ratio = float("inf") if summary["ratio"] is None else summary["ratio"]
+    print(f"lag ratio (early/late mean delta norm over window {summary['window']}): {ratio:.4f}")
     return 0
 
 
 def _endpoint_from_config(raw: dict, mock: bool):
     from guidelab.par import LlmEndpointConfig
 
-    par = field(raw, "par", "par", dict, None)
+    kinds = {"base_url": str, "model": str, "api_key_env": str, "timeout": float, "max_retries": int}
+    par = field(raw, "par", "par", dict, None, keys=tuple(kinds))
     if par is None and not mock:
         raise ConfigError("field 'par' (endpoint settings) is required without --mock")
     par = par or {}
     # base_url and model default here under --mock and are required without it;
     # the other keys absent from par take LlmEndpointConfig's defaults
     fields = {"base_url": "http://localhost:0", "model": "mock-model"} if mock else {}
-    for key, kind in (("base_url", str), ("model", str), ("api_key_env", str), ("timeout", float), ("max_retries", int)):
+    for key, kind in kinds.items():
         if key in par or (key in ("base_url", "model") and not mock):
             fields[key] = field(par, key, f"par.{key}", kind)
     try:

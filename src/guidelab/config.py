@@ -22,7 +22,7 @@ class ConfigError(ValueError):
     """Config parsing/validation error; the message names the offending field."""
 
 
-def field(section, key, name: str, kind, default=_REQUIRED, length=None):
+def field(section, key, name: str, kind, default=_REQUIRED, length=None, keys=None):
     """section[key] as kind, or a ConfigError naming the field by its full name.
 
     kind is int, float, bool, str, list or dict, or [int] or [float] for a
@@ -30,7 +30,8 @@ def field(section, key, name: str, kind, default=_REQUIRED, length=None):
     number is never null, a bool, a string or beyond the float range, and
     an int must be integral (3 or 3.0, not 3.7). An absent key reads as
     default, and is an error without one; a field whose default is None
-    reads a null as None too.
+    reads a null as None too. A mapping read with keys holds no other key,
+    so a misspelled field fails instead of leaving its default in force.
     """
     try:
         value = section[key]
@@ -40,6 +41,9 @@ def field(section, key, name: str, kind, default=_REQUIRED, length=None):
         return default
     if value is None and default is None:
         return None
+    for unknown in value if keys is not None and isinstance(value, dict) else ():
+        if unknown not in keys:
+            raise ConfigError(f"unknown field '{name}.{unknown}'; '{name}' reads {', '.join(keys)}")
     if isinstance(kind, list):
         if isinstance(value, list) and length in (None, len(value)):
             return [field(value, i, f"{name}[{i}]", kind[0]) for i in range(len(value))]

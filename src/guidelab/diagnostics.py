@@ -11,8 +11,6 @@ direction and the projection of the correction onto it) and final-mode
 occupancy metrics round out the picture.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from guidelab.guidance import GuidanceConfig, row_norms
@@ -21,55 +19,29 @@ from guidelab.sampler import TrajectoryBatch, ancestral_coeffs, run_single_batch
 from guidelab.schedule import NoiseSchedule
 
 __all__ = [
-    "DiagnosticsReport",
     "delta_norm_curve",
     "leading_eigen",
     "suppression_projection",
     "mode_mass",
     "trajectory_bias_probe",
     "build_report",
-    "report_to_json",
+    "lag_summary",
 ]
 
 # The seed whose latent path the spectra follow.
 EIGEN_SEED_INDEX = 0
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    """Per-step diagnostic series plus final mode occupancy.
-
-    delta_norms, suppression_proj, and bias_gap are lists of (t, value);
-    leading_eigs is a list of (t, eigenvalue, unit eigenvector);
-    mode_masses maps a label to the fraction of final samples assigned
-    to that label's components.
-    """
-
-    delta_norms: list
-    leading_eigs: list
-    suppression_proj: list
-    mode_masses: dict
-    bias_gap: list = field(default_factory=list)
-
-    def __post_init__(self):
-        for t, lam, v in self.leading_eigs:
-            norm = np.linalg.norm(v)
-            if abs(norm - 1.0) > 1e-10:
-                raise ValueError(f"eigenvector at t={t} has norm {norm}, expected 1 within 1e-10")
-        for label, frac in self.mode_masses.items():
-            if not 0.0 <= frac <= 1.0:
-                raise ValueError(f"mode mass for {label!r} is {frac}, outside [0, 1]")
-
-
 def delta_norm_curve(batch: TrajectoryBatch) -> list:
     """Seed-mean discrepancy norms (t, mean_i ||delta_t,i||), t descending from T.
 
-    Reads the recorded deltas directly; for one seed each value is
+    Takes delta from the recorded predictions; for one seed each value is
     exactly that seed's ||delta_t||.
     """
-    if batch.delta is None:
+    delta = batch.delta
+    if delta is None:
         raise ValueError(f"trajectory strategy {batch.config.strategy} recorded no discrepancy")
-    return [(t, float(row_norms(d).mean())) for t, d in zip(batch.steps, batch.delta)]
+    return [(t, float(row_norms(d).mean())) for t, d in zip(batch.steps, delta)]
 
 
 def leading_eigen(J: np.ndarray) -> tuple:
@@ -152,14 +124,8 @@ def _bias_gap(world: GmmWorld, p_minus: Condition, schedule: NoiseSchedule, coup
     return [(t, float(gap)) for t, gap in zip(coupled.steps, gaps)]
 
 
-def trajectory_bias_probe(
-    world: GmmWorld,
-    p_plus: Condition,
-    p_minus: Condition,
-    schedule: NoiseSchedule,
-    cfg: GuidanceConfig,
-    seeds,
-) -> list:
+def trajectory_bias_probe(world: GmmWorld, p_plus: Condition, p_minus: Condition, schedule: NoiseSchedule,
+                          cfg: GuidanceConfig, seeds) -> list:
     """Mean gap between the negative prediction on shared vs. decoupled latents.
 
     For each seed, a coupled trajectory runs under cfg (a shared-latent
@@ -176,47 +142,66 @@ def trajectory_bias_probe(
     return _bias_gap(world, p_minus, schedule, coupled)
 
 
-def build_report(
-    world: GmmWorld,
-    p_plus: Condition,
-    p_minus: Condition,
-    schedule: NoiseSchedule,
-    cfg: GuidanceConfig,
-    seeds,
-    label_sets: dict,
-) -> DiagnosticsReport:
-    """Assemble the full diagnostic report for a shared-latent run.
+def build_report(world: GmmWorld, p_plus: Condition, p_minus: Condition, schedule: NoiseSchedule,
+                 cfg: GuidanceConfig, seeds, label_sets: dict) -> dict:
+    """The diagnostic report of a shared-latent run, as report.json holds it.
 
+    delta_norms, suppression_proj and bias_gap are lists of (t, value);
+    leading_eigs is a list of (t, eigenvalue, unit eigenvector as a list);
+    mode_masses maps a label to the fraction of final samples assigned
+    to that label's components, or {"all": 1.0} when label_sets is empty.
     delta_norms and bias_gap are seed-averaged over one coupled batch;
-    the spectral series (leading eigenpair and suppression projection)
-    follow one representative seed's latent path, since eigenvectors do
-    not average across seeds.
+    the spectral series follow one representative seed's latent path,
+    since eigenvectors do not average across seeds. An eigenvector off
+    unit norm by more than 1e-10, or a mass outside [0, 1], is a
+    ValueError.
     """
     seeds = _check_shared_latent(cfg, seeds)
     coupled = run_single_batch(world, p_plus, p_minus, schedule, cfg, seeds, deterministic=True)
+    delta = coupled.delta[:, EIGEN_SEED_INDEX]
 
-    leading_eigs = []
-    suppression = []
+    leading_eigs, suppression = [], []
     for i, t in enumerate(coupled.steps):
         lam, v = leading_eigen(epsilon_jacobian(world, p_plus, schedule, coupled.states[i, EIGEN_SEED_INDEX], t))
-        leading_eigs.append((t, lam, v))
-        suppression.append((t, suppression_projection(v, coupled.delta[i, EIGEN_SEED_INDEX], cfg.w)))
+        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+            raise ValueError(f"eigenvector at t={t} has norm {np.linalg.norm(v)}, expected 1 within 1e-10")
+        leading_eigs.append((t, lam, v.tolist()))
+        suppression.append((t, suppression_projection(v, delta[i], cfg.w)))
+    masses = mode_mass(coupled.finals, world, label_sets or {"all": list(range(world.num_components))})
+    for label, frac in masses.items():
+        if not 0.0 <= frac <= 1.0:
+            raise ValueError(f"mode mass for {label!r} is {frac}, outside [0, 1]")
 
-    return DiagnosticsReport(
-        delta_norms=delta_norm_curve(coupled),
-        leading_eigs=leading_eigs,
-        suppression_proj=suppression,
-        mode_masses=mode_mass(coupled.finals, world, label_sets),
-        bias_gap=_bias_gap(world, p_minus, schedule, coupled),
-    )
-
-
-def report_to_json(report: DiagnosticsReport) -> dict:
-    """Plain-JSON view of a report (arrays become lists)."""
     return {
-        "delta_norms": [[t, val] for t, val in report.delta_norms],
-        "leading_eigs": [[t, lam, list(map(float, v))] for t, lam, v in report.leading_eigs],
-        "suppression_proj": [[t, val] for t, val in report.suppression_proj],
-        "mode_masses": dict(report.mode_masses),
-        "bias_gap": [[t, val] for t, val in report.bias_gap],
+        "delta_norms": delta_norm_curve(coupled),
+        "leading_eigs": leading_eigs,
+        "suppression_proj": suppression,
+        "mode_masses": masses,
+        "bias_gap": _bias_gap(world, p_minus, schedule, coupled),
+    }
+
+
+def lag_summary(report: dict) -> dict:
+    """The headline numbers of a report of T >= 2 steps, over a window of k = max(1, T // 10) steps.
+
+    The early and late means of the delta norms take the first and last
+    k steps, and ratio is early / late, or None when the late mean is 0
+    (strict JSON has no Infinity). The bias gap is 0 by construction at
+    t=T, so its early mean takes the k steps after T.
+    """
+    deltas = [val for _, val in report["delta_norms"]]
+    gaps = [val for _, val in report["bias_gap"]]
+    if len(gaps) < 2:
+        raise ValueError(f"the lag summary needs at least 2 steps, got {len(gaps)}")
+    k = max(1, len(deltas) // 10)
+    early = float(np.mean(deltas[:k]))
+    late = float(np.mean(deltas[-k:]))
+    return {
+        "early_mean_delta_norm": early,
+        "late_mean_delta_norm": late,
+        "ratio": early / late if late > 0 else None,
+        "bias_gap_at_T": gaps[0],
+        "bias_gap_early_mean": float(np.mean(gaps[1:1 + k])),
+        "bias_gap_late_mean": float(np.mean(gaps[-k:])),
+        "window": k,
     }

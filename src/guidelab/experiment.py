@@ -90,11 +90,11 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
     embedding.
     """
     raw = json.loads(json.dumps(raw))
-    world_raw = field(raw, "world", "world", dict)
+    world_raw = field(raw, "world", "world", dict, keys=("components", "weights"))
     comps = field(world_raw, "components", "world.components", list)
     if not comps:
         raise ConfigError("field 'world.components' must be a nonempty list")
-    comps = [field(comps, i, f"world.components[{i}]", dict) for i in range(len(comps))]
+    comps = [field(comps, i, f"world.components[{i}]", dict, keys=("mean", "cov_diag")) for i in range(len(comps))]
     dim = len(field(comps[0], "mean", "world.components[0].mean", [float]))
     if not dim:
         raise ConfigError("field 'world.components[0].mean' must be a nonempty list, got []")
@@ -110,7 +110,7 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
     if not specs:
         raise ConfigError("field 'conditions' must be a nonempty mapping")
     for name in specs:
-        spec = field(specs, name, f"conditions.{name}", dict)
+        spec = field(specs, name, f"conditions.{name}", dict, keys=("components",))
         indices = field(spec, "components", f"conditions.{name}.components", [int])
         try:
             conditions[name] = Condition.subset(indices)
@@ -123,7 +123,7 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
         if name is not None and name not in conditions:
             raise ConfigError(f"field '{key}' names unknown condition '{name}'")
 
-    sched = field(raw, "schedule", "schedule", dict)
+    sched = field(raw, "schedule", "schedule", dict, keys=("num_steps", "beta_start", "beta_end"))
     steps, beta_start, beta_end = (field(sched, key, f"schedule.{key}", kind)
                                    for key, kind in (("num_steps", int), ("beta_start", float), ("beta_end", float)))
     try:
@@ -131,7 +131,7 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"field 'schedule' invalid: {exc}") from exc
 
-    g = field(raw, "guidance", "guidance", dict)
+    g = field(raw, "guidance", "guidance", dict, keys=("strategy", "w", "lambda", "eps_stab"))
     strategy = field(g, "strategy", "guidance.strategy", str)
     if strategy not in STRATEGIES:
         raise ConfigError(f"field 'guidance.strategy' has unknown value '{strategy}'")
@@ -142,13 +142,14 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"field 'guidance' invalid: {exc}") from exc
 
-    run = field(raw, "run", "run", dict)
+    run = field(raw, "run", "run", dict, keys=("seeds", "sample_count", "deterministic"))
     counted = isinstance(run.get("seeds"), dict)  # a {count, base} mapping; anything else is read as a seed list
     if counted:
-        count = field(run["seeds"], "count", "run.seeds.count", int)
-        base = field(run["seeds"], "base", "run.seeds.base", int, 0)
+        counts = field(run, "seeds", "run.seeds", dict, keys=("count", "base"))
+        count = field(counts, "count", "run.seeds.count", int)
+        base = field(counts, "base", "run.seeds.base", int, 0)
         if seed_base is not None:
-            base = run["seeds"]["base"] = int(seed_base)
+            base = counts["base"] = int(seed_base)
         if count < 1:
             raise ConfigError("field 'run.seeds.count' must be >= 1")
         seeds = list(range(base, base + count))

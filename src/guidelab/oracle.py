@@ -103,11 +103,13 @@ class Condition:
 def _log_components(means: np.ndarray, covs: np.ndarray, x: np.ndarray) -> tuple:
     """Offsets diff = mu_k - x (N, K, dim) and unweighted log N(x; mu_k, diag(c_k)) (N, K) at x (dim,) or (N, dim)."""
     diff = means - np.atleast_2d(x)[:, None, :]
-    terms = (
-        -0.5 * np.sum(diff * diff / covs, axis=2)
-        - 0.5 * np.sum(np.log(covs), axis=1)
-        - 0.5 * means.shape[1] * np.log(2.0 * np.pi)
-    )
+    # a squared offset past the float range gives -inf, the float64 value of its log-density: no warning is due
+    with np.errstate(over="ignore"):
+        terms = (
+            -0.5 * np.sum(diff * diff / covs, axis=2)
+            - 0.5 * np.sum(np.log(covs), axis=1)
+            - 0.5 * means.shape[1] * np.log(2.0 * np.pi)
+        )
     return diff, terms
 
 

@@ -45,8 +45,8 @@ class TrajectoryBatch:
 
     states has shape (T+1, N, dim), x_T first. The per-step arrays have
     shape (T, N, dim), and index i holds step t = T - i, whose result is
-    states[i + 1]. eps_neg and delta are None for strategies without a
-    negative prediction; otherwise delta == eps_pos - eps_neg exactly.
+    states[i + 1]. eps_neg is None for strategies without a negative
+    prediction.
     """
 
     seeds: tuple
@@ -54,8 +54,12 @@ class TrajectoryBatch:
     states: np.ndarray
     eps_pos: np.ndarray
     eps_neg: Optional[np.ndarray]
-    delta: Optional[np.ndarray]
     correction: np.ndarray
+
+    @property
+    def delta(self) -> Optional[np.ndarray]:
+        """The discrepancy eps_pos - eps_neg, a new array on each read; None without eps_neg."""
+        return None if self.eps_neg is None else self.eps_pos - self.eps_neg
 
     @property
     def steps(self) -> range:
@@ -135,7 +139,7 @@ def run_lockstep(
     x = _draw(rngs, len(blocks), world.dim)
     # a minus branch records nothing itself: its predictions are its plus branch's eps_neg
     records = [{name: np.empty((T, n, world.dim))
-                for name in ("eps_pos", "correction") + (() if kind == "CFG" else ("eps_neg", "delta"))}
+                for name in ("eps_pos", "correction") + (() if kind == "CFG" else ("eps_neg",))}
                if kind != "minus" else None for _, kind in blocks]
     states = np.empty((T + 1,) + x.shape)
     # an overflowing guidance scale surfaces as the named non-finite error below, not as numpy warnings
@@ -163,7 +167,7 @@ def run_lockstep(
                 if rec is not None:
                     rec["eps_pos"][i], rec["correction"][i] = eps_pos, step[r] - base
                     if eps_neg is not None:
-                        rec["eps_neg"][i], rec["delta"][i] = eps_neg, eps_pos - eps_neg
+                        rec["eps_neg"][i] = eps_neg
             x = a_t * x + b_t * step
             if not deterministic:
                 x = x + sigma_t * _draw(rngs, len(blocks), world.dim)
@@ -176,10 +180,10 @@ def run_lockstep(
         path = states[:, j * n:(j + 1) * n]
         if kind != "minus":
             results.append(TrajectoryBatch(seeds=seeds, config=cfg, states=path,
-                                           **{"eps_neg": None, "delta": None, **rec}))
+                                           **{"eps_neg": None, **rec}))
         else:
             plus = results.pop()
-            minus = TrajectoryBatch(seeds, cfg, path, plus.eps_neg, None, None, np.zeros_like(plus.eps_neg))
+            minus = TrajectoryBatch(seeds, cfg, path, plus.eps_neg, None, np.zeros_like(plus.eps_neg))
             results.append(DualTrajectoryBatch(plus=plus, minus=minus))
     return results
 

@@ -16,12 +16,11 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from guidelab.diagnostics import (
-    DiagnosticsReport,
     build_report,
     delta_norm_curve,
+    lag_summary,
     leading_eigen,
     mode_mass,
-    report_to_json,
     suppression_projection,
     trajectory_bias_probe,
 )
@@ -329,23 +328,48 @@ def test_build_report_shapes_and_determinism():
         label_sets={"A": [0, 2], "B": [1]},
     )
     rep = build_report(**kwargs)
-    assert [t for t, _ in rep.delta_norms] == list(range(10, 0, -1))
-    assert len(rep.leading_eigs) == 10
-    assert len(rep.suppression_proj) == 10
-    assert len(rep.bias_gap) == 10
-    assert set(rep.mode_masses) == {"A", "B"}
-    assert sum(rep.mode_masses.values()) == pytest.approx(1.0, abs=1e-12)
+    assert list(rep) == ["delta_norms", "leading_eigs", "suppression_proj", "mode_masses", "bias_gap"]
+    assert [t for t, _ in rep["delta_norms"]] == list(range(10, 0, -1))
+    assert len(rep["leading_eigs"]) == 10
+    assert all(type(v) is list for _, _, v in rep["leading_eigs"])
+    assert len(rep["suppression_proj"]) == 10
+    assert len(rep["bias_gap"]) == 10
+    assert set(rep["mode_masses"]) == {"A", "B"}
+    assert sum(rep["mode_masses"].values()) == pytest.approx(1.0, abs=1e-12)
     again = build_report(**kwargs)
-    assert json.dumps(report_to_json(rep)) == json.dumps(report_to_json(again))
+    assert json.dumps(rep) == json.dumps(again)
+    # with no labels every final sample counts under "all"
+    assert build_report(**{**kwargs, "label_sets": {}})["mode_masses"] == {"all": 1.0}
 
 
-def test_report_validation():
-    with pytest.raises(ValueError):
-        DiagnosticsReport(delta_norms=[], leading_eigs=[(1, 2.0, np.array([1.0, 1.0]))],
-                          suppression_proj=[], mode_masses={})
-    with pytest.raises(ValueError):
-        DiagnosticsReport(delta_norms=[], leading_eigs=[], suppression_proj=[],
-                          mode_masses={"A": 1.2})
+def test_report_validation(monkeypatch):
+    # build_report checks each eigenvector and each mass where it makes them.
+    import guidelab.diagnostics as diag
+
+    s = make_linear_schedule(5, 0.05, 0.2)
+    args = (MIX, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("NP"), [0], {"A": [0, 2], "B": [1]})
+    with monkeypatch.context() as m:
+        m.setattr(diag, "leading_eigen", lambda J: (2.0, np.array([1.0, 1.0])))
+        with pytest.raises(ValueError, match="eigenvector at t=5 has norm"):
+            build_report(*args)
+    with monkeypatch.context() as m:
+        m.setattr(diag, "mode_mass", lambda samples, world, label_sets: {"A": 1.2, "B": -0.2})
+        with pytest.raises(ValueError, match=r"mode mass for 'A' is 1.2, outside \[0, 1\]"):
+            build_report(*args)
+    build_report(*args)
+
+
+def test_lag_summary_windows():
+    # T = 20 steps give a window of 2: the delta means take the first and last two steps, the gap's
+    # early mean the two after t=T.
+    deltas = [(20 - i, float(v)) for i, v in enumerate([1, 3] + [100] * 16 + [4, 6])]
+    gaps = [(20 - i, float(v)) for i, v in enumerate([0, 2, 4] + [100] * 15 + [7, 9])]
+    summary = lag_summary({"delta_norms": deltas, "bias_gap": gaps})
+    assert summary == {"early_mean_delta_norm": 2.0, "late_mean_delta_norm": 5.0, "ratio": 0.4,
+                       "bias_gap_at_T": 0.0, "bias_gap_early_mean": 3.0, "bias_gap_late_mean": 8.0, "window": 2}
+    assert lag_summary({"delta_norms": [(2, 0.0), (1, 0.0)], "bias_gap": [(2, 0.0), (1, 0.0)]})["ratio"] is None
+    with pytest.raises(ValueError, match="at least 2 steps"):
+        lag_summary({"delta_norms": [(1, 1.0)], "bias_gap": [(1, 0.0)]})
 
 
 def test_build_report_shares_the_coupled_batch(monkeypatch):
@@ -367,9 +391,9 @@ def test_build_report_shares_the_coupled_batch(monkeypatch):
     args = (MIX, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("NP"), [4, 0, 2])
     rep = build_report(*args, label_sets={"A": [0, 2], "B": [1]})
     assert seen == [3]
-    assert rep.bias_gap == trajectory_bias_probe(*args)
+    assert rep["bias_gap"] == trajectory_bias_probe(*args)
     curves = [delta_norm_curve(run_single_batch(*args[:5], [seed])) for seed in (4, 0, 2)]
-    for i, (t, val) in enumerate(rep.delta_norms):
+    for i, (t, val) in enumerate(rep["delta_norms"]):
         assert val == float(np.mean([c[i][1] for c in curves]))
 
 

@@ -328,7 +328,7 @@ def test_trajectory_writer_round_trips_every_float64(tmp_path):
     dim = 100
     values = np.concatenate([values, np.zeros(-len(values) % dim)]).reshape(-1, 1, dim)
     batch = TrajectoryBatch(seeds=(7,), config=GuidanceConfig("NP"), states=np.concatenate([values[:1], values[::-1]]),
-                            eps_pos=values, eps_neg=-values, delta=None, correction=values[::-1] * 0.5)
+                            eps_pos=values, eps_neg=-values, correction=values[::-1] * 0.5)
     path = tmp_path / "trajectories.jsonl"
     with open(path, "wb") as fh:
         fh.writelines(_trajectory_lines(batch))
@@ -494,19 +494,19 @@ def test_cmd_diagnose_csv_floats_parse_back_exactly(tmp_path):
     c = load_config(path)
     report = build_report(c.world, c.positive_condition, c.negative_condition, c.schedule, c.guidance, c.seeds,
                           c.mass_labels)
-    for name, header, series in (("delta_norms.csv", "delta_norm", report.delta_norms),
-                                 ("suppression_proj.csv", "projection", report.suppression_proj),
-                                 ("bias_gap.csv", "gap", report.bias_gap)):
+    for name, header, key in (("delta_norms.csv", "delta_norm", "delta_norms"),
+                              ("suppression_proj.csv", "projection", "suppression_proj"),
+                              ("bias_gap.csv", "gap", "bias_gap")):
         lines = (out / name).read_text().splitlines()
         assert lines[0] == f"t,{header}"
-        assert [(int(t), float(val)) for t, val in (line.split(",") for line in lines[1:])] == series
+        assert [(int(t), float(val)) for t, val in (line.split(",") for line in lines[1:])] == report[key]
     lines = (out / "eigen.csv").read_text().splitlines()
     assert lines[0] == "t,eigenvalue,v0,v1"
-    assert len(lines) == len(report.leading_eigs) + 1
-    for line, (t, lam, v) in zip(lines[1:], report.leading_eigs):
+    assert len(lines) == len(report["leading_eigs"]) + 1
+    for line, (t, lam, v) in zip(lines[1:], report["leading_eigs"]):
         fields = line.split(",")
         assert (int(fields[0]), float(fields[1])) == (t, lam)
-        assert [float(x) for x in fields[2:]] == v.tolist()
+        assert [float(x) for x in fields[2:]] == v
 
 
 @pytest.mark.parametrize("world_edit", [
@@ -614,6 +614,69 @@ def test_cmd_sample_names_empty_and_out_of_range_fields(tmp_path, capsys, path, 
     assert main(["sample", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"sample: error: {message}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("path, key, value, reads", [
+    (("world",), "weight", [0.5, 0.5], "components, weights"),
+    (("world", "components", 1), "covdiag", [2.0, 2.0], "mean, cov_diag"),
+    (("conditions", "plausible"), "component", [1], "components"),
+    (("schedule",), "num_step", 7, "num_steps, beta_start, beta_end"),
+    (("guidance",), "lamda", 5.0, "strategy, w, lambda, eps_stab"),
+    (("run",), "determinstic", False, "seeds, sample_count, deterministic"),
+    (("run", "seeds"), "bases", 4, "count, base"),
+], ids=["world", "component", "condition", "schedule", "guidance", "run", "run_seeds"])
+def test_misspelled_config_key_is_a_named_error(tmp_path, capsys, path, key, value, reads):
+    # guidance.lamda, schedule.num_step and run.determinstic ran silently with lambda 30, the configured
+    # steps and a deterministic sampler, and manifest.json recorded the misspelled keys as if they applied.
+    raw = small_config()
+    section = raw
+    for part in path:
+        section = section[part]
+    section[key] = value
+    name = "".join(f"[{part}]" if isinstance(part, int) else f".{part}" for part in path)[1:]
+    out = tmp_path / "out"
+    assert main(["sample", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
+    message = f"unknown field '{name}.{key}'; '{name}' reads {reads}"
+    assert capsys.readouterr().err.splitlines() == [f"sample: error: {message}"]
+    assert not out.exists()
+
+
+def test_misspelled_par_key_is_a_named_error(tmp_path, capsys):
+    raw = {"par": {"modle": "mock-model"}, "output": {"directory": str(tmp_path / "out")}}
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text((FIXTURES / "butter.prompt.txt").read_text().strip() + "\n")
+    assert main(["par-generate", "--config", str(write_config(tmp_path, raw)), str(prompts),
+                 "--mock", str(FIXTURES)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "par-generate: error: unknown field 'par.modle'; 'par' reads base_url, model, api_key_env, timeout,"
+        " max_retries"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_top_level_and_output_keys_stay_open(tmp_path):
+    # Keys no command reads may sit at the top level and in output, as output.formats does in the
+    # benchmark's sample-wide config.
+    raw = small_config(notes="two wells")
+    raw["output"]["formats"] = ["csv", "jsonl"]
+    out = tmp_path / "out"
+    assert main(["sample", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 0
+    assert (out / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("command, strategy", [("sample", "SDG"), ("compare-guidance", None), ("diagnose-lag", "NP")])
+def test_a_far_component_passes_strict(tmp_path, capsys, command, strategy):
+    # With component 0's mean at [1e300, 0] each command printed numpy's "overflow encountered in
+    # multiply", and under --strict failed with it, naming no field, though every sample and label was right.
+    raw = small_config()
+    raw["world"]["components"][0]["mean"] = [1e300, 0.0]
+    if strategy is not None:
+        raw["guidance"]["strategy"] = strategy
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, raw)), "--out", str(out), "--strict"]) == 0
+    assert capsys.readouterr().err == ""
+    if command == "sample":
+        rows = (out / "samples.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["counterfactual"] * 3
 
 
 @pytest.mark.parametrize("command, edit, message", [

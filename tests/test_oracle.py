@@ -15,7 +15,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from guidelab.oracle import Condition, GmmWorld, assign_components, assign_labels, epsilon_oracle
+from guidelab.oracle import Condition, GmmWorld, assign_components, assign_labels, epsilon_jacobian, epsilon_oracle
 from guidelab.schedule import make_linear_schedule
 
 from conftest import random_world
@@ -375,3 +375,18 @@ def test_assign_labels_names_unclaimed_components_by_index():
     assert assign_labels(world, samples, {}).tolist() == ["3", "0", "2", "1", "0"]
     # the first label that claims a component names it
     assert assign_labels(world, samples[:2], {"a": [3], "b": [3, 0]}).tolist() == ["a", "b"]
+
+
+def test_a_far_component_is_exact_and_quiet():
+    # With a mean at 1e300 the squared offset overflowed, and numpy warned "overflow encountered in
+    # multiply" on every oracle call and every assignment. The -inf log-density it gives is the float64
+    # value of the true one, so the far component takes no responsibility and no warning is due.
+    world = GmmWorld(means=np.array([[1e300, 0.0], [12.0, 0.0]]), cov_diags=np.ones((2, 2)),
+                     weights=np.array([0.5, 0.5]))
+    s = make_linear_schedule(10, 0.05, 0.25)
+    X = np.array([[11.0, 0.5], [-12.0, 0.0], [0.0, 3.0]])
+    np.testing.assert_array_equal(assign_components(world, X), [1, 1, 1])
+    for t in (1, 5, 10):
+        near = epsilon_oracle(world, Condition.subset([1]), s, X, t)
+        assert epsilon_oracle(world, Condition.null(), s, X, t).tobytes() == near.tobytes()
+        assert np.all(np.isfinite(epsilon_jacobian(world, Condition.null(), s, X[0], t)))

@@ -489,3 +489,25 @@ def test_lockstep_rejects_non_finite_latents():
     assert caught == []
     with pytest.raises(ValueError, match="requires a negative condition"):
         run_lockstep(TWO_WELL, Condition.subset([0]), None, s, cfgs, [0])
+
+
+@pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "stochastic"])
+def test_delta_is_eps_pos_minus_eps_neg_exactly(deterministic):
+    # delta is derived, not recorded: None exactly where there is no negative prediction (CFG and a
+    # minus branch), and otherwise eps_pos - eps_neg bit for bit, step by step as the sampler records them.
+    s = make_linear_schedule(6, 0.05, 0.25)
+    results = run_lockstep(TWO_WELL, Condition.subset([0, 2]), Condition.subset([1]), s,
+                           [GuidanceConfig(strategy) for strategy in STRATEGIES], [0, 5, 9], deterministic)
+    has_negative = {}
+    for strategy, result in zip(STRATEGIES, results):
+        batches = (result.plus, result.minus) if strategy in ("TDD_ONLY", "SDG") else (result,)
+        has_negative[strategy] = [b.eps_neg is not None for b in batches]
+        for b in batches:
+            if b.eps_neg is None:
+                assert b.delta is None
+                continue
+            assert b.delta.shape == b.eps_pos.shape
+            for i in range(len(b.eps_pos)):
+                assert b.delta[i].tobytes() == (b.eps_pos[i] - b.eps_neg[i]).tobytes()
+    assert has_negative == {"CFG": [False], "NP": [True], "SDN": [True], "TDD_ONLY": [True, False],
+                            "SDG": [True, False]}
