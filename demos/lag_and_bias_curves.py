@@ -12,11 +12,10 @@ It is exactly zero at the first step and accumulates from there.
 """
 
 import argparse
-import json
 from pathlib import Path
 
 from guidelab.diagnostics import build_report, lag_summary
-from guidelab.experiment import parse_config
+from guidelab.experiment import load_config
 from guidelab.guidance import GuidanceConfig
 
 
@@ -27,8 +26,7 @@ def main():
     ap.add_argument("--seeds", type=int, default=64)
     args = ap.parse_args()
 
-    with open(args.config) as fh:
-        config = parse_config(json.load(fh))
+    config = load_config(args.config)
     report = build_report(config.world, config.positive_condition, config.negative_condition, config.schedule,
                           GuidanceConfig("NP", w=config.guidance.w), config.seeds[: args.seeds], config.mass_labels)
     summary = lag_summary(report)

@@ -9,10 +9,9 @@ between, and CFG with no negative signal leaks the most.
 """
 
 import argparse
-import json
 from pathlib import Path
 
-from guidelab.experiment import parse_config, strategy_comparison
+from guidelab.experiment import load_config, strategy_comparison
 from guidelab.guidance import STRATEGIES
 
 
@@ -22,8 +21,7 @@ def main():
                     default=Path(__file__).parent / "configs" / "two_well.json")
     args = ap.parse_args()
 
-    with open(args.config) as fh:
-        config = parse_config(json.load(fh))
+    config = load_config(args.config)
 
     print(f"world: {config.world.num_components} components, "
           f"{config.schedule.num_steps} steps, {len(config.seeds)} seeds")

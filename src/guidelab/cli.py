@@ -101,8 +101,8 @@ def _write_json(path: Path, obj, **options) -> None:
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
-    """A CSV file of the header row and then each row of an iterable, as the caller formatted them."""
-    with _create(path, newline="") as fh:
+    """A CSV file of the header row and then each row of an iterable, as the caller formatted them, in UTF-8."""
+    with _create(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

@@ -14,8 +14,8 @@ occupancy metrics round out the picture.
 import numpy as np
 
 from guidelab.guidance import GuidanceConfig, row_norms
-from guidelab.oracle import Condition, GmmWorld, assign_labels, epsilon_jacobian, epsilon_oracle
-from guidelab.sampler import TrajectoryBatch, ancestral_coeffs, run_single_batch
+from guidelab.oracle import Condition, GmmWorld, assign_labels, epsilon_jacobian
+from guidelab.sampler import TrajectoryBatch, run_lockstep
 from guidelab.schedule import NoiseSchedule
 
 __all__ = [
@@ -90,56 +90,19 @@ def mode_mass(samples, world: GmmWorld, label_sets: dict) -> dict:
     return {label: float(np.mean(labels == label)) for label in label_sets}
 
 
-def _check_shared_latent(cfg: GuidanceConfig, seeds) -> list:
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("the bias probe needs at least one seed")
-    if cfg.strategy not in ("NP", "SDN"):
-        raise ValueError(f"bias probe needs a shared-latent strategy with a negative condition, got {cfg.strategy}")
-    return seeds
-
-
-def _bias_gap(world: GmmWorld, p_minus: Condition, schedule: NoiseSchedule, coupled: TrajectoryBatch) -> list:
-    """Seed-mean bias gap of a deterministic coupled NP/SDN batch against decoupled references.
-
-    The raw negative prediction on the coupled latent at step t is the
-    coupled run's recorded eps_neg. The reference latent starts at the
-    coupled x_T and follows the raw conditional chain
-    x <- a_t x + b_t eps(p_minus, x, t); its prediction is the one it
-    steps on. Per-seed gaps are added one seed at a time, in seed order,
-    not by a pairwise np.sum, so each step's sum rounds exactly as a
-    loop over seeds does.
-    """
-    x = coupled.states[0]
-    per_step = []
-    for shared, t in zip(coupled.eps_neg, coupled.steps):
-        own = epsilon_oracle(world, p_minus, schedule, x, t)
-        per_step.append(row_norms(shared - own))
-        a_t, b_t, _ = ancestral_coeffs(schedule, t)
-        x = a_t * x + b_t * own
-    gaps = np.zeros(len(per_step))
-    for seed_gaps in np.array(per_step).T:
-        gaps += seed_gaps
-    gaps /= len(coupled.seeds)
-    return [(t, float(gap)) for t, gap in zip(coupled.steps, gaps)]
-
-
 def trajectory_bias_probe(world: GmmWorld, p_plus: Condition, p_minus: Condition, schedule: NoiseSchedule,
                           cfg: GuidanceConfig, seeds) -> list:
-    """Mean gap between the negative prediction on shared vs. decoupled latents.
+    """Mean gap between the negative prediction on shared vs. decoupled latents: build_report's bias_gap.
 
     For each seed, a coupled trajectory runs under cfg (a shared-latent
     strategy with the negative condition) and a decoupled reference
     trajectory samples the negative condition raw from the same initial
-    noise. At each step t the raw negative prediction is evaluated on
-    both latents and the norm of the difference is averaged over seeds.
-    The gap is 0 exactly at t=T (identical initialization), and an
-    identically zero series when p_plus == p_minus. Runs in
-    deterministic mode so the two runs share no noise bookkeeping.
+    noise, both deterministic. At each step t the raw negative prediction
+    is evaluated on both latents and the norm of the difference is
+    averaged over seeds. The gap is 0 exactly at t=T (identical
+    initialization), and an identically zero series when p_plus == p_minus.
     """
-    seeds = _check_shared_latent(cfg, seeds)
-    coupled = run_single_batch(world, p_plus, p_minus, schedule, cfg, seeds, deterministic=True)
-    return _bias_gap(world, p_minus, schedule, coupled)
+    return build_report(world, p_plus, p_minus, schedule, cfg, seeds, {})["bias_gap"]
 
 
 def build_report(world: GmmWorld, p_plus: Condition, p_minus: Condition, schedule: NoiseSchedule,
@@ -150,14 +113,21 @@ def build_report(world: GmmWorld, p_plus: Condition, p_minus: Condition, schedul
     leading_eigs is a list of (t, eigenvalue, unit eigenvector as a list);
     mode_masses maps a label to the fraction of final samples assigned
     to that label's components, or {"all": 1.0} when label_sets is empty.
-    delta_norms and bias_gap are seed-averaged over one coupled batch;
-    the spectral series follow one representative seed's latent path,
-    since eigenvectors do not average across seeds. An eigenvector off
-    unit norm by more than 1e-10, or a mass outside [0, 1], is a
-    ValueError.
+    delta_norms and bias_gap are seed-averaged over one deterministic
+    coupled batch; the spectral series follow one representative seed's
+    latent path, since eigenvectors do not average across seeds. The
+    bias gap's decoupled reference is the minus branch of TDD_ONLY at
+    w = 0, stepped in the same lockstep run: its push away from the null
+    is exactly zero, so it steps on the raw negative prediction on its
+    own latent. Per-seed gaps are added one seed at a time, in seed
+    order, so each step's sum rounds exactly as a loop over seeds does.
+    An eigenvector off unit norm by more than 1e-10, or a mass outside
+    [0, 1], is a ValueError.
     """
-    seeds = _check_shared_latent(cfg, seeds)
-    coupled = run_single_batch(world, p_plus, p_minus, schedule, cfg, seeds, deterministic=True)
+    if cfg.strategy not in ("NP", "SDN"):
+        raise ValueError(f"bias probe needs a shared-latent strategy with a negative condition, got {cfg.strategy}")
+    coupled, decoupled = run_lockstep(world, p_plus, p_minus, schedule, [cfg, GuidanceConfig("TDD_ONLY", w=0.0)],
+                                      seeds)
     delta = coupled.delta[:, EIGEN_SEED_INDEX]
 
     leading_eigs, suppression = [], []
@@ -171,13 +141,17 @@ def build_report(world: GmmWorld, p_plus: Condition, p_minus: Condition, schedul
     for label, frac in masses.items():
         if not 0.0 <= frac <= 1.0:
             raise ValueError(f"mode mass for {label!r} is {frac}, outside [0, 1]")
+    gaps = np.zeros(len(coupled.eps_neg))
+    for seed_gaps in row_norms(coupled.eps_neg - decoupled.minus.eps_pos).T:
+        gaps += seed_gaps
+    gaps /= len(coupled.seeds)
 
     return {
         "delta_norms": delta_norm_curve(coupled),
         "leading_eigs": leading_eigs,
         "suppression_proj": suppression,
         "mode_masses": masses,
-        "bias_gap": _bias_gap(world, p_minus, schedule, coupled),
+        "bias_gap": [(t, float(gap)) for t, gap in zip(coupled.steps, gaps)],
     }
 
 

@@ -180,8 +180,10 @@ def epsilon_jacobian(world: GmmWorld, cond: Condition, schedule: NoiseSchedule, 
     if np.ndim(x) != 1:
         raise ValueError(f"epsilon_jacobian takes one point of shape (dim,), got shape {np.shape(x)}")
     (covs, diff, resp), = _posterior(world, (cond,), schedule, x, t)[1].values()
-    r = resp[0]
-    s_k = diff[0] / covs
+    # a component of zero responsibility adds exactly nothing, and its score can overflow: 0 * inf is NaN
+    keep = resp[0] > 0
+    r, covs = resp[0][keep], covs[keep]
+    s_k = diff[0][keep] / covs
     s = r @ s_k
     hessian = (s_k.T * r) @ s_k - np.diag(r @ (1.0 / covs)) - np.outer(s, s)
     return -np.sqrt(1.0 - schedule.alpha_bar(t)) * hessian

@@ -90,6 +90,23 @@ def test_module_entry_matches_an_in_process_run(tmp_path, capsys, monkeypatch, c
     assert runs["module"] == runs["in_process"]
 
 
+def test_csv_artifacts_are_utf8_under_an_ascii_locale(tmp_path):
+    # The config is read as strict UTF-8 whatever the locale; a CSV written in the locale's encoding failed on a
+    # non-ASCII label under LC_ALL=C, naming no field and leaving a truncated samples.csv.
+    raw = small_config()
+    raw["mass_labels"] = {"plausibel\u00e9": [0], "counterfactual": [1]}
+    config = write_config(tmp_path, raw)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
+    samples = {}
+    for side, locale in (("default", {}), ("ascii", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"})):
+        proc = subprocess.run([sys.executable, "-m", "guidelab.cli", "sample", "--config", str(config),
+                               "--out", str(tmp_path / side)], env={**env, **locale}, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        samples[side] = (tmp_path / side / "samples.csv").read_bytes()
+    assert "plausibel\u00e9".encode() in samples["default"]
+    assert samples["ascii"] == samples["default"]
+
+
 def _is_closed_by_with(node, parents) -> bool:
     """node is a with item's expression, or the argument of an ExitStack's enter_context."""
     parent = parents[node]

@@ -373,21 +373,21 @@ def test_lag_summary_windows():
 
 
 def test_build_report_shares_the_coupled_batch(monkeypatch):
-    # One coupled batch feeds the delta norms, the spectra and the bias
-    # gap; the decoupled reference is a raw conditional chain, not a
-    # second sampler batch, and the report's gap equals the probe's.
+    # One lockstep run gives the coupled batch, which feeds the delta
+    # norms, the spectra and the bias gap, and the decoupled reference
+    # chain; the report's gap equals the probe's.
     import guidelab.diagnostics as diag
 
     s = make_linear_schedule(10, 0.05, 0.25)
-    run = diag.run_single_batch
+    run = diag.run_lockstep
     seen = []
 
     def counting(*args, **kwargs):
-        batch = run(*args, **kwargs)
-        seen.append(len(batch.seeds))
-        return batch
+        batches = run(*args, **kwargs)
+        seen.append(len(batches[0].seeds))
+        return batches
 
-    monkeypatch.setattr(diag, "run_single_batch", counting)
+    monkeypatch.setattr(diag, "run_lockstep", counting)
     args = (MIX, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("NP"), [4, 0, 2])
     rep = build_report(*args, label_sets={"A": [0, 2], "B": [1]})
     assert seen == [3]

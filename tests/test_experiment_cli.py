@@ -1153,7 +1153,6 @@ def oracle_calls(monkeypatch):
     """The step t of every epsilon_oracle call, counted in every guidelab module that holds the function."""
     import sys
 
-    import guidelab.diagnostics  # noqa: F401  (loaded so its alias gets rebound too)
     import guidelab.oracle
 
     real, calls = guidelab.oracle.epsilon_oracle, []
@@ -1172,14 +1171,15 @@ def oracle_calls(monkeypatch):
     (cmd_compare_guidance, "SDG", 50),
     (cmd_sample, "SDG", 50),
     (cmd_sample, "NP", 50),
-    (cmd_diagnose_lag, "NP", 100),
+    (cmd_diagnose_lag, "NP", 50),
+    (cmd_diagnose_lag, "SDN", 50),
 ])
 def test_oracle_call_budget(tmp_path, oracle_calls, command, strategy, expected):
     # One oracle call per step over all seeds, strategies and conditions
     # at once: compare-guidance steps all five strategies in lockstep and
     # asks for the positive, null and negative predictions in one call
-    # (50), and diagnose-lag adds one call per step for the decoupled
-    # reference chain.
+    # (50), and diagnose-lag steps its decoupled reference chain in the
+    # same lockstep run as the coupled batch.
     raw = json.loads(DEMO_CONFIG.read_text())
     raw["guidance"]["strategy"] = strategy
     assert command(write_config(tmp_path, raw), out_dir=tmp_path / "out") == 0

@@ -390,3 +390,18 @@ def test_a_far_component_is_exact_and_quiet():
         near = epsilon_oracle(world, Condition.subset([1]), s, X, t)
         assert epsilon_oracle(world, Condition.null(), s, X, t).tobytes() == near.tobytes()
         assert np.all(np.isfinite(epsilon_jacobian(world, Condition.null(), s, X[0], t)))
+
+
+def test_jacobian_skips_a_far_component_of_zero_responsibility():
+    # With a mean at 1e307 and a narrow variance the component score (mu_k - x) / c_k overflowed, and its
+    # zero responsibility times inf made the Jacobian NaN. The component adds exactly nothing, so the
+    # Jacobian is the one of the world without it.
+    far = GmmWorld(means=np.array([[1e307, 0.0], [12.0, 0.0]]), cov_diags=np.array([[0.01, 1.0], [1.0, 1.0]]),
+                   weights=np.array([0.5, 0.5]))
+    near = GmmWorld(means=np.array([[12.0, 0.0]]), cov_diags=np.ones((1, 2)), weights=np.array([1.0]))
+    s = make_linear_schedule(50, 0.03, 0.10)
+    for x in ([11.0, 0.5], [-12.0, 0.0], [0.0, 3.0]):
+        for t in (1, 2, 25, 50):  # the score overflows while alpha_bar_t is near 1
+            J = epsilon_jacobian(far, Condition.null(), s, np.array(x), t)
+            np.testing.assert_array_equal(J, epsilon_jacobian(near, Condition.null(), s, np.array(x), t))
+            np.testing.assert_allclose(J, jacobian_fd(far, Condition.null(), s, x, t, 1e-5), atol=1e-6)

@@ -305,6 +305,23 @@ def test_minus_branch_decoupled_from_positive_condition():
         assert np.any(a.plus.finals[0] != b.plus.finals[0])
 
 
+def test_tdd_only_minus_branch_at_zero_scale_is_the_raw_conditional_chain():
+    # At w = 0 the minus branch's push away from the null is exactly zero, so it is the raw chain of the
+    # negative condition from the shared x_T: CFG at w = 1 on that condition, which returns it exactly.
+    rng = np.random.default_rng(29)
+    s = make_linear_schedule(8, 0.05, 0.25)
+    for dim in (1, 2, 3, 4):
+        k = int(rng.integers(2, 5))
+        world = random_world(rng, dim=dim, num_components=k)
+        plus, minus = (Condition.subset(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False))
+                       for _ in range(2))
+        seeds = [int(seed) for seed in rng.integers(0, 1000, size=3)]
+        d = run_dual_batch(world, plus, minus, s, GuidanceConfig("TDD_ONLY", w=0.0), seeds)
+        raw = run_single_batch(world, minus, None, s, GuidanceConfig("CFG", w=1.0), seeds)
+        assert d.minus.states.tobytes() == raw.states.tobytes(), dim
+        assert d.minus.eps_pos.tobytes() == raw.eps_pos.tobytes(), dim
+
+
 def test_stochastic_mode_changes_trajectory():
     s = make_linear_schedule(5, 0.05, 0.2)
     det = run_single_batch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("CFG"), [2])
