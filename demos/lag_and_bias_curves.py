@@ -12,11 +12,11 @@ It is exactly zero at the first step and accumulates from there.
 """
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 from guidelab.diagnostics import build_report, lag_summary
 from guidelab.experiment import load_config
-from guidelab.guidance import GuidanceConfig
 
 
 def main():
@@ -28,7 +28,7 @@ def main():
 
     config = load_config(args.config)
     report = build_report(config.world, config.positive_condition, config.negative_condition, config.schedule,
-                          GuidanceConfig("NP", w=config.guidance.w), config.seeds[: args.seeds], config.mass_labels)
+                          replace(config.guidance, strategy="NP"), config.seeds[: args.seeds], config.mass_labels)
     summary = lag_summary(report)
 
     print(f"{'t':>4} {'mean |delta|':>14} {'mean bias gap':>14}")

@@ -87,9 +87,18 @@ def read_text(path, what: str, error=ValueError) -> str:
 
 
 def read_config(path) -> dict:
-    """The raw config dict of a JSON file, read as UTF-8 whatever the locale."""
+    """The raw config dict of a JSON file, read as UTF-8 whatever the locale, with no key repeated in an object."""
+
+    def unique_keys(pairs):  # a key given twice is an error, where json would keep its last value silently
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"config key '{key}' is given twice in one object")
+            obj[key] = value
+        return obj
+
     try:
-        raw = json.loads(read_text(path, "config file", ConfigError))
+        raw = json.loads(read_text(path, "config file", ConfigError), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return field({"config": raw}, "config", "config", dict)

@@ -9,7 +9,7 @@ the resolved config, so artifact files are byte-reproducible.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -199,16 +199,8 @@ def load_config(path, out_dir=None, seed_base=None) -> ExperimentConfig:
     return parse_config(read_config(path), out_dir=out_dir, seed_base=seed_base)
 
 
-def _lockstep(config: ExperimentConfig, strategies, seeds) -> list:
-    """The strategies stepped over the seeds as one batch, with the config's world, conditions and knobs."""
-    g = config.guidance
-    cfgs = [GuidanceConfig(strategy=s, w=g.w, lambda_=g.lambda_, eps_stab=g.eps_stab) for s in strategies]
-    return run_lockstep(config.world, config.positive_condition, config.negative_condition, config.schedule,
-                        cfgs, seeds, deterministic=config.deterministic)
-
-
 def run_strategy(config: ExperimentConfig, strategy: str, seeds):
-    """Run one strategy over a list of seeds, all of them as one batch.
+    """Run the config's guidance with its strategy replaced over a list of seeds, all of them as one batch.
 
     Gives a TrajectoryBatch for single-latent strategies and a
     DualTrajectoryBatch for dual-branch ones. The CFG row needs no
@@ -216,7 +208,8 @@ def run_strategy(config: ExperimentConfig, strategy: str, seeds):
     """
     if strategy != "CFG" and config.negative_condition is None:
         raise ConfigError(f"strategy {strategy} requires a 'negative' condition binding")
-    return _lockstep(config, [strategy], seeds)[0]
+    return run_lockstep(config.world, config.positive_condition, config.negative_condition, config.schedule,
+                        [replace(config.guidance, strategy=strategy)], seeds, config.deterministic)[0]
 
 
 def strategy_comparison(config: ExperimentConfig) -> dict:
@@ -231,7 +224,10 @@ def strategy_comparison(config: ExperimentConfig) -> dict:
     if "counterfactual" not in config.mass_labels:
         raise ConfigError("field 'mass_labels' must define a 'counterfactual' label for comparison runs")
     table = {}
-    for strategy, batch in zip(STRATEGIES, _lockstep(config, STRATEGIES, config.seeds)):
+    cfgs = [replace(config.guidance, strategy=s) for s in STRATEGIES]
+    batches = run_lockstep(config.world, config.positive_condition, config.negative_condition, config.schedule,
+                           cfgs, config.seeds, config.deterministic)
+    for strategy, batch in zip(STRATEGIES, batches):
         per_seed = (assign_labels(config.world, batch.finals, config.mass_labels) == "counterfactual").astype(float)
         n = len(per_seed)
         stderr = float(per_seed.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0

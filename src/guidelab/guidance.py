@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 STRATEGIES = ("CFG", "NP", "SDN", "TDD_ONLY", "SDG")
+DUAL = ("TDD_ONLY", "SDG")  # the strategies that evolve a plus and a minus latent per seed
 
 DEFAULT_W = 6.0
 DEFAULT_LAMBDA = 30.0

@@ -9,10 +9,10 @@ condition. The push is np_combine under NP and TDD_ONLY, sdn_combine
 under SDN and SDG.
 
 One lockstep loop steps any set of strategies over the same seeds, all
-latents as rows of one array, with one oracle call per step. Rows never
-mix, so a seed's path is bit for bit its path in a one-strategy,
-one-seed run; run_single_batch and run_dual_batch are one-strategy
-calls of the loop.
+latents as rows of one array, with one oracle call per step; every
+result is a row slice of one set of records. Rows never mix, so a
+seed's path is bit for bit its path in a one-strategy, one-seed run;
+run_single_batch and run_dual_batch name the loop's one-strategy call.
 
 Seeding contract: rng = numpy.random.default_rng(seed) for each seed;
 the initial latent x_T is the first draw. Deterministic mode draws
@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from guidelab.guidance import GuidanceConfig, cfg_combine, np_combine, sdn_combine
+from guidelab.guidance import DUAL, GuidanceConfig, cfg_combine, np_combine, sdn_combine
 from guidelab.oracle import Condition, GmmWorld, epsilon_oracle
 from guidelab.schedule import NoiseSchedule
 
@@ -45,8 +45,7 @@ class TrajectoryBatch:
 
     states has shape (T+1, N, dim), x_T first. The per-step arrays have
     shape (T, N, dim), and index i holds step t = T - i, whose result is
-    states[i + 1]. eps_neg is None for strategies without a negative
-    prediction.
+    states[i + 1]. eps_neg is None under CFG and on a minus branch.
     """
 
     seeds: tuple
@@ -131,17 +130,15 @@ def run_lockstep(
     rngs = [np.random.default_rng(seed) for seed in seeds]
     n, T = len(seeds), schedule.num_steps
     # block j (rows j*n to (j+1)*n) holds one strategy's latents, or one branch of a dual strategy
-    blocks = [(cfg, kind) for cfg in cfgs for kind in (("plus", "minus") if cfg.strategy in ("TDD_ONLY", "SDG")
-                                                       else (cfg.strategy,))]
+    blocks = [(cfg, kind) for cfg in cfgs for kind in (("plus", "minus") if cfg.strategy in DUAL else (cfg.strategy,))]
+    rows = [slice(j * n, (j + 1) * n) for j in range(len(blocks))]
     # the null prediction is made when a CFG latent or a dual branch reads it, the negative one when bound
     null = None if all(cfg.strategy in ("NP", "SDN") for cfg in cfgs) else Condition.null()
     conditions = {c: cond for c, cond in (("pos", p_plus), ("null", null), ("neg", p_neg)) if cond is not None}
     x = _draw(rngs, len(blocks), world.dim)
-    # a minus branch records nothing itself: its predictions are its plus branch's eps_neg
-    records = [{name: np.empty((T, n, world.dim))
-                for name in ("eps_pos", "correction") + (() if kind == "CFG" else ("eps_neg",))}
-               if kind != "minus" else None for _, kind in blocks]
     states = np.empty((T + 1,) + x.shape)
+    # each result records its rows of these; a minus row's correction stays 0
+    eps_pos, eps_neg, correction = np.empty((T,) + x.shape), np.empty((T,) + x.shape), np.zeros((T,) + x.shape)
     # an overflowing guidance scale surfaces as the named non-finite error below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for i, t in enumerate(range(T, 0, -1)):
@@ -149,25 +146,24 @@ def run_lockstep(
             a_t, b_t, sigma_t = ancestral_coeffs(schedule, t, deterministic)
             eps = dict(zip(conditions, epsilon_oracle(world, tuple(conditions.values()), schedule, x, t)))
             step = np.empty_like(x)  # the prediction each row advances on
-            for j, ((cfg, kind), rec) in enumerate(zip(blocks, records)):
-                r, m = slice(j * n, (j + 1) * n), slice((j + 1) * n, (j + 2) * n)
+            for j, ((cfg, kind), r) in enumerate(zip(blocks, rows)):
+                if kind == "minus":  # its plus branch has set its step and eps_pos, its own prediction
+                    continue
+                pos = eps["pos"][r]
                 if kind == "CFG":
-                    eps_pos, eps_neg, base = eps["pos"][r], None, eps["null"][r]
-                    step[r] = cfg_combine(base, eps_pos, cfg.w)
-                elif kind != "minus":
-                    eps_pos = eps["pos"][r]
+                    base = eps["null"][r]
+                    step[r] = cfg_combine(base, pos, cfg.w)
+                else:
                     if kind == "plus":  # each branch predicts by pushing away from the null
-                        eps_pos = np_combine(eps_pos, eps["null"][r], cfg.w)
-                        eps_neg = step[m] = np_combine(eps["neg"][m], eps["null"][m], cfg.w)
+                        m = rows[j + 1]
+                        pos = np_combine(pos, eps["null"][r], cfg.w)
+                        neg = step[m] = eps_pos[i, m] = np_combine(eps["neg"][m], eps["null"][m], cfg.w)
                     else:
-                        eps_neg = eps["neg"][r]
-                    base = eps_pos
-                    step[r] = (sdn_combine(eps_pos, eps_neg, cfg.lambda_, cfg.eps_stab)
-                               if cfg.strategy in ("SDN", "SDG") else np_combine(eps_pos, eps_neg, cfg.w))
-                if rec is not None:
-                    rec["eps_pos"][i], rec["correction"][i] = eps_pos, step[r] - base
-                    if eps_neg is not None:
-                        rec["eps_neg"][i] = eps_neg
+                        neg = eps["neg"][r]
+                    base, eps_neg[i, r] = pos, neg
+                    step[r] = (sdn_combine(pos, neg, cfg.lambda_, cfg.eps_stab)
+                               if cfg.strategy in ("SDN", "SDG") else np_combine(pos, neg, cfg.w))
+                eps_pos[i, r], correction[i, r] = pos, step[r] - base
             x = a_t * x + b_t * step
             if not deterministic:
                 x = x + sigma_t * _draw(rngs, len(blocks), world.dim)
@@ -175,30 +171,17 @@ def run_lockstep(
             if bad:
                 raise ValueError(f"sampling under {', '.join(bad)} went non-finite at step t={t}")
     states[T] = x
-    results = []
-    for j, ((cfg, kind), rec) in enumerate(zip(blocks, records)):
-        path = states[:, j * n:(j + 1) * n]
-        if kind != "minus":
-            results.append(TrajectoryBatch(seeds=seeds, config=cfg, states=path,
-                                           **{"eps_neg": None, **rec}))
-        else:
-            plus = results.pop()
-            minus = TrajectoryBatch(seeds, cfg, path, plus.eps_neg, None, np.zeros_like(plus.eps_neg))
-            results.append(DualTrajectoryBatch(plus=plus, minus=minus))
-    return results
+    batches = (TrajectoryBatch(seeds, cfg, states[:, r], eps_pos[:, r],
+                               None if kind in ("CFG", "minus") else eps_neg[:, r], correction[:, r])
+               for (cfg, kind), r in zip(blocks, rows))
+    return [DualTrajectoryBatch(next(batches), next(batches)) if cfg.strategy in DUAL else next(batches)
+            for cfg in cfgs]
 
 
 def run_single_batch(world: GmmWorld, p_plus: Condition, p_neg: Optional[Condition], schedule: NoiseSchedule,
-                     cfg: GuidanceConfig, seeds, deterministic: bool = True) -> TrajectoryBatch:
-    """Sample one latent per seed from x_T to x_0 under a single-trajectory strategy."""
-    if cfg.strategy not in ("CFG", "NP", "SDN"):
-        raise ValueError(f"run_single_batch handles CFG/NP/SDN, got {cfg.strategy}")
+                     cfg: GuidanceConfig, seeds, deterministic: bool = True):
+    """One strategy over the seeds: a TrajectoryBatch under CFG/NP/SDN, a DualTrajectoryBatch under TDD_ONLY/SDG."""
     return run_lockstep(world, p_plus, p_neg, schedule, [cfg], seeds, deterministic)[0]
 
 
-def run_dual_batch(world: GmmWorld, p_plus: Condition, p_minus: Condition, schedule: NoiseSchedule,
-                   cfg: GuidanceConfig, seeds, deterministic: bool = True) -> DualTrajectoryBatch:
-    """Evolve decoupled plus/minus latents per seed from shared initial noise, under TDD_ONLY or SDG."""
-    if cfg.strategy not in ("TDD_ONLY", "SDG"):
-        raise ValueError(f"run_dual_batch handles TDD_ONLY/SDG, got {cfg.strategy}")
-    return run_lockstep(world, p_plus, p_minus, schedule, [cfg], seeds, deterministic)[0]
+run_dual_batch = run_single_batch

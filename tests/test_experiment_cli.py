@@ -641,6 +641,22 @@ def test_misspelled_config_key_is_a_named_error(tmp_path, capsys, path, key, val
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["compare-guidance", "par-generate"])
+def test_repeated_config_key_is_a_named_error(tmp_path, capsys, command):
+    # "w": 6.0, "w": 600.0 ran compare-guidance at w = 600 and recorded it in manifest.json.
+    text = json.dumps(small_config(), indent=1).replace('"w": 6.0', '"w": 6.0, "w": 600.0')
+    assert text.count('"w"') == 2
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text((FIXTURES / "butter.prompt.txt").read_text().strip() + "\n")
+    out = tmp_path / "out"
+    args = [str(prompts), "--mock", str(FIXTURES)] if command == "par-generate" else []
+    assert main([command, "--config", str(path), *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"{command}: error: config key 'w' is given twice in one object"]
+    assert not out.exists()
+
+
 def test_misspelled_par_key_is_a_named_error(tmp_path, capsys):
     raw = {"par": {"modle": "mock-model"}, "output": {"directory": str(tmp_path / "out")}}
     prompts = tmp_path / "prompts.txt"

@@ -15,7 +15,7 @@ import pytest
 from guidelab.experiment import default_config, parse_config
 from guidelab.guidance import STRATEGIES, GuidanceConfig, cfg_combine, np_combine, sdn_combine
 from guidelab.oracle import Condition, GmmWorld, epsilon_oracle
-from guidelab.sampler import ancestral_coeffs, run_dual_batch, run_lockstep, run_single_batch
+from guidelab.sampler import DualTrajectoryBatch, ancestral_coeffs, run_dual_batch, run_lockstep, run_single_batch
 from guidelab.schedule import NoiseSchedule, make_linear_schedule
 
 from conftest import random_world
@@ -256,15 +256,15 @@ def test_cfg_records_have_no_negative_side():
 
 
 def test_single_branch_strategy_validation():
+    # one function answers to both names and returns the shape each strategy implies
     s = make_linear_schedule(3, 0.05, 0.2)
-    with pytest.raises(ValueError):
-        run_single_batch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("SDG"), [0])
+    assert run_single_batch is run_dual_batch
+    d = run_single_batch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("SDG"), [0])
+    assert isinstance(d, DualTrajectoryBatch) and d.minus.eps_neg is None
     with pytest.raises(ValueError):
         run_single_batch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("NP"), [0])
     with pytest.raises(ValueError):
         run_single_batch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("SDN"), [0])
-    with pytest.raises(ValueError):
-        run_dual_batch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("CFG"), [0])
 
 
 def test_dual_branches_share_initial_noise():
@@ -493,6 +493,25 @@ def test_lockstep_equals_solo_runs(world, plus, neg, seeds, deterministic):
                 assert (a is None) == (b is None), (cfg.strategy, name)
                 assert a is None or np.array_equal(a, b), (cfg.strategy, name)
         assert np.array_equal(batch.finals, alone.finals)
+
+
+def test_lockstep_results_are_row_slices_of_one_record():
+    # Every result views its own rows of one states, eps_pos, eps_neg and correction array; a minus
+    # row's eps_pos is its plus row's eps_neg and its correction is exactly 0.
+    s = make_linear_schedule(6, 0.05, 0.25)
+    cfgs = [GuidanceConfig("CFG"), GuidanceConfig("SDN"), GuidanceConfig("SDG")]
+    cfg_run, sdn, sdg = run_lockstep(TWO_WELL, Condition.subset([0, 1]), Condition.subset([1]), s, cfgs, [5, 6, 7])
+    batches = [cfg_run, sdn, sdg.plus, sdg.minus]
+    for name in ("states", "eps_pos", "correction"):
+        record = getattr(cfg_run, name).base
+        assert record.shape[1] == 4 * 3
+        for j, batch in enumerate(batches):
+            assert getattr(batch, name).base is record
+            assert np.shares_memory(getattr(batch, name), record[:, 3 * j:3 * (j + 1)])
+    assert sdn.eps_neg.base is sdg.plus.eps_neg.base
+    assert cfg_run.eps_neg is None and sdg.minus.eps_neg is None
+    assert sdg.minus.eps_pos.tobytes() == sdg.plus.eps_neg.tobytes()
+    assert not sdg.minus.correction.any() and sdg.plus.correction.any()
 
 
 def test_lockstep_rejects_non_finite_latents():
