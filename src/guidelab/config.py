@@ -27,9 +27,11 @@ def field(section, key, name: str, kind, default=_REQUIRED, length=None, keys=No
 
     kind is int, float, bool, str, list or dict, or [int] or [float] for a
     list of JSON numbers (exactly length of them, if length is given). A
-    number is never null, a bool, a string or beyond the float range, and
-    an int must be integral (3 or 3.0, not 3.7). An absent key reads as
-    default, and is an error without one; a field whose default is None
+    number is never null, a bool, a string or a JSON integer beyond the
+    float range, and an int must be integral (3 or 3.0, not 3.7). The
+    literals NaN, Infinity and 1e999 read as nan and inf, which the object
+    built from the value rejects, naming its section. An absent key reads
+    as default, and is an error without one; a field whose default is None
     reads a null as None too. A mapping read with keys holds no other key,
     so a misspelled field fails instead of leaving its default in force.
     """

@@ -142,7 +142,7 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"field 'guidance' invalid: {exc}") from exc
 
-    run = field(raw, "run", "run", dict, keys=("seeds", "sample_count", "deterministic"))
+    run = field(raw, "run", "run", dict, keys=("seeds", "deterministic"))
     counted = isinstance(run.get("seeds"), dict)  # a {count, base} mapping; anything else is read as a seed list
     if counted:
         counts = field(run, "seeds", "run.seeds", dict, keys=("count", "base"))
@@ -166,13 +166,7 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
         if s >= 2**64:
             # trajectories.jsonl holds each seed as a JSON integer its encoder keeps to 64 bits
             raise ConfigError(f"field '{where}' must give seeds below 2**64, got seed {s}")
-    seeds = list(dict.fromkeys(seeds))  # duplicates dropped, first occurrence kept
-    sample_count = field(run, "sample_count", "run.sample_count", int, len(seeds))
-    if sample_count < 1:
-        raise ConfigError("field 'run.sample_count' must be >= 1")
-    if sample_count > len(seeds):
-        raise ConfigError(f"field 'run.sample_count' must be at most the {len(seeds)} distinct seeds of 'run.seeds',"
-                          f" got {sample_count}")
+    seeds = tuple(dict.fromkeys(seeds))  # duplicates dropped, first occurrence kept
     deterministic = field(run, "deterministic", "run.deterministic", bool, True)
 
     labels = field(raw, "mass_labels", "mass_labels", dict, {})
@@ -187,7 +181,7 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
         negative_condition=None if negative is None else conditions[negative],
         schedule=schedule,
         guidance=guidance,
-        seeds=tuple(seeds[:sample_count]),
+        seeds=seeds,
         deterministic=deterministic,
         mass_labels=mass_labels,
         out_dir=output_dir(raw, out_dir),

@@ -10,9 +10,10 @@ under SDN and SDG.
 
 One lockstep loop steps any set of strategies over the same seeds, all
 latents as rows of one array, with one oracle call per step; every
-result is a row slice of one set of records. Rows never mix, so a
-seed's path is bit for bit its path in a one-strategy, one-seed run;
-run_single_batch and run_dual_batch name the loop's one-strategy call.
+result is a row slice of one set of records, checked once for non-finite
+values. Rows never mix, so a seed's path is bit for bit its path in a
+one-strategy, one-seed run; run_single_batch and run_dual_batch name the
+loop's one-strategy call.
 
 Seeding contract: rng = numpy.random.default_rng(seed) for each seed;
 the initial latent x_T is the first draw. Deterministic mode draws
@@ -84,19 +85,18 @@ class DualTrajectoryBatch:
         return self.plus.finals
 
 
-def ancestral_coeffs(schedule: NoiseSchedule, t: int, deterministic: bool = True) -> tuple:
+def ancestral_coeffs(schedule: NoiseSchedule, t: int) -> tuple:
     """Standard ancestral update coefficients (a_t, b_t, sigma_t) at step t.
 
     One reverse update is x_{t-1} = a_t x_t + b_t eps_hat + sigma_t eta, with
     a_t = 1/sqrt(1-beta_t), b_t = -beta_t/(sqrt(1-beta_t)*sqrt(1-alpha_bar_t)),
-    sigma_t = sqrt(beta_t), forced to zero in deterministic mode.
+    sigma_t = sqrt(beta_t); deterministic mode adds no sigma_t eta term.
     """
     b = schedule.beta(t)
     ab = schedule.alpha_bar(t)
     a_t = 1.0 / np.sqrt(1.0 - b)
     b_t = -b / (np.sqrt(1.0 - b) * np.sqrt(1.0 - ab))
-    sigma_t = 0.0 if deterministic else float(np.sqrt(b))
-    return float(a_t), float(b_t), sigma_t
+    return float(a_t), float(b_t), float(np.sqrt(b))
 
 
 def _draw(rngs, copies: int, dim: int) -> np.ndarray:
@@ -116,10 +116,10 @@ def run_lockstep(
     """Step the strategies of cfgs over the same seeds as one stacked batch.
 
     Gives one result per config, in order: a TrajectoryBatch for
-    CFG/NP/SDN, a DualTrajectoryBatch for TDD_ONLY/SDG. CFG ignores
-    p_neg. One oracle call per step predicts, on every row, the positive
-    condition, the null one if read and the negative one if bound. A latent
-    that goes non-finite is a ValueError naming the strategy and the step t.
+    CFG/NP/SDN, a DualTrajectoryBatch for TDD_ONLY/SDG. CFG ignores p_neg.
+    One oracle call per step predicts the positive, null and any bound
+    negative condition on every row. A non-finite latent, then eps_pos,
+    eps_neg or correction, is a ValueError naming its strategies and first step t.
     """
     for cfg in cfgs:
         if cfg.strategy != "CFG" and p_neg is None:
@@ -132,18 +132,16 @@ def run_lockstep(
     # block j (rows j*n to (j+1)*n) holds one strategy's latents, or one branch of a dual strategy
     blocks = [(cfg, kind) for cfg in cfgs for kind in (("plus", "minus") if cfg.strategy in DUAL else (cfg.strategy,))]
     rows = [slice(j * n, (j + 1) * n) for j in range(len(blocks))]
-    # the null prediction is made when a CFG latent or a dual branch reads it, the negative one when bound
-    null = None if all(cfg.strategy in ("NP", "SDN") for cfg in cfgs) else Condition.null()
-    conditions = {c: cond for c, cond in (("pos", p_plus), ("null", null), ("neg", p_neg)) if cond is not None}
+    conditions = {"pos": p_plus, "null": Condition.null()} | ({} if p_neg is None else {"neg": p_neg})
     x = _draw(rngs, len(blocks), world.dim)
     states = np.empty((T + 1,) + x.shape)
-    # each result records its rows of these; a minus row's correction stays 0
-    eps_pos, eps_neg, correction = np.empty((T,) + x.shape), np.empty((T,) + x.shape), np.zeros((T,) + x.shape)
+    # each result records its rows of these; eps_neg's CFG and minus rows and a minus row's correction stay 0
+    eps_pos, eps_neg, correction = np.empty((T,) + x.shape), np.zeros((T,) + x.shape), np.zeros((T,) + x.shape)
     # an overflowing guidance scale surfaces as the named non-finite error below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for i, t in enumerate(range(T, 0, -1)):
             states[i] = x
-            a_t, b_t, sigma_t = ancestral_coeffs(schedule, t, deterministic)
+            a_t, b_t, sigma_t = ancestral_coeffs(schedule, t)
             eps = dict(zip(conditions, epsilon_oracle(world, tuple(conditions.values()), schedule, x, t)))
             step = np.empty_like(x)  # the prediction each row advances on
             for j, ((cfg, kind), r) in enumerate(zip(blocks, rows)):
@@ -167,10 +165,15 @@ def run_lockstep(
             x = a_t * x + b_t * step
             if not deterministic:
                 x = x + sigma_t * _draw(rngs, len(blocks), world.dim)
-            bad = dict.fromkeys(blocks[row // n][0].strategy for row in np.flatnonzero(~np.isfinite(x).all(axis=1)))
-            if bad:
-                raise ValueError(f"sampling under {', '.join(bad)} went non-finite at step t={t}")
     states[T] = x
+    # index i of each record is step t = T - i
+    for key, a in (("latents", states[1:]), ("eps_pos", eps_pos), ("eps_neg", eps_neg), ("correction", correction)):
+        bad = ~np.isfinite(a).all(axis=2)
+        if bad.any():
+            i = int(bad.any(axis=1).argmax())
+            names = ", ".join(dict.fromkeys(blocks[row // n][0].strategy for row in np.flatnonzero(bad[i])))
+            what = "went non-finite" if key == "latents" else f"recorded a non-finite {key}"
+            raise ValueError(f"sampling under {names} {what} at step t={T - i}")
     batches = (TrajectoryBatch(seeds, cfg, states[:, r], eps_pos[:, r],
                                None if kind in ("CFG", "minus") else eps_neg[:, r], correction[:, r])
                for (cfg, kind), r in zip(blocks, rows))

@@ -4,12 +4,12 @@ import hashlib
 import json
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from guidelab import sampler
 from guidelab.cli import (
     _trajectory_lines,
     cmd_compare_guidance,
@@ -119,27 +119,15 @@ def test_seed_base_override():
     assert cfg2.seeds == (10, 11)
 
 
-def test_sample_count_truncates():
-    raw = small_config()
-    raw["run"]["seeds"] = {"count": 10, "base": 0}
-    raw["run"]["sample_count"] = 4
-    cfg = parse_config(raw)
-    assert cfg.seeds == (0, 1, 2, 3)
-
-
 @pytest.mark.parametrize("command", ["sample", "compare-guidance"])
-@pytest.mark.parametrize("seeds, sample_count, distinct", [({"count": 4, "base": 0}, 10, 4), ([3, 3, 5], 3, 2)],
-                         ids=["count", "duplicates"])
-def test_sample_count_above_the_distinct_seeds_is_an_error(tmp_path, capsys, command, seeds, sample_count, distinct):
-    # It used to run the fewer seeds that there were, and say nothing.
+def test_run_sample_count_is_an_unknown_field(tmp_path, capsys, command):
+    # run.sample_count used to keep the first that many seeds, which run.seeds already states.
     raw = small_config()
-    raw["run"]["seeds"] = seeds
-    raw["run"]["sample_count"] = sample_count
+    raw["run"]["sample_count"] = 2
     out = tmp_path / "out"
     assert main([command, "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"{command}: error: field 'run.sample_count' must be at most the {distinct} distinct seeds of 'run.seeds',"
-        f" got {sample_count}"]
+        f"{command}: error: unknown field 'run.sample_count'; 'run' reads seeds, deterministic"]
     assert not out.exists()
 
 
@@ -344,21 +332,27 @@ def test_trajectory_writer_round_trips_every_float64(tmp_path):
 
 
 def test_cmd_sample_refuses_non_finite_records(tmp_path, capsys, monkeypatch):
-    # The latents can stay finite while a recorded prediction overflows
-    # (correction = step - base with step near 1e308 and base near -1e308).
-    # Such a value must stop the run with its field and step, not reach
-    # trajectories.jsonl as NaN, Infinity or null.
-    def poisoned(*args):
-        batch = run_strategy(*args)
-        correction = batch.plus.correction.copy()
-        correction[3, 1, 0] = np.nan
-        return type(batch)(plus=replace(batch.plus, correction=correction), minus=batch.minus)
+    # The latents can stay finite while a recorded prediction does not: CFG
+    # at w = 0 steps on the null prediction alone, so a non-finite positive
+    # one reaches only eps_pos. Such a value must stop the run with its field
+    # and step, not reach trajectories.jsonl as NaN, Infinity or null.
+    real = sampler.epsilon_oracle
 
-    monkeypatch.setattr("guidelab.experiment.run_strategy", poisoned)
+    def poisoned(world, conds, schedule, x, t):
+        eps = real(world, conds, schedule, x, t)
+        if t != 7:
+            return eps
+        pos = eps[0].copy()  # the null shares the positive's array when both select every component
+        pos[1, 0] = np.inf
+        return (pos,) + eps[1:]
+
+    monkeypatch.setattr(sampler, "epsilon_oracle", poisoned)
+    raw = small_config()
+    raw["guidance"].update(strategy="CFG", w=0.0)
     out = tmp_path / "out"
-    assert main(["sample", "--config", str(write_config(tmp_path, small_config())), "--out", str(out)]) == 2
+    assert main(["sample", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "sample: error: sampling under SDG recorded a non-finite correction at step t=7"]
+        "sample: error: sampling under CFG recorded a non-finite eps_pos at step t=7"]
     assert not out.exists()
 
 
@@ -537,7 +531,6 @@ def test_cmd_sample_rejects_bad_world(tmp_path, capsys, world_edit):
     (("run", "seeds"), [1, {"a": 2}], "run.seeds[1]"),
     (("run", "seeds", "count"), 3.7, "run.seeds.count"),
     (("run", "seeds", "base"), None, "run.seeds.base"),
-    (("run", "sample_count"), True, "run.sample_count"),
     (("mass_labels", "plausible"), 0, "mass_labels.plausible"),
     (("mass_labels", "counterfactual"), [1.5], "mass_labels.counterfactual[0]"),
     (("run", "deterministic"), "false", "run.deterministic"),
@@ -567,7 +560,7 @@ def test_cmd_sample_rejects_bad_world(tmp_path, capsys, world_edit):
     (("world", "weights"), {"a": 1}, "world.weights"),
     (("guidance", "w"), 10 ** 400, "guidance.w"),
 ], ids=["w_null", "lambda_list", "num_steps_null", "num_steps_fraction", "beta_string", "seed_mapping",
-        "count_fraction", "base_null", "sample_count_bool", "mass_label_int", "mass_label_fraction",
+        "count_fraction", "base_null", "mass_label_int", "mass_label_fraction",
         "deterministic_string", "deterministic_int", "positive_list", "negative_list", "run_int",
         "condition_int", "mass_labels_list", "output_list", "component_fraction", "component_string",
         "component_bool", "components_int", "seeds_empty", "base_negative", "seed_negative",
@@ -602,8 +595,7 @@ def test_cmd_sample_rejects_non_numeric_fields(tmp_path, capsys, path, value, fi
     (("conditions",), {}, "field 'conditions' must be a nonempty mapping"),
     (("guidance", "w"), -1, "field 'guidance' invalid: w must be finite and >= 0, got -1.0"),
     (("run", "seeds", "count"), 0, "field 'run.seeds.count' must be >= 1"),
-    (("run", "sample_count"), 0, "field 'run.sample_count' must be >= 1"),
-], ids=["components_empty", "mean_empty", "conditions_empty", "w_negative", "count_zero", "sample_count_zero"])
+], ids=["components_empty", "mean_empty", "conditions_empty", "w_negative", "count_zero"])
 def test_cmd_sample_names_empty_and_out_of_range_fields(tmp_path, capsys, path, value, message):
     raw = small_config()
     section = raw
@@ -622,7 +614,7 @@ def test_cmd_sample_names_empty_and_out_of_range_fields(tmp_path, capsys, path, 
     (("conditions", "plausible"), "component", [1], "components"),
     (("schedule",), "num_step", 7, "num_steps, beta_start, beta_end"),
     (("guidance",), "lamda", 5.0, "strategy, w, lambda, eps_stab"),
-    (("run",), "determinstic", False, "seeds, sample_count, deterministic"),
+    (("run",), "determinstic", False, "seeds, deterministic"),
     (("run", "seeds"), "bases", 4, "count, base"),
 ], ids=["world", "component", "condition", "schedule", "guidance", "run", "run_seeds"])
 def test_misspelled_config_key_is_a_named_error(tmp_path, capsys, path, key, value, reads):
@@ -855,6 +847,25 @@ def test_par_generate_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert exc.value.code == 2
     assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", ["33", "1000"])
+def test_par_generate_rejects_jobs_above_32(tmp_path, capsys, jobs):
+    # A thread pool starts a thread per call while none is idle, so --jobs N could start up to N threads
+    # against a slow endpoint. The usage error comes from main before any command runs.
+    config = write_config(tmp_path, small_config())
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text((FIXTURES / "butter.prompt.txt").read_text().strip() + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["par-generate", "--config", str(config), str(prompts), "--mock", str(FIXTURES),
+              "--out", str(tmp_path / "out"), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert f"argument --jobs: must be at most 32, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # 32 itself is within the bound: schedule-dump, which runs no pool, refuses it only as a flag it ignores
+    with pytest.raises(SystemExit):
+        main(["schedule-dump", "--config", str(config), "--out", str(tmp_path / "out"), "--jobs", "32"])
+    assert "argument --jobs: not used by schedule-dump" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag", [

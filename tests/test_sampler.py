@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from guidelab import sampler
 from guidelab.experiment import default_config, parse_config
 from guidelab.guidance import STRATEGIES, GuidanceConfig, cfg_combine, np_combine, sdn_combine
 from guidelab.oracle import Condition, GmmWorld, epsilon_oracle
@@ -30,14 +31,12 @@ TWO_WELL = GmmWorld(
 
 def test_ancestral_coeffs_arithmetic():
     s = NoiseSchedule(num_steps=1, betas=np.array([0.19]), alpha_bars=np.array([0.81]))
-    a_t, b_t, sigma_t = ancestral_coeffs(s, 1, deterministic=True)
+    a_t, b_t, sigma_t = ancestral_coeffs(s, 1)
     assert a_t == pytest.approx(1.0 / 0.9, abs=1e-12)
     assert b_t == pytest.approx(-0.19 / (0.9 * np.sqrt(0.19)), abs=1e-12)
     assert b_t == pytest.approx(-0.48432, abs=1e-5)
-    assert sigma_t == 0.0
-    a2_t, b2_t, sigma2_t = ancestral_coeffs(s, 1, deterministic=False)
-    assert sigma2_t == pytest.approx(np.sqrt(0.19), abs=1e-12)
-    assert (a2_t, b2_t) == (a_t, b_t)
+    # sigma_t is the same in both modes: a deterministic run adds no noise term at all
+    assert sigma_t == pytest.approx(np.sqrt(0.19), abs=1e-12)
 
 
 def test_initial_state_follows_seeding_contract():
@@ -525,6 +524,27 @@ def test_lockstep_rejects_non_finite_latents():
     assert caught == []
     with pytest.raises(ValueError, match="requires a negative condition"):
         run_lockstep(TWO_WELL, Condition.subset([0]), None, s, cfgs, [0])
+
+
+@pytest.mark.parametrize("w, pos, null, message", [
+    (0.0, np.inf, 0.0, "sampling under CFG recorded a non-finite eps_pos at step t=1"),
+    (1.0, 1e308, -1e308, "sampling under CFG recorded a non-finite correction at step t=1"),
+], ids=["eps_pos", "correction"])
+def test_lockstep_rejects_a_non_finite_record_behind_finite_latents(monkeypatch, w, pos, null, message):
+    # CFG at w = 0 steps on the null alone, and at w = 1 on the positive alone, whose
+    # correction 1e308 - (-1e308) overflows: the latents stay finite, the record does not.
+    real = sampler.epsilon_oracle
+
+    def poisoned(world, conds, schedule, x, t):
+        eps = real(world, conds, schedule, x, t)
+        if t != 1:
+            return eps
+        return (np.full_like(eps[0], pos), np.full_like(eps[1], null)) + eps[2:]
+
+    monkeypatch.setattr(sampler, "epsilon_oracle", poisoned)
+    s = make_linear_schedule(5, 0.05, 0.2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_lockstep(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, [GuidanceConfig("CFG", w=w)], [0, 1])
 
 
 @pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "stochastic"])
