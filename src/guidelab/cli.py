@@ -145,11 +145,13 @@ def _trajectory_lines(result):
 @_command("sample", "run the configured strategy over the seed sweep")
 def cmd_sample(config_path, out_dir=None, seed_base=None, *, strict=False) -> int:
     """Run the configured strategy over the seeds; write samples + trajectories (none if a record is not finite)."""
-    from guidelab.experiment import load_config, run_strategy
+    from guidelab.experiment import load_config
     from guidelab.oracle import assign_labels
+    from guidelab.sampler import run_single_batch
 
     config = load_config(config_path, out_dir=out_dir, seed_base=seed_base)
-    result = run_strategy(config, config.guidance.strategy, config.seeds)
+    result = run_single_batch(config.world, config.positive_condition, config.negative_condition, config.schedule,
+                              config.guidance, config.seeds, config.deterministic)
 
     labels = assign_labels(config.world, result.finals, config.mass_labels).tolist()
     _write_csv(config.out_dir / "samples.csv", ["seed"] + [f"x{i}" for i in range(config.world.dim)] + ["mode"],
@@ -184,7 +186,7 @@ def cmd_compare_guidance(config_path, out_dir=None, seed_base=None, *, strict=Fa
 
 @_command("diagnose-lag", "emit lag/bias/spectral diagnostic curves")
 def cmd_diagnose_lag(config_path, out_dir=None, seed_base=None, *, strict=False) -> int:
-    """Discrepancy-norm, spectral, and trajectory-bias curves for an NP/SDN run."""
+    """Discrepancy-norm, spectral, and trajectory-bias curves for an NP/SDN run, whose negative parse_config checks."""
     from guidelab.diagnostics import build_report, lag_summary
     from guidelab.experiment import load_config
 
@@ -194,8 +196,6 @@ def cmd_diagnose_lag(config_path, out_dir=None, seed_base=None, *, strict=False)
     if not config.deterministic:
         raise ConfigError("field 'run.deterministic' must be true for diagnose-lag, which steps its chains"
                           " without noise")
-    if config.negative_condition is None:
-        raise ConfigError("diagnose-lag needs a 'negative' condition binding")
     if config.schedule.num_steps < 2:
         # the bias gap is 0 by construction at t=T, so its early and late means need a later step
         raise ConfigError(f"field 'schedule.num_steps' must be at least 2 for diagnose-lag,"
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     common.add_argument("--jobs", type=int, default=1,
                         help="parallelism bound over prompts, 1 to 32 (par-generate); seed sweeps run as one batch")
     common.add_argument("--seed-base", type=int, default=None,
-                        help="replace the seed base (count+base configs) or offset an explicit seed list")
+                        help="replace run.seeds.base")
     common.add_argument("--strict", action="store_true",
                         help="fail on soft errors (per-prompt failures, diagnostic warnings)")
 

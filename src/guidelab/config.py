@@ -107,12 +107,16 @@ def read_config(path) -> dict:
 
 
 def output_dir(raw: dict, out_dir=None) -> Path:
-    """The run's output directory: out_dir if given (recorded in raw), else output.directory."""
+    """The run's output directory: out_dir if given (recorded in raw), else output.directory; neither may be empty."""
     out = field(raw, "output", "output", dict)
     # out_dir replaces output.directory, which may then be absent but not of another kind
     directory = field(out, "directory", "output.directory", str, _REQUIRED if out_dir is None else "")
     if out_dir is not None:
+        if out_dir == "":  # Path("") is the working directory, which a run would write into and delete from
+            raise ConfigError("argument --out must be a nonempty path, got ''")
         out["directory"] = directory = str(Path(out_dir))
+    if not directory:
+        raise ConfigError("field 'output.directory' must be a nonempty string, got ''")
     return Path(directory)
 
 

@@ -121,8 +121,7 @@ def build_report(world: GmmWorld, p_plus: Condition, p_minus: Condition, schedul
     is exactly zero, so it steps on the raw negative prediction on its
     own latent. Per-seed gaps are added one seed at a time, in seed
     order, so each step's sum rounds exactly as a loop over seeds does.
-    An eigenvector off unit norm by more than 1e-10, or a mass outside
-    [0, 1], is a ValueError.
+    Eigenvectors are eigh's unit columns; masses are means of booleans.
     """
     if cfg.strategy not in ("NP", "SDN"):
         raise ValueError(f"bias probe needs a shared-latent strategy with a negative condition, got {cfg.strategy}")
@@ -133,14 +132,9 @@ def build_report(world: GmmWorld, p_plus: Condition, p_minus: Condition, schedul
     leading_eigs, suppression = [], []
     for i, t in enumerate(coupled.steps):
         lam, v = leading_eigen(epsilon_jacobian(world, p_plus, schedule, coupled.states[i, EIGEN_SEED_INDEX], t))
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-            raise ValueError(f"eigenvector at t={t} has norm {np.linalg.norm(v)}, expected 1 within 1e-10")
         leading_eigs.append((t, lam, v.tolist()))
         suppression.append((t, suppression_projection(v, delta[i], cfg.w)))
     masses = mode_mass(coupled.finals, world, label_sets or {"all": list(range(world.num_components))})
-    for label, frac in masses.items():
-        if not 0.0 <= frac <= 1.0:
-            raise ValueError(f"mode mass for {label!r} is {frac}, outside [0, 1]")
     gaps = np.zeros(len(coupled.eps_neg))
     for seed_gaps in row_norms(coupled.eps_neg - decoupled.minus.eps_pos).T:
         gaps += seed_gaps

@@ -1,11 +1,12 @@
-"""Experiment configuration and seed-sweep runners.
+"""Experiment configuration and the strategy-comparison runner.
 
 A single JSON file describes an experiment: the mixture world, a named
-condition registry, the schedule, the guidance settings, the seed
-sweep, and the output locations. The runners here resolve that file
-into live objects, drive the samplers over the seeds, and hand
-artifact-ready tables back to the CLI. Every run is deterministic given
-the resolved config, so artifact files are byte-reproducible.
+condition registry, the schedule, the guidance settings, a sweep of
+count seeds from a base, and the output locations. parse_config
+resolves it into live objects, refusing a config its own strategy
+cannot run, and strategy_comparison steps all five strategies over the
+seeds. Every run is deterministic given the resolved config, so
+artifact files are byte-reproducible.
 """
 
 import json
@@ -27,7 +28,6 @@ __all__ = [
     "default_config",
     "parse_config",
     "load_config",
-    "run_strategy",
     "strategy_comparison",
 ]
 
@@ -84,10 +84,10 @@ class ExperimentConfig:
 def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
     """Validate and resolve a raw config dict.
 
-    out_dir overrides output.directory; seed_base replaces the base of a
-    count+base seed spec or offsets an explicit seed list. The resolved
-    raw dict (with overrides applied) is kept for hashing and manifest
-    embedding.
+    run.seeds {count, base} gives the seeds base .. base + count - 1, all
+    below 2**64; a strategy other than CFG needs a 'negative' binding.
+    out_dir overrides output.directory, seed_base replaces run.seeds.base.
+    The resolved raw dict (overrides applied) is kept for the manifest.
     """
     raw = json.loads(json.dumps(raw))
     world_raw = field(raw, "world", "world", dict, keys=("components", "weights"))
@@ -141,32 +141,23 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
         guidance = GuidanceConfig(strategy=strategy, w=w, lambda_=lambda_, eps_stab=eps_stab)
     except ValueError as exc:
         raise ConfigError(f"field 'guidance' invalid: {exc}") from exc
+    if strategy != "CFG" and negative is None:
+        raise ConfigError(f"strategy {strategy} requires a 'negative' condition binding")
 
     run = field(raw, "run", "run", dict, keys=("seeds", "deterministic"))
-    counted = isinstance(run.get("seeds"), dict)  # a {count, base} mapping; anything else is read as a seed list
-    if counted:
-        counts = field(run, "seeds", "run.seeds", dict, keys=("count", "base"))
-        count = field(counts, "count", "run.seeds.count", int)
-        base = field(counts, "base", "run.seeds.base", int, 0)
-        if seed_base is not None:
-            base = counts["base"] = int(seed_base)
-        if count < 1:
-            raise ConfigError("field 'run.seeds.count' must be >= 1")
-        seeds = list(range(base, base + count))
-    else:
-        seeds = field(run, "seeds", "run.seeds", [int])
-        if seed_base is not None:
-            seeds = run["seeds"] = [s + int(seed_base) for s in seeds]
-    if not seeds:
-        raise ConfigError("field 'run.seeds' must be nonempty")
-    for i, s in enumerate(seeds):
-        where = "run.seeds.base" if counted else f"run.seeds[{i}]"
-        if s < 0:
-            raise ConfigError(f"field '{where}' must be >= 0, got {s}")
-        if s >= 2**64:
-            # trajectories.jsonl holds each seed as a JSON integer its encoder keeps to 64 bits
-            raise ConfigError(f"field '{where}' must give seeds below 2**64, got seed {s}")
-    seeds = tuple(dict.fromkeys(seeds))  # duplicates dropped, first occurrence kept
+    counts = field(run, "seeds", "run.seeds", dict, keys=("count", "base"))
+    count = field(counts, "count", "run.seeds.count", int)
+    base = field(counts, "base", "run.seeds.base", int, 0)
+    if seed_base is not None:
+        base = counts["base"] = int(seed_base)
+    if count < 1:
+        raise ConfigError("field 'run.seeds.count' must be >= 1")
+    if base < 0:
+        raise ConfigError(f"field 'run.seeds.base' must be >= 0, got {base}")
+    if base + count > 2**64:
+        # trajectories.jsonl holds each seed as a JSON integer its encoder keeps to 64 bits
+        raise ConfigError(f"field 'run.seeds.base' must give seeds below 2**64, got seed {max(base, 2**64)}")
+    seeds = tuple(range(base, base + count))
     deterministic = field(run, "deterministic", "run.deterministic", bool, True)
 
     labels = field(raw, "mass_labels", "mass_labels", dict, {})
@@ -191,19 +182,6 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
 
 def load_config(path, out_dir=None, seed_base=None) -> ExperimentConfig:
     return parse_config(read_config(path), out_dir=out_dir, seed_base=seed_base)
-
-
-def run_strategy(config: ExperimentConfig, strategy: str, seeds):
-    """Run the config's guidance with its strategy replaced over a list of seeds, all of them as one batch.
-
-    Gives a TrajectoryBatch for single-latent strategies and a
-    DualTrajectoryBatch for dual-branch ones. The CFG row needs no
-    negative condition; the rest use the config's negative binding.
-    """
-    if strategy != "CFG" and config.negative_condition is None:
-        raise ConfigError(f"strategy {strategy} requires a 'negative' condition binding")
-    return run_lockstep(config.world, config.positive_condition, config.negative_condition, config.schedule,
-                        [replace(config.guidance, strategy=strategy)], seeds, config.deterministic)[0]
 
 
 def strategy_comparison(config: ExperimentConfig) -> dict:

@@ -342,21 +342,15 @@ def test_build_report_shapes_and_determinism():
     assert build_report(**{**kwargs, "label_sets": {}})["mode_masses"] == {"all": 1.0}
 
 
-def test_report_validation(monkeypatch):
-    # build_report checks each eigenvector and each mass where it makes them.
-    import guidelab.diagnostics as diag
-
+def test_report_validation():
+    # build_report makes no runtime check of its eigenvectors or masses: eigh's columns are unit
+    # vectors and each mass is a mean of booleans, so a real run meets both bounds.
     s = make_linear_schedule(5, 0.05, 0.2)
-    args = (MIX, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("NP"), [0], {"A": [0, 2], "B": [1]})
-    with monkeypatch.context() as m:
-        m.setattr(diag, "leading_eigen", lambda J: (2.0, np.array([1.0, 1.0])))
-        with pytest.raises(ValueError, match="eigenvector at t=5 has norm"):
-            build_report(*args)
-    with monkeypatch.context() as m:
-        m.setattr(diag, "mode_mass", lambda samples, world, label_sets: {"A": 1.2, "B": -0.2})
-        with pytest.raises(ValueError, match=r"mode mass for 'A' is 1.2, outside \[0, 1\]"):
-            build_report(*args)
-    build_report(*args)
+    rep = build_report(MIX, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("NP"), [0, 1],
+                       {"A": [0, 2], "B": [1]})
+    assert [t for t, _, _ in rep["leading_eigs"]] == [5, 4, 3, 2, 1]
+    assert all(abs(np.linalg.norm(v) - 1.0) <= 1e-10 for _, _, v in rep["leading_eigs"])
+    assert all(0.0 <= frac <= 1.0 for frac in rep["mode_masses"].values())
 
 
 def test_lag_summary_windows():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +25,11 @@ from guidelab.experiment import (
     default_config,
     load_config,
     parse_config,
-    run_strategy,
     strategy_comparison,
 )
 
 from guidelab.guidance import STRATEGIES, GuidanceConfig
-from guidelab.sampler import TrajectoryBatch
+from guidelab.sampler import TrajectoryBatch, run_single_batch
 
 from test_par import FIXTURES
 
@@ -101,22 +101,22 @@ def test_parse_rejects_missing_and_invalid_fields():
         parse_config(raw)
 
 
-def test_seed_list_dedup_preserves_order():
-    raw = small_config()
-    raw["run"]["seeds"] = [5, 3, 5, 1, 3]
-    cfg = parse_config(raw)
-    assert cfg.seeds == (5, 3, 1)
-
-
 def test_seed_base_override():
     raw = small_config()
     cfg = parse_config(raw, seed_base=100)
     assert cfg.seeds == (100, 101, 102)
     assert cfg.raw["run"]["seeds"]["base"] == 100
-    raw2 = small_config()
-    raw2["run"]["seeds"] = [0, 1]
-    cfg2 = parse_config(raw2, seed_base=10)
-    assert cfg2.seeds == (10, 11)
+
+
+@pytest.mark.parametrize("command", ["sample", "compare-guidance", "diagnose-lag", "schedule-dump"])
+def test_seed_list_is_a_named_mapping_error(tmp_path, capsys, command):
+    # run.seeds used to read a list of seeds as well; {count, base} is its one format.
+    raw = small_config()
+    raw["run"]["seeds"] = [0, 1]
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"{command}: error: field 'run.seeds' must be a mapping, got [0, 1]"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["sample", "compare-guidance"])
@@ -179,30 +179,21 @@ def test_config_hash_is_canonical():
     assert config_hash(a) != config_hash({"x": 2, "y": [1, 2]})
 
 
-def test_run_strategy_dispatch():
-    cfg = parse_config(small_config())
-    single = run_strategy(cfg, "NP", [0])
-    assert hasattr(single, "states")
-    dual = run_strategy(cfg, "SDG", [0])
-    assert hasattr(dual, "plus")
-    assert dual.finals[0].shape == (2,)
-    raw = small_config()
-    del raw["negative"]
-    with pytest.raises(ConfigError):
-        run_strategy(parse_config(raw), "NP", [0])
-
-
 def test_strategy_comparison_batch_matches_per_seed():
     # Each strategy runs its seeds as one batch; every final must equal
     # the final of that seed run alone, and the masses follow from them.
     raw = small_config()
-    raw["run"]["seeds"] = [5, 0, 3]
+    raw["run"]["seeds"] = {"count": 3, "base": 5}
     cfg = parse_config(raw)
+    assert cfg.seeds == (5, 6, 7)
     table = strategy_comparison(cfg)
     assert tuple(table) == STRATEGIES
     for strategy, row in table.items():
+        solo = replace(cfg.guidance, strategy=strategy)
         for seed, final in zip(cfg.seeds, row["finals"]):
-            np.testing.assert_array_equal(final, run_strategy(cfg, strategy, [seed]).finals[0])
+            alone = run_single_batch(cfg.world, cfg.positive_condition, cfg.negative_condition, cfg.schedule, solo,
+                                     [seed], cfg.deterministic)
+            np.testing.assert_array_equal(final, alone.finals[0])
         assert row["seeds"] == 3
 
 
@@ -267,7 +258,8 @@ def test_trajectories_jsonl_rebuilds_every_recorded_array(tmp_path, strategy, de
     cfg = parse_config(raw)
     out = tmp_path / "out"
     assert cmd_sample(write_config(tmp_path, raw), out_dir=out) == 0
-    batch = run_strategy(cfg, strategy, cfg.seeds)
+    batch = run_single_batch(cfg.world, cfg.positive_condition, cfg.negative_condition, cfg.schedule, cfg.guidance,
+                             cfg.seeds, cfg.deterministic)
     dual = strategy in ("TDD_ONLY", "SDG")
     lines = [json.loads(line) for line in (out / "trajectories.jsonl").read_text().splitlines()]
     branches = ("plus", "minus") if dual else ("single",)
@@ -528,7 +520,6 @@ def test_cmd_sample_rejects_bad_world(tmp_path, capsys, world_edit):
     (("schedule", "num_steps"), None, "schedule.num_steps"),
     (("schedule", "num_steps"), 2.5, "schedule.num_steps"),
     (("schedule", "beta_start"), "0.05", "schedule.beta_start"),
-    (("run", "seeds"), [1, {"a": 2}], "run.seeds[1]"),
     (("run", "seeds", "count"), 3.7, "run.seeds.count"),
     (("run", "seeds", "base"), None, "run.seeds.base"),
     (("mass_labels", "plausible"), 0, "mass_labels.plausible"),
@@ -547,7 +538,6 @@ def test_cmd_sample_rejects_bad_world(tmp_path, capsys, world_edit):
     (("conditions", "plausible", "components"), 1, "conditions.plausible.components"),
     (("run", "seeds"), [], "run.seeds"),
     (("run", "seeds", "base"), -1, "run.seeds.base"),
-    (("run", "seeds"), [2, -3], "run.seeds[1]"),
     (("world", "components", 1, "mean"), [1.0, 2.0, 3.0], "world.components[1].mean"),
     (("world", "components", 0, "cov_diag"), [1.0], "world.components[0].cov_diag"),
     (("output", "directory"), 5, "output.directory"),
@@ -559,11 +549,11 @@ def test_cmd_sample_rejects_bad_world(tmp_path, capsys, world_edit):
     (("world", "components", 1, "cov_diag"), [True, 0], "world.components[1].cov_diag[0]"),
     (("world", "weights"), {"a": 1}, "world.weights"),
     (("guidance", "w"), 10 ** 400, "guidance.w"),
-], ids=["w_null", "lambda_list", "num_steps_null", "num_steps_fraction", "beta_string", "seed_mapping",
+], ids=["w_null", "lambda_list", "num_steps_null", "num_steps_fraction", "beta_string",
         "count_fraction", "base_null", "mass_label_int", "mass_label_fraction",
         "deterministic_string", "deterministic_int", "positive_list", "negative_list", "run_int",
         "condition_int", "mass_labels_list", "output_list", "component_fraction", "component_string",
-        "component_bool", "components_int", "seeds_empty", "base_negative", "seed_negative",
+        "component_bool", "components_int", "seeds_empty", "base_negative",
         "mean_too_long", "cov_diag_too_short", "directory_int", "directory_null", "directory_list",
         "mean_strings", "mean_bool", "cov_diag_strings", "cov_diag_bool", "weights_mapping", "w_overflow"])
 def test_cmd_sample_rejects_non_numeric_fields(tmp_path, capsys, path, value, field):
@@ -689,12 +679,13 @@ def test_a_far_component_passes_strict(tmp_path, capsys, command, strategy):
 
 @pytest.mark.parametrize("command, edit, message", [
     ("sample", {"negative": None}, "strategy SDG requires a 'negative' condition binding"),
-    ("compare-guidance", {"negative": None}, "comparison runs need a 'negative' condition binding"),
+    ("compare-guidance", {"negative": None, "guidance": {"strategy": "CFG"}},
+     "comparison runs need a 'negative' condition binding"),
     ("compare-guidance", {"mass_labels": {"plausible": [0, 1]}},
      "field 'mass_labels' must define a 'counterfactual' label for comparison runs"),
     ("diagnose-lag", {"guidance": {"strategy": "CFG"}}, "diagnose-lag needs guidance.strategy NP or SDN, got 'CFG'"),
     ("diagnose-lag", {"guidance": {"strategy": "NP"}, "negative": None},
-     "diagnose-lag needs a 'negative' condition binding"),
+     "strategy NP requires a 'negative' condition binding"),
     # a stochastic diagnose-lag ran deterministic chains yet wrote the stochastic config to its manifest
     ("diagnose-lag",
      {"guidance": {"strategy": "NP"}, "run": {"seeds": {"count": 3, "base": 0}, "deterministic": False}},
@@ -708,6 +699,23 @@ def test_failed_sampling_command_leaves_no_output_directory(tmp_path, capsys, co
     assert main([command, "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"{command}: error: {message}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "schedule-dump"])
+def test_a_strategy_without_its_negative_binding_fails_at_parse(tmp_path, capsys, command):
+    # schedule-dump of an SDG config without 'negative' used to exit 0; the config cannot run its own strategy.
+    raw = small_config()
+    del raw["negative"]
+    with pytest.raises(ConfigError, match="^strategy SDG requires a 'negative' condition binding$"):
+        parse_config(raw)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"{command}: error: strategy SDG requires a 'negative' condition binding"]
+    assert not out.exists()
+    raw["guidance"]["strategy"] = "CFG"
+    assert parse_config(raw).negative_condition is None
+    assert main([command, "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -776,28 +784,25 @@ def test_w_zero_push_samples_like_cfg_at_w_one(tmp_path, strategy, deterministic
     assert samples[strategy] == samples["CFG"]
 
 
-@pytest.mark.parametrize("seeds, seed_base, field", [
-    ({"count": 3, "base": 0}, "-2", "run.seeds.base"),
-    ([0, 5], "-2", "run.seeds[0]"),
-], ids=["count_base", "list"])
-def test_cli_rejects_seed_base_that_gives_negative_seeds(tmp_path, capsys, seeds, seed_base, field):
+@pytest.mark.parametrize("seeds, seed_base", [({"count": 3, "base": 0}, "-2")], ids=["count_base"])
+def test_cli_rejects_seed_base_that_gives_negative_seeds(tmp_path, capsys, seeds, seed_base):
     # A negative seed used to fail with numpy's "expected non-negative integer", naming no field.
     raw = small_config()
     raw["run"]["seeds"] = seeds
     config = write_config(tmp_path, raw)
     assert main(["sample", "--config", str(config), "--out", str(tmp_path / "out"), "--seed-base", seed_base]) == 2
-    assert f"field '{field}' must" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "samples.csv").exists()
+    assert capsys.readouterr().err.splitlines() == ["sample: error: field 'run.seeds.base' must be >= 0, got -2"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("seeds, seed_base, message", [
-    ([3, 2**64], None, "field 'run.seeds[1]' must give seeds below 2**64, got seed 18446744073709551616"),
     ({"count": 3, "base": 2**64 - 2}, None,
      "field 'run.seeds.base' must give seeds below 2**64, got seed 18446744073709551616"),
     ({"count": 2, "base": 0}, str(2**64 - 1),
      "field 'run.seeds.base' must give seeds below 2**64, got seed 18446744073709551616"),
-    ([0, 1], str(2**64 - 1), "field 'run.seeds[1]' must give seeds below 2**64, got seed 18446744073709551616"),
-], ids=["list", "count_base", "seed_base_count", "seed_base_list"])
+    ({"count": 2, "base": 2**64 + 5}, None,
+     "field 'run.seeds.base' must give seeds below 2**64, got seed 18446744073709551621"),
+], ids=["count_base", "seed_base_count", "base_above"])
 def test_cli_rejects_seeds_of_2_to_the_64_and_above(tmp_path, capsys, seeds, seed_base, message):
     # trajectories.jsonl holds seeds as 64-bit integers, the widest its
     # encoder writes. Unchecked, a larger seed stopped the encoder midway,
@@ -814,7 +819,7 @@ def test_cli_rejects_seeds_of_2_to_the_64_and_above(tmp_path, capsys, seeds, see
 
 def test_largest_64_bit_seed_is_written(tmp_path):
     raw = small_config()
-    raw["run"]["seeds"] = [2**64 - 1]
+    raw["run"]["seeds"] = {"count": 1, "base": 2**64 - 1}
     out = tmp_path / "out"
     assert main(["sample", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 0
     assert {json.loads(line)["seed"] for line in (out / "trajectories.jsonl").read_text().splitlines()} == {2**64 - 1}
@@ -1050,6 +1055,27 @@ def test_cmd_par_generate_bad_input_leaves_no_output_directory(tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(expected)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["par-generate", "sample"])
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_empty_output_directory_is_a_named_error(tmp_path, capsys, monkeypatch, command, source):
+    # An empty directory resolved to Path(""), the working directory: par-generate deleted
+    # ./corpus.jsonl there and wrote its manifest in its place.
+    monkeypatch.chdir(tmp_path)
+    raw = small_config(output={"directory": "" if source == "config" else "runs"})
+    path = write_config(tmp_path, raw)
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text((FIXTURES / "butter.prompt.txt").read_text().strip() + "\n")
+    (tmp_path / "corpus.jsonl").write_text("kept\n")
+    argv = [command, "--config", str(path)] + (["--out", ""] if source == "flag" else [])
+    argv += [str(prompts), "--mock", str(FIXTURES)] if command == "par-generate" else []
+    assert main(argv) == 2
+    message = ("field 'output.directory' must be a nonempty string, got ''" if source == "config"
+               else "argument --out must be a nonempty path, got ''")
+    assert capsys.readouterr().err.splitlines() == [f"{command}: error: {message}"]
+    assert (tmp_path / "corpus.jsonl").read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "corpus.jsonl", "prompts.txt"]
 
 
 def test_cmd_par_generate_splits_prompts_at_line_ends_only(tmp_path, monkeypatch):
