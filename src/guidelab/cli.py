@@ -81,16 +81,13 @@ def _create(path: Path, mode="w", **options):
 
 
 def _write_manifest(out_dir: Path, command: str, raw_config: dict, seeds, artifact_names) -> None:
-    manifest = {
+    _write_json(out_dir / "manifest.json", {
         "command": command,
         "config": raw_config,
         "config_hash": config_hash(raw_config),
         "seeds": list(seeds),
         "artifacts": {name: _sha256(out_dir / name) for name in artifact_names},
-    }
-    with _create(out_dir / "manifest.json") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    }, sort_keys=True)
 
 
 def _write_json(path: Path, obj, **options) -> None:

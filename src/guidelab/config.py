@@ -8,6 +8,7 @@ its array stack.
 
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -28,12 +29,12 @@ def field(section, key, name: str, kind, default=_REQUIRED, length=None, keys=No
     kind is int, float, bool, str, list or dict, or [int] or [float] for a
     list of JSON numbers (exactly length of them, if length is given). A
     number is never null, a bool, a string or a JSON integer beyond the
-    float range, and an int must be integral (3 or 3.0, not 3.7). The
-    literals NaN, Infinity and 1e999 read as nan and inf, which the object
-    built from the value rejects, naming its section. An absent key reads
-    as default, and is an error without one; a field whose default is None
-    reads a null as None too. A mapping read with keys holds no other key,
-    so a misspelled field fails instead of leaving its default in force.
+    float range, and an int must be integral (3 or 3.0, not 3.7); a nan or
+    inf, which read_config refuses in a file, is left to the object built
+    from the value. An absent key reads as default, and is an error
+    without one; a field whose default is None reads a null as None too.
+    A mapping read with keys holds no other key, so a misspelled field
+    fails instead of leaving its default in force.
     """
     try:
         value = section[key]
@@ -99,11 +100,21 @@ def read_config(path) -> dict:
             obj[key] = value
         return obj
 
+    def finite(value, name):  # json reads NaN, Infinity and 1e999 as floats, which strict JSON cannot hold
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"field '{name}' must be a finite number, got {value!r}")
+        if isinstance(value, dict):
+            for key, item in value.items():
+                finite(item, f"{name}.{key}" if name else key)
+        for i, item in enumerate(value if isinstance(value, list) else ()):
+            finite(item, f"{name}[{i}]")
+
     try:
         raw = json.loads(read_text(path, "config file", ConfigError), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return field({"config": raw}, "config", "config", dict)
+    finite(field({"config": raw}, "config", "config", dict), "")
+    return raw
 
 
 def output_dir(raw: dict, out_dir=None) -> Path:

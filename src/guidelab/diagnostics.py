@@ -21,8 +21,6 @@ from guidelab.schedule import NoiseSchedule
 __all__ = [
     "delta_norm_curve",
     "leading_eigen",
-    "suppression_projection",
-    "mode_mass",
     "trajectory_bias_probe",
     "build_report",
     "lag_summary",
@@ -64,32 +62,6 @@ def leading_eigen(J: np.ndarray) -> tuple:
     return float(vals[k]), v
 
 
-def suppression_projection(v_l: np.ndarray, delta: np.ndarray, w: float) -> float:
-    """Projection of the scaled correction onto the dominant direction: -w * <v_l, delta>."""
-    v_l = np.asarray(v_l, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    norm = np.linalg.norm(v_l)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"v_l must be a unit vector within 1e-6, got norm {norm}")
-    return float(-w * np.dot(v_l, delta))
-
-
-def mode_mass(samples, world: GmmWorld, label_sets: dict) -> dict:
-    """Fraction of samples per label, by hard argmax responsibility at t=0.
-
-    label_sets maps a label to a collection of component indices and
-    must partition all components of the world.
-    """
-    X = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    if X.size == 0:
-        raise ValueError("mode_mass needs a nonempty sample set")
-    claimed = sorted(int(i) for idx in label_sets.values() for i in idx)
-    if claimed != list(range(world.num_components)):
-        raise ValueError(f"label_sets {label_sets} do not partition components 0..{world.num_components - 1}")
-    labels = assign_labels(world, X, label_sets)
-    return {label: float(np.mean(labels == label)) for label in label_sets}
-
-
 def trajectory_bias_probe(world: GmmWorld, p_plus: Condition, p_minus: Condition, schedule: NoiseSchedule,
                           cfg: GuidanceConfig, seeds) -> list:
     """Mean gap between the negative prediction on shared vs. decoupled latents: build_report's bias_gap.
@@ -111,8 +83,9 @@ def build_report(world: GmmWorld, p_plus: Condition, p_minus: Condition, schedul
 
     delta_norms, suppression_proj and bias_gap are lists of (t, value);
     leading_eigs is a list of (t, eigenvalue, unit eigenvector as a list);
-    mode_masses maps a label to the fraction of final samples assigned
-    to that label's components, or {"all": 1.0} when label_sets is empty.
+    mode_masses maps a label to the fraction of final samples that
+    assign_labels gives that label, or {"all": 1.0} when label_sets is
+    empty; a nonempty label_sets must partition the world's components.
     delta_norms and bias_gap are seed-averaged over one deterministic
     coupled batch; the spectral series follow one representative seed's
     latent path, since eigenvectors do not average across seeds. The
@@ -125,6 +98,9 @@ def build_report(world: GmmWorld, p_plus: Condition, p_minus: Condition, schedul
     """
     if cfg.strategy not in ("NP", "SDN"):
         raise ValueError(f"bias probe needs a shared-latent strategy with a negative condition, got {cfg.strategy}")
+    label_sets = label_sets or {"all": list(range(world.num_components))}
+    if sorted(int(i) for idx in label_sets.values() for i in idx) != list(range(world.num_components)):
+        raise ValueError(f"label_sets {label_sets} do not partition components 0..{world.num_components - 1}")
     coupled, decoupled = run_lockstep(world, p_plus, p_minus, schedule, [cfg, GuidanceConfig("TDD_ONLY", w=0.0)],
                                       seeds)
     delta = coupled.delta[:, EIGEN_SEED_INDEX]
@@ -133,8 +109,8 @@ def build_report(world: GmmWorld, p_plus: Condition, p_minus: Condition, schedul
     for i, t in enumerate(coupled.steps):
         lam, v = leading_eigen(epsilon_jacobian(world, p_plus, schedule, coupled.states[i, EIGEN_SEED_INDEX], t))
         leading_eigs.append((t, lam, v.tolist()))
-        suppression.append((t, suppression_projection(v, delta[i], cfg.w)))
-    masses = mode_mass(coupled.finals, world, label_sets or {"all": list(range(world.num_components))})
+        suppression.append((t, float(-cfg.w * np.dot(v, delta[i]))))
+    labels = assign_labels(world, coupled.finals, label_sets)
     gaps = np.zeros(len(coupled.eps_neg))
     for seed_gaps in row_norms(coupled.eps_neg - decoupled.minus.eps_pos).T:
         gaps += seed_gaps
@@ -144,7 +120,7 @@ def build_report(world: GmmWorld, p_plus: Condition, p_minus: Condition, schedul
         "delta_norms": delta_norm_curve(coupled),
         "leading_eigs": leading_eigs,
         "suppression_proj": suppression,
-        "mode_masses": masses,
+        "mode_masses": {label: float(np.mean(labels == label)) for label in label_sets},
         "bias_gap": [(t, float(gap)) for t, gap in zip(coupled.steps, gaps)],
     }
 

@@ -21,7 +21,6 @@ __all__ = [
     "Condition",
     "epsilon_oracle",
     "epsilon_jacobian",
-    "assign_components",
     "assign_labels",
 ]
 
@@ -189,18 +188,9 @@ def epsilon_jacobian(world: GmmWorld, cond: Condition, schedule: NoiseSchedule, 
     return -np.sqrt(1.0 - schedule.alpha_bar(t)) * hessian
 
 
-def assign_components(world: GmmWorld, samples: np.ndarray) -> np.ndarray:
-    """Index of the most responsible component for each row of samples (N, dim).
-
-    Hard argmax of log w_k + log N(x; mu_k, diag(sigma_k^2)) on the
-    un-noised world.
-    """
-    _, terms = _log_components(world.means, world.cov_diags, samples)
-    return np.argmax(terms + np.log(world.weights), axis=1)
-
-
 def assign_labels(world: GmmWorld, samples: np.ndarray, label_sets: dict) -> np.ndarray:
-    """Each sample's mode label: the first label claiming its component, else the component index as a string."""
+    """Each row's mode label: the first label claiming its most responsible un-noised component k, else str(k)."""
     names = [next((label for label, idx in label_sets.items() if k in idx), str(k))
              for k in range(world.num_components)]
-    return np.array(names)[assign_components(world, samples)]
+    _, terms = _log_components(world.means, world.cov_diags, samples)
+    return np.array(names)[np.argmax(terms + np.log(world.weights), axis=1)]

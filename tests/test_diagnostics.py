@@ -20,8 +20,6 @@ from guidelab.diagnostics import (
     delta_norm_curve,
     lag_summary,
     leading_eigen,
-    mode_mass,
-    suppression_projection,
     trajectory_bias_probe,
 )
 from guidelab.guidance import GuidanceConfig
@@ -214,32 +212,28 @@ def test_leading_eigen_rejects_nonsquare():
 
 
 def test_suppression_projection_values():
-    assert suppression_projection(np.array([1.0, 0.0]), np.array([0.0, 0.7]), 2.0) == 0.0
-    assert suppression_projection(np.array([1.0, 0.0]), np.array([0.5, 0.5]), 2.0) == pytest.approx(-1.0, abs=1e-15)
-    rng = np.random.default_rng(4)
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    d = rng.normal(size=3)
-    assert suppression_projection(v, 2.0 * d, 1.5) == 2.0 * suppression_projection(v, d, 1.5)
+    # Each suppression_proj value is -w * <v, delta> bit for bit, with v the report's leading eigenvector
+    # and delta the first seed's discrepancy, which a solo run of that seed reproduces (rows never mix).
+    s = make_linear_schedule(12, 0.05, 0.25)
+    p_plus, p_minus, cfg = Condition.subset([0, 1]), Condition.subset([1]), GuidanceConfig("NP", w=2.5)
+    rep = build_report(TWO_WELL, p_plus, p_minus, s, cfg, [3, 4, 5], {})
+    delta = run_single_batch(TWO_WELL, p_plus, p_minus, s, cfg, [3]).delta[:, 0]
+    expect = [float(-cfg.w * np.dot(np.array(v), d)) for (_, _, v), d in zip(rep["leading_eigs"], delta)]
+    assert [val for _, val in rep["suppression_proj"]] == expect
+    assert any(val != 0.0 for val in expect)
+    same = build_report(TWO_WELL, p_plus, p_plus, s, cfg, [3, 4, 5], {})
+    assert all(val == 0.0 for _, val in same["suppression_proj"])
 
 
-def test_suppression_projection_rejects_non_unit():
-    with pytest.raises(ValueError):
-        suppression_projection(np.array([1.0, 1.0]), np.array([1.0, 0.0]), 1.0)
+def _report_masses(world, finals, label_sets):
+    """The report's mode masses: each label's fraction of assign_labels' labels of the finals."""
+    labels = assign_labels(world, finals, label_sets).tolist()
+    return {label: labels.count(label) / len(labels) for label in label_sets}
 
 
 def test_mode_mass_point_masses():
-    labels = {"A": [0], "B": [1]}
     samples = np.tile(TWO_WELL.means[0], (5, 1))
-    masses = mode_mass(samples, TWO_WELL, labels)
-    assert masses == {"A": 1.0, "B": 0.0}
-
-
-def test_mode_mass_partition_sums_to_one():
-    rng = np.random.default_rng(8)
-    samples = rng.normal(scale=6.0, size=(40, 2))
-    masses = mode_mass(samples, MIX, {"low": [0, 1], "high": [2]})
-    assert sum(masses.values()) == pytest.approx(1.0, abs=1e-12)
+    assert _report_masses(TWO_WELL, samples, {"A": [0], "B": [1]}) == {"A": 1.0, "B": 0.0}
 
 
 def test_mode_mass_symmetric_monte_carlo():
@@ -254,29 +248,29 @@ def test_mode_mass_symmetric_monte_carlo():
     n = 10_000
     comp = rng.integers(0, 2, size=n)
     draws = world.means[comp] + rng.standard_normal((n, 2))
-    masses = mode_mass(draws, world, {"A": [0], "B": [1]})
+    masses = _report_masses(world, draws, {"A": [0], "B": [1]})
     assert abs(masses["A"] - 0.5) < 3 * np.sqrt(0.25 / n)
 
 
 def test_mode_mass_equals_label_fractions():
-    # mode_mass is the fraction of each label among assign_labels' labels.
+    # build_report's mode_masses are the fractions of each label among assign_labels' labels of the
+    # finals, which a solo run over the same seeds reproduces.
     rng = np.random.default_rng(16)
-    for _ in range(10):
+    s = make_linear_schedule(6, 0.05, 0.25)
+    for _ in range(5):
         world = random_world(rng, dim=2, num_components=4)
-        samples = rng.normal(scale=4.0, size=(30, 2))
         label_sets = {"a": [0, 2], "b": [1], "c": [3]}
-        labels = assign_labels(world, samples, label_sets).tolist()
-        masses = mode_mass(samples, world, label_sets)
-        assert masses == {label: labels.count(label) / len(labels) for label in label_sets}
+        args = (world, Condition.subset([0, 1]), Condition.subset([2]), s, GuidanceConfig("SDN", w=3.0), range(9))
+        finals = run_single_batch(*args).finals
+        assert build_report(*args, label_sets)["mode_masses"] == _report_masses(world, finals, label_sets)
 
 
 def test_mode_mass_validation():
-    with pytest.raises(ValueError):
-        mode_mass(np.zeros((0, 2)), TWO_WELL, {"A": [0], "B": [1]})
-    with pytest.raises(ValueError):
-        mode_mass(np.zeros((3, 2)), TWO_WELL, {"A": [0]})
-    with pytest.raises(ValueError):
-        mode_mass(np.zeros((3, 2)), TWO_WELL, {"A": [0, 0], "B": [1]})
+    # label_sets must partition the components; build_report checks it before sampling
+    s = make_linear_schedule(5, 0.05, 0.2)
+    for bad in ({"A": [0]}, {"A": [0, 0], "B": [1]}):
+        with pytest.raises(ValueError, match=r"do not partition components 0\.\.1"):
+            build_report(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("NP"), [0], bad)
 
 
 def test_bias_probe_zero_when_conditions_match():

@@ -495,22 +495,24 @@ def test_cmd_diagnose_csv_floats_parse_back_exactly(tmp_path):
         assert [float(x) for x in fields[2:]] == v
 
 
-@pytest.mark.parametrize("world_edit", [
-    {"components": [{"mean": [float("nan"), 0.0], "cov_diag": [1.0, 1.0]},
-                    {"mean": [12.0, 0.0], "cov_diag": [1.0, 1.0]}]},
-    {"components": [{"mean": [-12.0, 0.0], "cov_diag": [1.0, float("inf")]},
-                    {"mean": [12.0, 0.0], "cov_diag": [1.0, 1.0]}]},
-    {"weights": [1.0, 0.0]},
+@pytest.mark.parametrize("world_edit, message", [
+    ({"components": [{"mean": [float("nan"), 0.0], "cov_diag": [1.0, 1.0]},
+                     {"mean": [12.0, 0.0], "cov_diag": [1.0, 1.0]}]},
+     "field 'world.components[0].mean[0]' must be a finite number, got nan"),
+    ({"components": [{"mean": [-12.0, 0.0], "cov_diag": [1.0, float("inf")]},
+                     {"mean": [12.0, 0.0], "cov_diag": [1.0, 1.0]}]},
+     "field 'world.components[0].cov_diag[1]' must be a finite number, got inf"),
+    ({"weights": [1.0, 0.0]}, "field 'world' invalid"),
 ], ids=["nan_mean", "inf_cov", "zero_weight"])
-def test_cmd_sample_rejects_bad_world(tmp_path, capsys, world_edit):
+def test_cmd_sample_rejects_bad_world(tmp_path, capsys, world_edit, message):
     # Non-finite parameters used to give NaN samples with exit 0, and a
-    # zero weight a log(0) RuntimeWarning; both must fail naming 'world'.
+    # zero weight a log(0) RuntimeWarning; both must fail naming the field.
     raw = small_config()
     raw["world"].update(world_edit)
     path = write_config(tmp_path, raw)
     out = tmp_path / "out"
     assert cmd_sample(path, out_dir=out) == 2
-    assert "field 'world' invalid" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (out / "samples.csv").exists()
 
 
@@ -955,7 +957,31 @@ def test_cmd_par_generate_rejects_a_non_finite_timeout(tmp_path, capsys, literal
     prompts.write_text((FIXTURES / "butter.prompt.txt").read_text().strip() + "\n")
     assert main(["par-generate", "--config", str(path), str(prompts), "--mock", str(FIXTURES)]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"par-generate: error: field 'par' invalid: timeout must be finite and > 0, got {shown}"]
+        f"par-generate: error: field 'par.timeout' must be a finite number, got {shown}"]
+    assert not out.exists()
+
+
+def test_a_non_finite_number_no_command_reads_is_refused_by_sample(tmp_path, capsys):
+    # A top-level "notes": NaN used to run with exit 0 and land in manifest.json as a bare NaN, which
+    # strict JSON parsers reject.
+    out = tmp_path / "out"
+    path = write_config(tmp_path, small_config(notes=float("nan"), output={"directory": str(out)}))
+    assert main(["sample", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["sample: error: field 'notes' must be a finite number, got nan"]
+    assert not out.exists()
+
+
+def test_a_non_finite_number_no_command_reads_is_refused_by_par_generate(tmp_path, capsys):
+    # par-generate reads no guidance section, so guidance.w: Infinity used to reach its manifest.json.
+    out = tmp_path / "out"
+    raw = small_config(output={"directory": str(out)})
+    raw["guidance"]["w"] = float("inf")
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text((FIXTURES / "butter.prompt.txt").read_text().strip() + "\n")
+    assert main(["par-generate", "--config", str(write_config(tmp_path, raw)), str(prompts),
+                 "--mock", str(FIXTURES)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "par-generate: error: field 'guidance.w' must be a finite number, got inf"]
     assert not out.exists()
 
 

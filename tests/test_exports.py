@@ -79,3 +79,40 @@ def test_no_public_function_only_forwards_to_another(path):
         if not call.keywords and [getattr(a, "id", None) for a in call.args] == [a.arg for a in node.args.args]:
             forwards.append(f"{node.name} -> {call.func.id}")
     assert forwards == []
+
+
+# Exported functions whose only reader outside their module is a per-layer hook of the benchmark, which
+# times them by name: sampler.steps, par.prompts and par.validate_us.
+BENCH_HOOKED = ("par.build_instruction", "par.validate_record", "sampler.ancestral_coeffs")
+
+
+def test_exported_functions_have_a_reader_outside_their_module():
+    # Every module-level function in a module's __all__ is read by name (a Name, an Attribute's attribute or
+    # an import alias) in another guidelab module, a demo or the acceptance gate; one with no such reader is
+    # a helper of its own module. cli is exempt: its cmd_* functions are run by registry lookup.
+    root = Path(guidelab.__file__).parent
+    tests = Path(__file__).parent
+    paths = sorted(root.glob("*.py")) + sorted((tests.parent / "demos").glob("*.py")) + [tests / "test_acceptance.py"]
+    reads = {}
+    for path in paths:
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+        reads[path] = names
+    unread = []
+    for path in sorted(root.glob("*.py")):
+        if path.stem in ("__init__", "cli"):
+            continue
+        tree = ast.parse(path.read_text())
+        exported = set(importlib.import_module(f"guidelab.{path.stem}").__all__)
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef) and node.name in exported
+                    and f"{path.stem}.{node.name}" not in BENCH_HOOKED
+                    and not any(node.name in names for other, names in reads.items() if other != path)):
+                unread.append(f"{path.stem}.{node.name}")
+    assert unread == []

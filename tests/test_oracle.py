@@ -15,7 +15,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from guidelab.oracle import Condition, GmmWorld, assign_components, assign_labels, epsilon_jacobian, epsilon_oracle
+from guidelab.oracle import Condition, GmmWorld, assign_labels, epsilon_jacobian, epsilon_oracle
 from guidelab.schedule import make_linear_schedule
 
 from conftest import random_world
@@ -352,8 +352,9 @@ def test_oracle_rejects_bad_batch_shapes():
             epsilon_oracle(world, Condition.null(), s, bad, 1)
 
 
-def test_assign_components_matches_scipy_argmax():
-    # Hard assignment against argmax of log w_k + a scipy Gaussian logpdf per component.
+def test_assign_labels_matches_scipy_argmax():
+    # Hard assignment against argmax of log w_k + a scipy Gaussian logpdf per component; with no
+    # label sets each sample is named by its component index.
     rng = np.random.default_rng(101)
     for _ in range(10):
         world = random_world(rng, dim=3, num_components=4)
@@ -363,7 +364,7 @@ def test_assign_components_matches_scipy_argmax():
                 x, mean=world.means[k], cov=np.diag(world.cov_diags[k])) for k in range(4)]))
             for x in X
         ]
-        np.testing.assert_array_equal(assign_components(world, X), ref)
+        assert assign_labels(world, X, {}).tolist() == [str(k) for k in ref]
 
 
 def test_assign_labels_names_unclaimed_components_by_index():
@@ -385,7 +386,7 @@ def test_a_far_component_is_exact_and_quiet():
                      weights=np.array([0.5, 0.5]))
     s = make_linear_schedule(10, 0.05, 0.25)
     X = np.array([[11.0, 0.5], [-12.0, 0.0], [0.0, 3.0]])
-    np.testing.assert_array_equal(assign_components(world, X), [1, 1, 1])
+    assert assign_labels(world, X, {}).tolist() == ["1", "1", "1"]
     for t in (1, 5, 10):
         near = epsilon_oracle(world, Condition.subset([1]), s, X, t)
         assert epsilon_oracle(world, Condition.null(), s, X, t).tobytes() == near.tobytes()
