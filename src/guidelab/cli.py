@@ -108,6 +108,7 @@ def _write_csv(path: Path, header: list, rows) -> None:
 def _trajectory_lines(result):
     """One encoded JSON line per seed, branch and step, in that nesting order, each recorded number written once.
 
+    A batch that carries a minus branch gives plus and minus lines, any other batch single lines.
     A plus or single line holds eps_pos, eps_neg (null under CFG), correction and x_after; a minus
     line holds x_after alone. The rest follows bit for bit: delta = eps_pos - eps_neg, a minus
     branch's eps_pos is the plus line's eps_neg at the same seed and t, and its correction is 0.
@@ -116,11 +117,8 @@ def _trajectory_lines(result):
     """
     import orjson
 
-    from guidelab.sampler import DualTrajectoryBatch
-
-    dual = isinstance(result, DualTrajectoryBatch)
     branches = []
-    for name, b in [("plus", result.plus), ("minus", result.minus)] if dual else [("single", result)]:
+    for name, b in [("single", result)] if result.minus is None else [("plus", result), ("minus", result.minus)]:
         fields = {"x_after": b.states[1:]}
         if name != "minus":
             fields.update(eps_pos=b.eps_pos, eps_neg=b.eps_neg, correction=b.correction)
@@ -260,8 +258,6 @@ def cmd_par_generate(config_path, prompts_path, out_dir=None, mock=None, jobs=1,
 
     if not prompts:
         print("par-generate: warning: prompts file is empty, nothing to do", file=sys.stderr)
-        _write_manifest(out, "par-generate", raw, [], [])
-        return 0
 
     results = generate_batch(
         endpoint,
@@ -278,7 +274,7 @@ def cmd_par_generate(config_path, prompts_path, out_dir=None, mock=None, jobs=1,
 
     artifacts = [p.name for p in (corpus, quarantine) if p.exists()]
     _write_manifest(out, "par-generate", raw, [], artifacts)
-    if "transport_error" in statuses or (strict and statuses != {"ok"}):
+    if "transport_error" in statuses or (strict and statuses - {"ok"}):
         return 1
     return 0
 

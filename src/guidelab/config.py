@@ -111,7 +111,7 @@ def read_config(path) -> dict:
 
     try:
         raw = json.loads(read_text(path, "config file", ConfigError), object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     finite(field({"config": raw}, "config", "config", dict), "")
     return raw

@@ -116,20 +116,19 @@ def _posterior(world: GmmWorld, conds: tuple, schedule: NoiseSchedule, x: np.nda
     """Each condition's component posterior at x (dim,) or (N, dim) under the mixture noised to step t.
 
     Means scale by sqrt(alpha_bar_t) and variances become
-    alpha_bar_t * sigma^2 + (1 - alpha_bar_t). One condition noises its
-    own components; several share all components' Gaussian terms, and
-    each distinct component set adds its renormalized log weights. Gives
-    each condition's component set as a key, and per distinct key the
-    noised variances (k, dim), offsets mu_k - x (N, k, dim) and
-    responsibilities (N, k). np.take keeps gathered columns C-ordered,
-    so every reduction adds in the one-condition order: a shared
-    posterior and a batch row equal the lone results bit for bit.
+    alpha_bar_t * sigma^2 + (1 - alpha_bar_t). Every call noises all
+    components once; each distinct component set gathers its own terms
+    and adds its renormalized log weights. Gives each condition's
+    component set as a key, and per distinct key the noised variances
+    (k, dim), offsets mu_k - x (N, k, dim) and responsibilities (N, k).
+    np.take keeps gathered columns C-ordered, so every reduction adds in
+    one order whatever conditions share the call: a shared posterior
+    and a batch row equal the lone results bit for bit.
     """
     ab = schedule.alpha_bar(t)
     idxs = [cond.resolve(world) for cond in conds]
-    comps = idxs[0] if len(idxs) == 1 else np.arange(world.num_components)
-    means = np.sqrt(ab) * world.means[comps]
-    covs = ab * world.cov_diags[comps] + (1.0 - ab)
+    means = np.sqrt(ab) * world.means
+    covs = ab * world.cov_diags + (1.0 - ab)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != world.dim:
         raise ValueError(f"x shape {x.shape} incompatible with mixture dim {world.dim}")
@@ -137,7 +136,7 @@ def _posterior(world: GmmWorld, conds: tuple, schedule: NoiseSchedule, x: np.nda
     keys = [tuple(idx.tolist()) for idx in idxs]
     posteriors = {}
     for key, idx in dict(zip(keys, idxs)).items():  # each distinct component set once
-        own_covs, own_diff, own_terms = (covs, diff, terms) if len(idx) == len(comps) else (
+        own_covs, own_diff, own_terms = (covs, diff, terms) if len(idx) == world.num_components else (
             np.take(covs, idx, axis=0), np.take(diff, idx, axis=1), np.take(terms, idx, axis=1))
         weights = world.weights[idx]
         log_comp = own_terms + np.log(weights / weights.sum())

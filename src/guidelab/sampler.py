@@ -13,7 +13,7 @@ latents as rows of one array, with one oracle call per step; every
 result is a row slice of one set of records, checked once for non-finite
 values. Rows never mix, so a seed's path is bit for bit its path in a
 one-strategy, one-seed run; run_single_batch and run_dual_batch name the
-loop's one-strategy call.
+loop's one-strategy call, whose TrajectoryBatch carries any minus branch.
 
 Seeding contract: rng = numpy.random.default_rng(seed) for each seed;
 the initial latent x_T is the first draw. Deterministic mode draws
@@ -33,7 +33,6 @@ from guidelab.schedule import NoiseSchedule
 
 __all__ = [
     "TrajectoryBatch",
-    "DualTrajectoryBatch",
     "ancestral_coeffs",
     "run_lockstep",
     "run_single_batch",
@@ -46,7 +45,8 @@ class TrajectoryBatch:
 
     states has shape (T+1, N, dim), x_T first. The per-step arrays have
     shape (T, N, dim), and index i holds step t = T - i, whose result is
-    states[i + 1]. eps_neg is None under CFG and on a minus branch.
+    states[i + 1]. eps_neg is None under CFG and on a minus branch; minus
+    is the minus branch's batch on a TDD_ONLY or SDG plus branch, else None.
     """
 
     seeds: tuple
@@ -55,6 +55,7 @@ class TrajectoryBatch:
     eps_pos: np.ndarray
     eps_neg: Optional[np.ndarray]
     correction: np.ndarray
+    minus: Optional["TrajectoryBatch"] = None
 
     @property
     def delta(self) -> Optional[np.ndarray]:
@@ -69,20 +70,6 @@ class TrajectoryBatch:
     @property
     def finals(self) -> np.ndarray:
         return self.states[-1]
-
-
-@dataclass(frozen=True)
-class DualTrajectoryBatch:
-    plus: TrajectoryBatch
-    minus: TrajectoryBatch
-
-    @property
-    def seeds(self) -> tuple:
-        return self.plus.seeds
-
-    @property
-    def finals(self) -> np.ndarray:
-        return self.plus.finals
 
 
 def ancestral_coeffs(schedule: NoiseSchedule, t: int) -> tuple:
@@ -115,8 +102,8 @@ def run_lockstep(
 ) -> list:
     """Step the strategies of cfgs over the same seeds as one stacked batch.
 
-    Gives one result per config, in order: a TrajectoryBatch for
-    CFG/NP/SDN, a DualTrajectoryBatch for TDD_ONLY/SDG. CFG ignores p_neg.
+    Gives one TrajectoryBatch per config, in order; under TDD_ONLY/SDG it
+    is the plus branch, with the minus branch as its minus. CFG ignores p_neg.
     One oracle call per step predicts the positive, null and any bound
     negative condition on every row. A non-finite latent, then eps_pos,
     eps_neg or correction, is a ValueError naming its strategies and first step t.
@@ -174,16 +161,18 @@ def run_lockstep(
             names = ", ".join(dict.fromkeys(blocks[row // n][0].strategy for row in np.flatnonzero(bad[i])))
             what = "went non-finite" if key == "latents" else f"recorded a non-finite {key}"
             raise ValueError(f"sampling under {names} {what} at step t={T - i}")
-    batches = (TrajectoryBatch(seeds, cfg, states[:, r], eps_pos[:, r],
-                               None if kind in ("CFG", "minus") else eps_neg[:, r], correction[:, r])
-               for (cfg, kind), r in zip(blocks, rows))
-    return [DualTrajectoryBatch(next(batches), next(batches)) if cfg.strategy in DUAL else next(batches)
-            for cfg in cfgs]
+
+    def batch(j, minus=None):
+        (cfg, kind), r = blocks[j], rows[j]
+        return TrajectoryBatch(seeds, cfg, states[:, r], eps_pos[:, r],
+                               None if kind in ("CFG", "minus") else eps_neg[:, r], correction[:, r], minus)
+
+    return [batch(j, batch(j + 1) if kind == "plus" else None) for j, (_, kind) in enumerate(blocks) if kind != "minus"]
 
 
 def run_single_batch(world: GmmWorld, p_plus: Condition, p_neg: Optional[Condition], schedule: NoiseSchedule,
                      cfg: GuidanceConfig, seeds, deterministic: bool = True):
-    """One strategy over the seeds: a TrajectoryBatch under CFG/NP/SDN, a DualTrajectoryBatch under TDD_ONLY/SDG."""
+    """One strategy over the seeds: a TrajectoryBatch, which carries its minus branch under TDD_ONLY/SDG."""
     return run_lockstep(world, p_plus, p_neg, schedule, [cfg], seeds, deterministic)[0]
 
 

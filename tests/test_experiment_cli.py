@@ -276,7 +276,7 @@ def test_trajectories_jsonl_rebuilds_every_recorded_array(tmp_path, strategy, de
         return np.array([[r[key] for r in lines if r["seed"] == seed and r["branch"] == branch]
                          for seed in cfg.seeds], dtype=np.float64).transpose(1, 0, 2)
 
-    name, kept = branches[0], batch.plus if dual else batch
+    name, kept = branches[0], batch
     eps_pos, correction = column(name, "eps_pos"), column(name, "correction")
     assert _bits(eps_pos) == _bits(kept.eps_pos)
     assert _bits(correction) == _bits(kept.correction)
@@ -983,6 +983,43 @@ def test_a_non_finite_number_no_command_reads_is_refused_by_par_generate(tmp_pat
     assert capsys.readouterr().err.splitlines() == [
         "par-generate: error: field 'guidance.w' must be a finite number, got inf"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "par-generate"])
+def test_a_deeply_nested_config_is_invalid_json(tmp_path, capsys, command):
+    # 100,000 nested arrays under a key no command reads used to end in a RecursionError traceback
+    # (exit 1) that named no file.
+    out = tmp_path / "out"
+    depth = 100_000
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(small_config(output={"directory": str(out)}))[:-1]
+                    + ', "notes": ' + "[" * depth + "]" * depth + "}")
+    argv = [command, "--config", str(path)]
+    if command == "par-generate":
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text((FIXTURES / "butter.prompt.txt").read_text().strip() + "\n")
+        argv += [str(prompts), "--mock", str(FIXTURES)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{command}: error: config file {path} is not valid JSON: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--strict"]], ids=["plain", "strict"])
+def test_cmd_par_generate_on_blank_prompts_writes_only_the_manifest(tmp_path, capsys, flags):
+    # A prompts file of blank lines is an empty batch: a warning, exit 0 even under --strict, and a
+    # manifest that lists no artifact.
+    out = tmp_path / "out"
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("\n  \n\t\n\n")
+    argv = ["par-generate", "--config", str(write_config(tmp_path, small_config())), str(prompts),
+            "--mock", str(FIXTURES), "--out", str(out)] + flags
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["par-generate: warning: prompts file is empty, nothing to do"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    assert json.loads((out / "manifest.json").read_text())["artifacts"] == {}
 
 
 def test_cmd_par_generate_rejects_non_mapping_endpoint(tmp_path, capsys):

@@ -55,3 +55,11 @@ def test_artifact_table_names_what_each_command_writes(tmp_path, command):
     assert main(argv) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert sorted(manifest["artifacts"]) == sorted(artifact_table()[command])
+
+
+def test_python_blocks_run():
+    # every python block of the README runs as written, each in a fresh namespace
+    blocks = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})

@@ -16,7 +16,7 @@ from guidelab import sampler
 from guidelab.experiment import default_config, parse_config
 from guidelab.guidance import STRATEGIES, GuidanceConfig, cfg_combine, np_combine, sdn_combine
 from guidelab.oracle import Condition, GmmWorld, epsilon_oracle
-from guidelab.sampler import DualTrajectoryBatch, ancestral_coeffs, run_dual_batch, run_lockstep, run_single_batch
+from guidelab.sampler import TrajectoryBatch, ancestral_coeffs, run_dual_batch, run_lockstep, run_single_batch
 from guidelab.schedule import NoiseSchedule, make_linear_schedule
 
 from conftest import random_world
@@ -64,8 +64,8 @@ def test_determinism_bitwise():
     ]:
         a = runner(cfg, 5)
         b = runner(cfg, 5)
-        sa = [a.states] if hasattr(a, "states") else [a.plus.states, a.minus.states]
-        sb = [b.states] if hasattr(b, "states") else [b.plus.states, b.minus.states]
+        sa = [a.states] + ([a.minus.states] if a.minus is not None else [])
+        sb = [b.states] + ([b.minus.states] if b.minus is not None else [])
         for xa, xb in zip(sa, sb):
             np.testing.assert_array_equal(xa, xb)
 
@@ -255,11 +255,18 @@ def test_cfg_records_have_no_negative_side():
 
 
 def test_single_branch_strategy_validation():
-    # one function answers to both names and returns the shape each strategy implies
+    # one function answers to both names and returns one TrajectoryBatch, which carries a minus branch
+    # exactly under TDD_ONLY and SDG; the minus branch carries none and has the plus branch's seeds
     s = make_linear_schedule(3, 0.05, 0.2)
     assert run_single_batch is run_dual_batch
-    d = run_single_batch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("SDG"), [0])
-    assert isinstance(d, DualTrajectoryBatch) and d.minus.eps_neg is None
+    for strategy in STRATEGIES:
+        d = run_single_batch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig(strategy),
+                             [0, 4])
+        assert isinstance(d, TrajectoryBatch), strategy
+        assert (d.minus is None) == (strategy in ("CFG", "NP", "SDN")), strategy
+        if d.minus is not None:
+            assert isinstance(d.minus, TrajectoryBatch)
+            assert d.minus.minus is None and d.minus.eps_neg is None and d.minus.seeds == d.seeds == (0, 4)
     with pytest.raises(ValueError):
         run_single_batch(TWO_WELL, Condition.subset([0]), None, s, GuidanceConfig("NP"), [0])
     with pytest.raises(ValueError):
@@ -269,8 +276,8 @@ def test_single_branch_strategy_validation():
 def test_dual_branches_share_initial_noise():
     s = make_linear_schedule(8, 0.05, 0.25)
     d = run_dual_batch(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("SDG"), [21])
-    np.testing.assert_array_equal(d.plus.states[0, 0], d.minus.states[0, 0])
-    np.testing.assert_array_equal(d.plus.states[0, 0], np.random.default_rng(21).standard_normal(2))
+    np.testing.assert_array_equal(d.states[0, 0], d.minus.states[0, 0])
+    np.testing.assert_array_equal(d.states[0, 0], np.random.default_rng(21).standard_normal(2))
 
 
 def test_dual_symmetric_collapse_both_modes():
@@ -283,9 +290,9 @@ def test_dual_symmetric_collapse_both_modes():
         for deterministic in (True, False):
             d = run_dual_batch(TWO_WELL, cond, cond, s, GuidanceConfig(strategy), [31],
                                deterministic=deterministic)
-            for xp, xm in zip(d.plus.states[:, 0], d.minus.states[:, 0]):
+            for xp, xm in zip(d.states[:, 0], d.minus.states[:, 0]):
                 np.testing.assert_array_equal(xp, xm)
-            for correction in d.plus.correction[:, 0]:
+            for correction in d.correction[:, 0]:
                 np.testing.assert_allclose(correction, np.zeros(2), rtol=0, atol=0)
 
 
@@ -301,7 +308,7 @@ def test_minus_branch_decoupled_from_positive_condition():
                            deterministic=deterministic)
         for xa, xb in zip(a.minus.states[:, 0], b.minus.states[:, 0]):
             np.testing.assert_array_equal(xa, xb)
-        assert np.any(a.plus.finals[0] != b.plus.finals[0])
+        assert np.any(a.finals[0] != b.finals[0])
 
 
 def test_tdd_only_minus_branch_at_zero_scale_is_the_raw_conditional_chain():
@@ -339,9 +346,8 @@ def test_dual_runs_on_random_worlds():
         world = random_world(rng, dim=2, num_components=3)
         d = run_dual_batch(world, Condition.subset([0]), Condition.subset([1]), s,
                            GuidanceConfig("SDG"), [int(rng.integers(0, 100))])
-        p = d.plus
-        for delta, eps_pos, eps_neg, correction in zip(p.delta[:, 0], p.eps_pos[:, 0], p.eps_neg[:, 0],
-                                                       p.correction[:, 0]):
+        for delta, eps_pos, eps_neg, correction in zip(d.delta[:, 0], d.eps_pos[:, 0], d.eps_neg[:, 0],
+                                                       d.correction[:, 0]):
             np.testing.assert_array_equal(delta, eps_pos - eps_neg)
             dn = np.linalg.norm(delta)
             assert np.linalg.norm(correction) == pytest.approx(30.0 * dn / (dn + 1e-8), abs=1e-10)
@@ -363,14 +369,14 @@ def test_dual_branch_predictions_match_fresh_oracle_calls(strategy, deterministi
                        for _ in range(2))
         cfg = GuidanceConfig(strategy, w=float(rng.uniform(0.5, 8.0)))
         d = run_dual_batch(world, plus, minus, s, cfg, [3, 0, 7], deterministic=deterministic)
-        for i, t in enumerate(d.plus.steps):
-            xp, xm = d.plus.states[i], d.minus.states[i]
+        for i, t in enumerate(d.steps):
+            xp, xm = d.states[i], d.minus.states[i]
             want_plus = np_combine(epsilon_oracle(world, plus, s, xp, t),
                                    epsilon_oracle(world, null, s, xp, t), cfg.w)
             want_minus = np_combine(epsilon_oracle(world, minus, s, xm, t),
                                     epsilon_oracle(world, null, s, xm, t), cfg.w)
-            assert np.array_equal(d.plus.eps_pos[i], want_plus), (dim, t)
-            assert np.array_equal(d.plus.eps_neg[i], want_minus), (dim, t)
+            assert np.array_equal(d.eps_pos[i], want_plus), (dim, t)
+            assert np.array_equal(d.eps_neg[i], want_minus), (dim, t)
             assert np.array_equal(d.minus.eps_pos[i], want_minus), (dim, t)
 
 
@@ -388,8 +394,7 @@ def test_each_strategy_steps_on_its_rule(deterministic):
                      for _ in range(2))
         w, lam = float(rng.uniform(0.5, 8.0)), float(rng.uniform(1.0, 40.0))
         cfgs = [GuidanceConfig(name, w=w, lambda_=lam) for name in STRATEGIES]
-        for cfg, result in zip(cfgs, run_lockstep(world, plus, neg, s, cfgs, [5, 2], deterministic)):
-            tr = getattr(result, "plus", result)
+        for cfg, tr in zip(cfgs, run_lockstep(world, plus, neg, s, cfgs, [5, 2], deterministic)):
             for i, t in enumerate(tr.steps):
                 x, pos = tr.states[i], tr.eps_pos[i]
                 if cfg.strategy == "CFG":
@@ -438,7 +443,7 @@ def test_batch_equals_per_seed_runs_all_strategies():
             for i, seed in enumerate(seeds):
                 alone = run_dual_batch(world, plus, neg, s, cfg, [seed], deterministic=deterministic)
                 assert alone.seeds == (seed,)
-                assert_same_path(batch.plus, i, alone.plus)
+                assert_same_path(batch, i, alone)
                 assert_same_path(batch.minus, i, alone.minus)
 
 
@@ -483,7 +488,7 @@ def test_lockstep_equals_solo_runs(world, plus, neg, seeds, deterministic):
             pairs = [(batch, alone)]
         else:
             alone = run_dual_batch(world, plus, neg, s, cfg, seeds, deterministic=deterministic)
-            pairs = [(batch.plus, alone.plus), (batch.minus, alone.minus)]
+            pairs = [(batch, alone), (batch.minus, alone.minus)]
         assert batch.seeds == alone.seeds == tuple(seeds)
         for got, want in pairs:
             assert got.config == want.config == cfg
@@ -500,17 +505,17 @@ def test_lockstep_results_are_row_slices_of_one_record():
     s = make_linear_schedule(6, 0.05, 0.25)
     cfgs = [GuidanceConfig("CFG"), GuidanceConfig("SDN"), GuidanceConfig("SDG")]
     cfg_run, sdn, sdg = run_lockstep(TWO_WELL, Condition.subset([0, 1]), Condition.subset([1]), s, cfgs, [5, 6, 7])
-    batches = [cfg_run, sdn, sdg.plus, sdg.minus]
+    batches = [cfg_run, sdn, sdg, sdg.minus]
     for name in ("states", "eps_pos", "correction"):
         record = getattr(cfg_run, name).base
         assert record.shape[1] == 4 * 3
         for j, batch in enumerate(batches):
             assert getattr(batch, name).base is record
             assert np.shares_memory(getattr(batch, name), record[:, 3 * j:3 * (j + 1)])
-    assert sdn.eps_neg.base is sdg.plus.eps_neg.base
+    assert sdn.eps_neg.base is sdg.eps_neg.base
     assert cfg_run.eps_neg is None and sdg.minus.eps_neg is None
-    assert sdg.minus.eps_pos.tobytes() == sdg.plus.eps_neg.tobytes()
-    assert not sdg.minus.correction.any() and sdg.plus.correction.any()
+    assert sdg.minus.eps_pos.tobytes() == sdg.eps_neg.tobytes()
+    assert not sdg.minus.correction.any() and sdg.correction.any()
 
 
 def test_lockstep_rejects_non_finite_latents():
@@ -556,7 +561,7 @@ def test_delta_is_eps_pos_minus_eps_neg_exactly(deterministic):
                            [GuidanceConfig(strategy) for strategy in STRATEGIES], [0, 5, 9], deterministic)
     has_negative = {}
     for strategy, result in zip(STRATEGIES, results):
-        batches = (result.plus, result.minus) if strategy in ("TDD_ONLY", "SDG") else (result,)
+        batches = (result, result.minus) if strategy in ("TDD_ONLY", "SDG") else (result,)
         has_negative[strategy] = [b.eps_neg is not None for b in batches]
         for b in batches:
             if b.eps_neg is None:
