@@ -27,7 +27,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from guidelab.config import ConfigError, config_hash, field, output_dir, read_config, read_text
+from guidelab.config import ConfigError, config_hash, output_dir, read_config, read_text
 
 __all__ = [
     "cmd_sample",
@@ -215,36 +215,16 @@ def cmd_diagnose_lag(config_path, out_dir=None, seed_base=None, *, strict=False)
     return 0
 
 
-def _endpoint_from_config(raw: dict, mock: bool):
-    from guidelab.par import LlmEndpointConfig
-
-    kinds = {"base_url": str, "model": str, "api_key_env": str, "timeout": float, "max_retries": int}
-    par = field(raw, "par", "par", dict, None, keys=tuple(kinds))
-    if par is None and not mock:
-        raise ConfigError("field 'par' (endpoint settings) is required without --mock")
-    par = par or {}
-    # base_url and model default here under --mock and are required without it;
-    # the other keys absent from par take LlmEndpointConfig's defaults
-    fields = {"base_url": "http://localhost:0", "model": "mock-model"} if mock else {}
-    for key, kind in kinds.items():
-        if key in par or (key in ("base_url", "model") and not mock):
-            fields[key] = field(par, key, f"par.{key}", kind)
-    try:
-        return LlmEndpointConfig(**fields)
-    except ValueError as exc:
-        raise ConfigError(f"field 'par' invalid: {exc}") from exc
-
-
 @_command("par-generate", "generate counterfactual prompt records",
           (("prompts_path",), {"metavar": "prompts", "help": "file with one user prompt per line"}),
           (("--mock",), {"default": None, "help": "fixture directory for the mock transport"}))
 def cmd_par_generate(config_path, prompts_path, out_dir=None, mock=None, jobs=1, *, strict=False) -> int:
     """Generate counterfactual records for each prompt in a file; the config needs only 'par' and 'output'."""
-    from guidelab.par import HttpTransport, MockTransport, generate_batch
+    from guidelab.par import HttpTransport, MockTransport, endpoint_config, generate_batch
 
     raw = read_config(config_path)
     out = output_dir(raw, out_dir)
-    endpoint = _endpoint_from_config(raw, mock is not None)
+    endpoint = endpoint_config(raw, mock is not None)
     # split on "\n" alone, as a file's lines are read: splitlines() would also split at form feeds and the like
     prompts = [line.strip() for line in read_text(prompts_path, "prompts file").split("\n") if line.strip()]
     transport = MockTransport.from_dir(mock) if mock is not None else HttpTransport()
@@ -270,11 +250,15 @@ def cmd_par_generate(config_path, prompts_path, out_dir=None, mock=None, jobs=1,
 
     # one write, not one per line: an unbuffered stdout makes each write a system call
     sys.stdout.write("".join(f"{status:<19} {prompt}\n" for prompt, status, _ in results))
-    statuses = {status for _, status, _ in results}
+    by_status = {}  # status -> [count, first prompt, its detail], in order of first appearance
+    for prompt, status, detail in results:
+        by_status.setdefault(status, [0, prompt, detail])[0] += 1
+    sys.stderr.write("".join(f"par-generate: {count} {status}, first {prompt!r}: {detail}\n"
+                             for status, (count, prompt, detail) in by_status.items() if status != "ok"))
 
     artifacts = [p.name for p in (corpus, quarantine) if p.exists()]
     _write_manifest(out, "par-generate", raw, [], artifacts)
-    if "transport_error" in statuses or (strict and statuses - {"ok"}):
+    if "transport_error" in by_status or (strict and by_status.keys() - {"ok"}):
         return 1
     return 0
 

@@ -1,20 +1,20 @@
 """Config primitives shared by every command, with no numpy behind them.
 
-Reading the JSON file, reading a typed field, resolving the output
-directory and hashing the resolved config are all the config work
-`par-generate` needs, so they live apart from the experiment layer and
-its array stack.
+Reading the JSON file, reading a typed field, building an object from
+fields, resolving the output directory and hashing the resolved config
+are all the config work `par-generate` needs, so they live apart from
+the experiment layer and its array stack.
 """
 
 import hashlib
 import json
 import math
 import os
+from dataclasses import MISSING
 from pathlib import Path
 
-__all__ = ["ConfigError", "field", "read_text", "read_config", "output_dir", "config_hash"]
+__all__ = ["ConfigError", "field", "built", "read_text", "read_config", "output_dir", "config_hash"]
 
-_REQUIRED = object()
 _KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list",
           dict: "a mapping"}
 
@@ -23,7 +23,7 @@ class ConfigError(ValueError):
     """Config parsing/validation error; the message names the offending field."""
 
 
-def field(section, key, name: str, kind, default=_REQUIRED, length=None, keys=None):
+def field(section, key, name: str, kind, default=MISSING, length=None, keys=None):
     """section[key] as kind, or a ConfigError naming the field by its full name.
 
     kind is int, float, bool, str, list or dict, or [int] or [float] for a
@@ -32,14 +32,16 @@ def field(section, key, name: str, kind, default=_REQUIRED, length=None, keys=No
     float range, and an int must be integral (3 or 3.0, not 3.7); a nan or
     inf, which read_config refuses in a file, is left to the object built
     from the value. An absent key reads as default, and is an error
-    without one; a field whose default is None reads a null as None too.
+    without one (a default of dataclasses.MISSING, as a dataclass field
+    without a default has); a field whose default is None reads a null
+    as None too.
     A mapping read with keys holds no other key, so a misspelled field
     fails instead of leaving its default in force.
     """
     try:
         value = section[key]
     except KeyError:
-        if default is _REQUIRED:
+        if default is MISSING:
             raise ConfigError(f"missing field '{name}'") from None
         return default
     if value is None and default is None:
@@ -64,6 +66,14 @@ def field(section, key, name: str, kind, default=_REQUIRED, length=None, keys=No
             except OverflowError:  # a JSON integer beyond the float range
                 pass
     raise ConfigError(f"field '{name}' must be {what}, got {value!r}")
+
+
+def built(name: str, make, /, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError re-raised as a ConfigError naming the field the arguments came from."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"field '{name}' invalid: {exc}") from exc
 
 
 def read_text(path, what: str, error=ValueError) -> str:
@@ -121,7 +131,7 @@ def output_dir(raw: dict, out_dir=None) -> Path:
     """The run's output directory: out_dir if given (recorded in raw), else output.directory; neither may be empty."""
     out = field(raw, "output", "output", dict)
     # out_dir replaces output.directory, which may then be absent but not of another kind
-    directory = field(out, "directory", "output.directory", str, _REQUIRED if out_dir is None else "")
+    directory = field(out, "directory", "output.directory", str, MISSING if out_dir is None else "")
     if out_dir is not None:
         if out_dir == "":  # Path("") is the working directory, which a run would write into and delete from
             raise ConfigError("argument --out must be a nonempty path, got ''")

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from guidelab.config import ConfigError, field, output_dir, read_config
+from guidelab.config import ConfigError, built, field, output_dir, read_config
 from guidelab.guidance import DEFAULT_EPS_STAB, DEFAULT_LAMBDA, DEFAULT_W, STRATEGIES, GuidanceConfig
 from guidelab.oracle import Condition, GmmWorld, assign_labels
 from guidelab.sampler import run_lockstep
@@ -101,10 +101,7 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
     means, covs = ([field(comp, key, f"world.components[{i}].{key}", [float], length=dim)
                     for i, comp in enumerate(comps)] for key in ("mean", "cov_diag"))
     weights = field(world_raw, "weights", "world.weights", [float])
-    try:
-        world = GmmWorld(means=means, cov_diags=covs, weights=weights)
-    except ValueError as exc:
-        raise ConfigError(f"field 'world' invalid: {exc}") from exc
+    world = built("world", GmmWorld, means=means, cov_diags=covs, weights=weights)
 
     conditions, specs = {}, field(raw, "conditions", "conditions", dict)
     if not specs:
@@ -112,11 +109,8 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
     for name in specs:
         spec = field(specs, name, f"conditions.{name}", dict, keys=("components",))
         indices = field(spec, "components", f"conditions.{name}.components", [int])
-        try:
-            conditions[name] = Condition.subset(indices)
-            conditions[name].resolve(world)
-        except ValueError as exc:
-            raise ConfigError(f"field 'conditions.{name}' invalid: {exc}") from exc
+        conditions[name] = built(f"conditions.{name}", Condition.subset, indices)
+        built(f"conditions.{name}", conditions[name].resolve, world)
 
     positive, negative = field(raw, "positive", "positive", str), field(raw, "negative", "negative", str, None)
     for key, name in (("positive", positive), ("negative", negative)):
@@ -126,10 +120,7 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
     sched = field(raw, "schedule", "schedule", dict, keys=("num_steps", "beta_start", "beta_end"))
     steps, beta_start, beta_end = (field(sched, key, f"schedule.{key}", kind)
                                    for key, kind in (("num_steps", int), ("beta_start", float), ("beta_end", float)))
-    try:
-        schedule = make_linear_schedule(steps, beta_start, beta_end)
-    except ValueError as exc:
-        raise ConfigError(f"field 'schedule' invalid: {exc}") from exc
+    schedule = built("schedule", make_linear_schedule, steps, beta_start, beta_end)
 
     g = field(raw, "guidance", "guidance", dict, keys=("strategy", "w", "lambda", "eps_stab"))
     strategy = field(g, "strategy", "guidance.strategy", str)
@@ -137,10 +128,7 @@ def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
         raise ConfigError(f"field 'guidance.strategy' has unknown value '{strategy}'")
     w, lambda_, eps_stab = (field(g, key, f"guidance.{key}", float, default) for key, default
                             in (("w", DEFAULT_W), ("lambda", DEFAULT_LAMBDA), ("eps_stab", DEFAULT_EPS_STAB)))
-    try:
-        guidance = GuidanceConfig(strategy=strategy, w=w, lambda_=lambda_, eps_stab=eps_stab)
-    except ValueError as exc:
-        raise ConfigError(f"field 'guidance' invalid: {exc}") from exc
+    guidance = built("guidance", GuidanceConfig, strategy=strategy, w=w, lambda_=lambda_, eps_stab=eps_stab)
     if strategy != "CFG" and negative is None:
         raise ConfigError(f"strategy {strategy} requires a 'negative' condition binding")
 

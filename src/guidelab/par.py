@@ -15,12 +15,12 @@ import math
 import os
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import partial
 from typing import Callable, ClassVar
 
-from guidelab.config import read_text
+from guidelab.config import ConfigError, built, field, read_text
 
 __all__ = [
     "ANALYSIS_MARKER",
@@ -32,6 +32,7 @@ __all__ = [
     "Analysis",
     "CounterfactualRecord",
     "LlmEndpointConfig",
+    "endpoint_config",
     "FormatViolation",
     "TransportError",
     "ValidationFailure",
@@ -127,12 +128,29 @@ class LlmEndpointConfig:
     MAX_RETRIES: ClassVar[int] = 10
 
     def __post_init__(self):
+        if not self.base_url.lower().startswith(("http://", "https://")):
+            raise ValueError(f"base_url must start with http:// or https://, got {self.base_url!r}")
         if not math.isfinite(self.timeout):
             raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
         if self.timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
         if not 0 <= self.max_retries <= self.MAX_RETRIES:
             raise ValueError(f"max_retries must be from 0 to {self.MAX_RETRIES}, got {self.max_retries}")
+
+
+def endpoint_config(raw: dict, mock: bool) -> LlmEndpointConfig:
+    """The endpoint settings in a config's 'par' section, whose keys, kinds and defaults are LlmEndpointConfig's fields.
+
+    Without mock 'par' is required, with each field that has no default.
+    """
+    schema = fields(LlmEndpointConfig)
+    par = field(raw, "par", "par", dict, None, keys=tuple(f.name for f in schema))
+    if par is None and not mock:
+        raise ConfigError("field 'par' (endpoint settings) is required without --mock")
+    # under mock, base_url and model default to an endpoint that is never called
+    par = {"base_url": "http://localhost:0", "model": "mock-model", **(par or {})} if mock else par
+    return built("par", LlmEndpointConfig, **{f.name: field(par, f.name, f"par.{f.name}", f.type, f.default)
+                                              for f in schema})
 
 
 def render_record(rec: CounterfactualRecord) -> str:

@@ -961,6 +961,23 @@ def test_cmd_par_generate_rejects_a_non_finite_timeout(tmp_path, capsys, literal
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mock", [False, True], ids=["live", "mock"])
+@pytest.mark.parametrize("base_url", ["", "localhost:8000", "ftp://x"])
+def test_cmd_par_generate_rejects_a_base_url_without_an_http_scheme(tmp_path, capsys, monkeypatch, base_url, mock):
+    # requests refuses such a URL before it connects, and each attempt was retried as a transient failure:
+    # every prompt slept through its backoff, ended as transport_error, and the run exited 1.
+    monkeypatch.setenv("GUIDELAB_API_KEY", "test-key")
+    out = tmp_path / "out"
+    raw = {"par": {"base_url": base_url, "model": "m", "max_retries": 0}, "output": {"directory": str(out)}}
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text((FIXTURES / "butter.prompt.txt").read_text().strip() + "\n")
+    argv = ["par-generate", "--config", str(write_config(tmp_path, raw)), str(prompts)]
+    assert main(argv + ["--mock", str(FIXTURES)] * mock) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"par-generate: error: field 'par' invalid: base_url must start with http:// or https://, got {base_url!r}"]
+    assert not out.exists()
+
+
 def test_a_non_finite_number_no_command_reads_is_refused_by_sample(tmp_path, capsys):
     # A top-level "notes": NaN used to run with exit 0 and land in manifest.json as a bare NaN, which
     # strict JSON parsers reject.
@@ -1193,6 +1210,53 @@ def test_cmd_par_generate_writes_status_lines_at_once(tmp_path, monkeypatch):
     assert cmd_par_generate(write_config(tmp_path, small_config()), prompts, out_dir=tmp_path / "out",
                             mock=fixtures) == 1
     assert stdout.writes == ["".join(f"{status:<19} {prompt}\n" for prompt, status in expected)]
+
+
+def test_cmd_par_generate_names_why_each_failing_status_failed(tmp_path, capsys):
+    # stdout says only which prompts failed; the reasons were dropped. stderr now gets one line per
+    # failing status, in order of first appearance: its count, its first prompt and that prompt's reason.
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    for path in FIXTURES.glob("*.txt"):
+        (fixtures / path.name).write_text(path.read_text())
+    (fixtures / "broken.prompt.txt").write_text("A broken response prompt.")
+    (fixtures / "broken.response.txt").write_text((FIXTURES / "malformed_missing_subfield.txt").read_text())
+    (fixtures / "restated.prompt.txt").write_text("A ball rolls down a ramp.")
+    (fixtures / "restated.response.txt").write_text(
+        "[ANALYSIS]\nEntities: x\nEnvironment: y\nInteractions: z\nTemporal evolution: w\n"
+        "[COUNTERFACTUAL]\nA ball rolls down a ramp.")
+    butter = (FIXTURES / "butter.prompt.txt").read_text().strip()
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("\n".join(["no fixture answers this", butter, "A ball rolls down a ramp.",
+                                  "A broken response prompt.", "nor this one"]) + "\n")
+    out = tmp_path / "out"
+    assert main(["par-generate", "--config", str(write_config(tmp_path, small_config())), str(prompts),
+                 "--mock", str(fixtures), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert [line.split()[0] for line in captured.out.splitlines()] == [
+        "transport_error", "ok", "validation_failure", "format_violation", "transport_error"]
+    assert captured.err.splitlines() == [
+        "par-generate: 2 transport_error, first 'no fixture answers this':"
+        " no canned response for prompt 'no fixture answers this'",
+        "par-generate: 1 validation_failure, first 'A ball rolls down a ramp.':"
+        " validation failed: non_repetition: counterfactual repeats the user prompt",
+        "par-generate: 1 format_violation, first 'A broken response prompt.':"
+        " format violation: missing Interactions (subfield absent from analysis section)",
+    ]
+
+
+def test_cmd_par_generate_names_an_unset_api_key_variable(tmp_path, capsys, monkeypatch):
+    # A live run without its API key printed only "transport_error <prompt>", and nothing said why.
+    monkeypatch.delenv("GUIDELAB_TEST_UNSET_KEY", raising=False)
+    raw = {"par": {"base_url": "https://llm.example", "model": "m", "api_key_env": "GUIDELAB_TEST_UNSET_KEY"},
+           "output": {"directory": str(tmp_path / "out")}}
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("a prompt\n")
+    assert main(["par-generate", "--config", str(write_config(tmp_path, raw)), str(prompts)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"{'transport_error':<19} a prompt\n"
+    assert captured.err.splitlines() == [
+        "par-generate: 1 transport_error, first 'a prompt': environment variable GUIDELAB_TEST_UNSET_KEY is not set"]
 
 
 def test_cmd_schedule_dump(tmp_path):

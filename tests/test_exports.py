@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -116,3 +117,28 @@ def test_exported_functions_have_a_reader_outside_their_module():
                     and not any(node.name in names for other, names in reads.items() if other != path)):
                 unread.append(f"{path.stem}.{node.name}")
     assert unread == []
+
+
+def test_cli_reads_no_config_field():
+    # cli holds no config schema: each section is read by the layer that builds from it, the 'par'
+    # section by par.endpoint_config from LlmEndpointConfig's own fields.
+    tree = ast.parse((Path(guidelab.__file__).parent / "cli.py").read_text())
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and (getattr(node.func, "id", None) == "field" or getattr(node.func, "attr", None) == "field")]
+    assert calls == []
+
+
+def test_only_config_builds_the_invalid_field_message():
+    # "field '<name>' invalid: <reason>" has one home, config.built, which every constructor's refusal goes through.
+    found = []
+    for path in sorted(Path(guidelab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.JoinedStr):
+                text = "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                text = node.value
+            else:
+                continue
+            if re.match(r"field '[^']*' invalid: ", text):
+                found.append(path.stem)
+    assert found == ["config"]

@@ -706,12 +706,16 @@ def test_mock_transport_from_dir_later_name_wins(tmp_path):
 
 
 def test_endpoint_config_validation():
-    with pytest.raises(ValueError):
-        LlmEndpointConfig(base_url="x", model="m", timeout=0.0)
-    with pytest.raises(ValueError):
-        LlmEndpointConfig(base_url="x", model="m", max_retries=-1)
+    with pytest.raises(ValueError, match="timeout must be > 0"):
+        LlmEndpointConfig(base_url="https://llm.example", model="m", timeout=0.0)
+    with pytest.raises(ValueError, match="max_retries must be from 0 to 10, got -1"):
+        LlmEndpointConfig(base_url="https://llm.example", model="m", max_retries=-1)
     with pytest.raises(ValueError, match="max_retries must be from 0 to 10, got 11"):
-        LlmEndpointConfig(base_url="x", model="m", max_retries=LlmEndpointConfig.MAX_RETRIES + 1)
+        LlmEndpointConfig(base_url="https://llm.example", model="m", max_retries=LlmEndpointConfig.MAX_RETRIES + 1)
+    with pytest.raises(ValueError, match="^base_url must start with http:// or https://, got 'x'$"):
+        LlmEndpointConfig(base_url="x", model="m")
+    # requests reads the scheme without regard to case
+    assert LlmEndpointConfig(base_url="HTTPS://llm.example", model="m").base_url == "HTTPS://llm.example"
 
 
 class FakeResponse:
