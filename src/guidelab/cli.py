@@ -11,17 +11,15 @@ resolved config, its hash, and per-file checksums, and returns exit
 status 0 only if everything requested succeeded.
 
 Each command imports the layers it runs inside its own body, so
-par-generate starts without numpy and the sampling commands without the
-prompt pipeline or the diagnostics.
+par-generate starts without numpy or the csv writer and the sampling
+commands without the prompt pipeline or the diagnostics.
 """
 
 import argparse
 import atexit
-import csv
 import functools
 import gc
 import hashlib
-import inspect
 import json
 import sys
 import warnings
@@ -38,7 +36,8 @@ __all__ = [
     "main",
 ]
 
-# Subcommand name -> (name of its cmd_* function, help text, extra argparse arguments), filled by @_command.
+# Subcommand name -> (name of its cmd_* function, its parameter names, help text, extra argparse arguments),
+# filled by @_command.
 COMMANDS = {}
 
 
@@ -60,7 +59,9 @@ def _command(name: str, help_text: str, *extra):
                 print(f"{name}: error: {exc}", file=sys.stderr)
                 return 2
 
-        COMMANDS[name] = (body.__name__, help_text, extra)
+        code = body.__code__  # co_varnames begins with the positional and then the keyword-only parameters
+        parameters = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+        COMMANDS[name] = (body.__name__, parameters, help_text, extra)
         return run
 
     return register
@@ -99,6 +100,8 @@ def _write_json(path: Path, obj, **options) -> None:
 
 def _write_csv(path: Path, header: list, rows) -> None:
     """A CSV file of the header row and then each row of an iterable, as the caller formatted them, in UTF-8."""
+    import csv
+
     with _create(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -296,7 +299,7 @@ def main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(prog="guidelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, extra) in COMMANDS.items():
+    for name, (_, _, help_text, extra) in COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
         for flags, options in extra:
             p.add_argument(*flags, **options)
@@ -307,8 +310,8 @@ def main(argv=None) -> int:
         bound = "at least 1" if args["jobs"] < 1 else "at most 32"
         sub.choices[command].error(f"argument --jobs: must be {bound}, got {args['jobs']}")
     # looked up at call time, so a rebound cmd_* (a test double, a tracing wrapper) is what runs
-    run = globals()[COMMANDS[command][0]]
-    accepted = inspect.signature(run).parameters
+    function_name, accepted, _, _ = COMMANDS[command]
+    run = globals()[function_name]
     for key, value in args.items():
         if key not in accepted and value != common.get_default(key):
             sub.choices[command].error(f"argument --{key.replace('_', '-')}: not used by {command}")

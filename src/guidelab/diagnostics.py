@@ -74,7 +74,26 @@ def trajectory_bias_probe(world: GmmWorld, p_plus: Condition, p_minus: Condition
     averaged over seeds. The gap is 0 exactly at t=T (identical
     initialization), and an identically zero series when p_plus == p_minus.
     """
-    return build_report(world, p_plus, p_minus, schedule, cfg, seeds, {})["bias_gap"]
+    return _coupled_run(world, p_plus, p_minus, schedule, cfg, seeds)[1]
+
+
+def _coupled_run(world, p_plus, p_minus, schedule, cfg, seeds) -> tuple:
+    """The coupled batch of a shared-latent run under cfg and its bias gap as (t, value) pairs, from one lockstep.
+
+    The gap's decoupled reference is the minus branch of TDD_ONLY at w = 0, stepped in the same lockstep run:
+    its push away from the null is exactly zero, so it steps on the raw negative prediction on its own latent.
+    Per-seed gaps are added one seed at a time, in seed order, so each step's sum rounds exactly as a loop over
+    seeds does.
+    """
+    if cfg.strategy not in ("NP", "SDN"):
+        raise ValueError(f"bias probe needs a shared-latent strategy with a negative condition, got {cfg.strategy}")
+    coupled, decoupled = run_lockstep(world, p_plus, p_minus, schedule, [cfg, GuidanceConfig("TDD_ONLY", w=0.0)],
+                                      seeds)
+    gaps = np.zeros(len(coupled.eps_neg))
+    for seed_gaps in row_norms(coupled.eps_neg - decoupled.minus.eps_pos).T:
+        gaps += seed_gaps
+    gaps /= len(coupled.seeds)
+    return coupled, [(t, float(gap)) for t, gap in zip(coupled.steps, gaps)]
 
 
 def build_report(world: GmmWorld, p_plus: Condition, p_minus: Condition, schedule: NoiseSchedule,
@@ -88,21 +107,14 @@ def build_report(world: GmmWorld, p_plus: Condition, p_minus: Condition, schedul
     empty; a nonempty label_sets must partition the world's components.
     delta_norms and bias_gap are seed-averaged over one deterministic
     coupled batch; the spectral series follow one representative seed's
-    latent path, since eigenvectors do not average across seeds. The
-    bias gap's decoupled reference is the minus branch of TDD_ONLY at
-    w = 0, stepped in the same lockstep run: its push away from the null
-    is exactly zero, so it steps on the raw negative prediction on its
-    own latent. Per-seed gaps are added one seed at a time, in seed
-    order, so each step's sum rounds exactly as a loop over seeds does.
+    latent path, since eigenvectors do not average across seeds; the
+    bias gap is trajectory_bias_probe's, from the same lockstep run.
     Eigenvectors are eigh's unit columns; masses are means of booleans.
     """
-    if cfg.strategy not in ("NP", "SDN"):
-        raise ValueError(f"bias probe needs a shared-latent strategy with a negative condition, got {cfg.strategy}")
     label_sets = label_sets or {"all": list(range(world.num_components))}
     if sorted(int(i) for idx in label_sets.values() for i in idx) != list(range(world.num_components)):
         raise ValueError(f"label_sets {label_sets} do not partition components 0..{world.num_components - 1}")
-    coupled, decoupled = run_lockstep(world, p_plus, p_minus, schedule, [cfg, GuidanceConfig("TDD_ONLY", w=0.0)],
-                                      seeds)
+    coupled, bias_gap = _coupled_run(world, p_plus, p_minus, schedule, cfg, seeds)
     delta = coupled.delta[:, EIGEN_SEED_INDEX]
 
     leading_eigs, suppression = [], []
@@ -111,17 +123,13 @@ def build_report(world: GmmWorld, p_plus: Condition, p_minus: Condition, schedul
         leading_eigs.append((t, lam, v.tolist()))
         suppression.append((t, float(-cfg.w * np.dot(v, delta[i]))))
     labels = assign_labels(world, coupled.finals, label_sets)
-    gaps = np.zeros(len(coupled.eps_neg))
-    for seed_gaps in row_norms(coupled.eps_neg - decoupled.minus.eps_pos).T:
-        gaps += seed_gaps
-    gaps /= len(coupled.seeds)
 
     return {
         "delta_norms": delta_norm_curve(coupled),
         "leading_eigs": leading_eigs,
         "suppression_proj": suppression,
         "mode_masses": {label: float(np.mean(labels == label)) for label in label_sets},
-        "bias_gap": [(t, float(gap)) for t, gap in zip(coupled.steps, gaps)],
+        "bias_gap": bias_gap,
     }
 
 

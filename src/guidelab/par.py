@@ -14,6 +14,7 @@ import json
 import math
 import os
 import time
+import urllib.parse
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -130,6 +131,8 @@ class LlmEndpointConfig:
     def __post_init__(self):
         if not self.base_url.lower().startswith(("http://", "https://")):
             raise ValueError(f"base_url must start with http:// or https://, got {self.base_url!r}")
+        if urllib.parse.urlsplit(self.base_url).hostname is None:
+            raise ValueError(f"base_url must name a host, got {self.base_url!r}")
         if not math.isfinite(self.timeout):
             raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
         if self.timeout <= 0:
@@ -306,13 +309,15 @@ class MockTransport:
     def from_dir(cls, path) -> "MockTransport":
         """Load fixture pairs <name>.prompt.txt / <name>.response.txt (UTF-8) from a directory, in name order."""
         names = set(os.listdir(path))
+        # the directory ends in one separator, so directory + name is os.path.join(path, name) without a join per file
+        directory = os.path.join(path, "")
         responses = {}
         for name in sorted(n for n in names if n.endswith(".prompt.txt")):
             response_name = name[:-len(".prompt.txt")] + ".response.txt"
             if response_name not in names:
                 raise FileNotFoundError(f"fixture {name} has no matching response file")
-            prompt = read_text(os.path.join(path, name), "fixture").strip()
-            responses[prompt] = read_text(os.path.join(path, response_name), "fixture")
+            prompt = read_text(directory + name, "fixture").strip()
+            responses[prompt] = read_text(directory + response_name, "fixture")
         if not responses:
             raise FileNotFoundError(f"no *.prompt.txt fixtures found in {path}")
         return cls(responses)
@@ -320,9 +325,10 @@ class MockTransport:
     def __call__(self, messages: list, cfg: LlmEndpointConfig) -> str:
         self.calls += 1
         prompt = next((m["content"] for m in reversed(messages) if m["role"] == "user"), None)
-        if prompt is None or prompt.strip() not in self.responses:
+        response = None if prompt is None else self.responses.get(prompt.strip())
+        if response is None:
             raise TransportError(f"no canned response for prompt {prompt!r}", retryable=False)
-        return self.responses[prompt.strip()]
+        return response
 
 
 class HttpTransport:
@@ -369,12 +375,17 @@ def _utc_now() -> str:
 _FAILURES = (TransportError, FormatViolation, ValidationFailure)
 
 
-# json.dumps(obj, sort_keys=True) without building a new encoder for every line
-_encode = json.JSONEncoder(sort_keys=True).encode
+# json.dumps(obj, sort_keys=True) without building a new encoder for every line; _persist builds each row
+# afresh from strings and a list of strings, so no row can hold a cycle for check_circular to catch
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
 def _appender(path, stack: ExitStack) -> Callable:
-    """A function appending one JSON line to path, if not None, opened on first use and flushed per line."""
+    """A function appending one JSON line to path, if not None, opened on first use.
+
+    The file is unbuffered and each line is one write call, so a line has reached the kernel when the
+    append returns, as a buffered write and a flush per line would give.
+    """
     fh = None
 
     def append(obj: dict) -> None:
@@ -382,9 +393,10 @@ def _appender(path, stack: ExitStack) -> Callable:
         if path is None:
             return
         if fh is None:
-            fh = stack.enter_context(open(path, "a"))
-        fh.write(_encode(obj) + "\n")
-        fh.flush()
+            fh = stack.enter_context(open(path, "ab", buffering=0))
+        line = (_encode(obj) + "\n").encode()
+        while line:  # a short write, which a full disk can cause, leaves the rest of the line to write
+            line = line[fh.write(line):]
 
     return append
 

@@ -385,6 +385,21 @@ def test_build_report_shares_the_coupled_batch(monkeypatch):
         assert val == float(np.mean([c[i][1] for c in curves]))
 
 
+def test_bias_probe_forms_no_jacobian(monkeypatch):
+    # The probe runs only the lockstep that yields the gap; it used to build the whole report and throw away
+    # its Jacobians, eigenpairs and labels.
+    import guidelab.diagnostics as diag
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("trajectory_bias_probe formed a Jacobian")
+
+    monkeypatch.setattr(diag, "epsilon_jacobian", refuse)
+    monkeypatch.setattr(diag, "assign_labels", refuse)
+    s = make_linear_schedule(10, 0.05, 0.25)
+    gaps = trajectory_bias_probe(MIX, Condition.subset([0]), Condition.subset([1]), s, GuidanceConfig("NP"), [0, 1])
+    assert [t for t, _ in gaps] == list(range(10, 0, -1))
+
+
 def test_build_report_rejects_cfg():
     s = make_linear_schedule(5, 0.05, 0.2)
     with pytest.raises(ValueError):

@@ -962,10 +962,13 @@ def test_cmd_par_generate_rejects_a_non_finite_timeout(tmp_path, capsys, literal
 
 
 @pytest.mark.parametrize("mock", [False, True], ids=["live", "mock"])
-@pytest.mark.parametrize("base_url", ["", "localhost:8000", "ftp://x"])
+@pytest.mark.parametrize("base_url", ["", "localhost:8000", "ftp://x", "http://", "https://:8000", "http:///x"])
 def test_cmd_par_generate_rejects_a_base_url_without_an_http_scheme(tmp_path, capsys, monkeypatch, base_url, mock):
-    # requests refuses such a URL before it connects, and each attempt was retried as a transient failure:
-    # every prompt slept through its backoff, ended as transport_error, and the run exited 1.
+    # requests refuses such a URL, or one with a scheme but no host, before it connects, and each attempt was
+    # retried as a transient failure: every prompt slept through its backoff, ended as transport_error, and the
+    # run exited 1.
+    scheme = base_url.startswith(("http://", "https://"))
+    reason = "must name a host" if scheme else "must start with http:// or https://"
     monkeypatch.setenv("GUIDELAB_API_KEY", "test-key")
     out = tmp_path / "out"
     raw = {"par": {"base_url": base_url, "model": "m", "max_retries": 0}, "output": {"directory": str(out)}}
@@ -974,7 +977,7 @@ def test_cmd_par_generate_rejects_a_base_url_without_an_http_scheme(tmp_path, ca
     argv = ["par-generate", "--config", str(write_config(tmp_path, raw)), str(prompts)]
     assert main(argv + ["--mock", str(FIXTURES)] * mock) == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"par-generate: error: field 'par' invalid: base_url must start with http:// or https://, got {base_url!r}"]
+        f"par-generate: error: field 'par' invalid: base_url {reason}, got {base_url!r}"]
     assert not out.exists()
 
 

@@ -21,13 +21,15 @@ from test_par import FIXTURES
 SRC = Path(guidelab.__file__).parents[1]
 SUBMODULES = sorted(f"guidelab.{m.name}" for m in pkgutil.iter_modules(guidelab.__path__))
 
-# Prints which guidelab modules and whether numpy, numpy.ma and orjson were loaded, as the last line of stdout.
-LOADED = "import json, sys; print(json.dumps({**{m: m in sys.modules for m in ('numpy', 'numpy.ma', 'orjson')}, " \
+# The modules whose load LOADED reports, beside guidelab's own.
+PROBED = ("numpy", "numpy.ma", "orjson", "inspect", "csv")
+# Prints which guidelab modules and which PROBED modules were loaded, as the last line of stdout.
+LOADED = f"import json, sys; print(json.dumps({{**{{m: m in sys.modules for m in {PROBED!r}}}, " \
          "'guidelab': sorted(m for m in sys.modules if m.startswith('guidelab'))}))"
 
 
 def loaded_after(code):
-    """{'numpy': bool, 'numpy.ma': bool, 'orjson': bool, 'guidelab': [module names]} after code in a new interpreter."""
+    """{module in PROBED: bool, ..., 'guidelab': [module names]} after code in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", f"{code}\n{LOADED}"], capture_output=True, text=True,
                          check=True, env=env)
@@ -42,6 +44,8 @@ def test_cli_import_loads_only_config():
     loaded = loaded_after("import guidelab.cli")
     assert not loaded["numpy"]
     assert not loaded["orjson"]
+    # only the commands that write a CSV file load the csv module
+    assert not loaded["csv"]
     assert loaded["guidelab"] == ["guidelab", "guidelab.cli", "guidelab.config"]
 
 
@@ -53,6 +57,7 @@ def test_par_generate_leaves_numpy_unloaded(tmp_path):
                          "--out", str(tmp_path / "out")])
     assert not loaded["numpy"]
     assert not loaded["orjson"]
+    assert not loaded["csv"]
     assert (tmp_path / "out" / "corpus.jsonl").exists()
 
 

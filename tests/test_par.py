@@ -545,21 +545,31 @@ HOLLOW_RESPONSE = ("[ANALYSIS]\nEntities: x\nEnvironment: y\nInteractions: z\n"
                    "Temporal evolution: w\n[COUNTERFACTUAL]\nUnrelated gibberish entirely.")
 
 
-def test_generate_batch_flushes_each_record_before_the_next_call(tmp_path):
+@pytest.mark.parametrize("target", ["corpus", "quarantine"])
+def test_generate_batch_flushes_each_record_before_the_next_call(tmp_path, target):
     # A killed run must keep every record settled before the kill, so each
-    # corpus line is on disk before the next endpoint call starts.
-    corpus = tmp_path / "corpus.jsonl"
+    # line appended to the corpus or the quarantine is on disk before the
+    # next endpoint call starts.
+    corpus, quarantine = tmp_path / "corpus.jsonl", tmp_path / "quarantine.jsonl"
     mock = MockTransport.from_dir(FIXTURES)
+    if target == "quarantine":
+        mock.responses.update(dict.fromkeys(FIXTURE_PROMPTS, HOLLOW_RESPONSE))
+    path = tmp_path / f"{target}.jsonl"
     on_disk = []
 
+    def prompt_of(row):
+        return row["user_prompt"] if target == "corpus" else row["record"]["user_prompt"]
+
     def transport(messages, cfg):
-        on_disk.append([json.loads(line)["user_prompt"] for line in corpus.read_text().splitlines()]
-                       if corpus.exists() else [])
+        on_disk.append([prompt_of(json.loads(line)) for line in path.read_text().splitlines()]
+                       if path.exists() else [])
         return mock(messages, cfg)
 
-    results = generate_batch(endpoint(), FIXTURE_PROMPTS, transport, corpus_path=corpus)
-    assert [status for _, status, _ in results] == ["ok"] * 3
+    results = generate_batch(endpoint(), FIXTURE_PROMPTS, transport, corpus_path=corpus, quarantine_path=quarantine)
+    expected = "ok" if target == "corpus" else "validation_failure"
+    assert [status for _, status, _ in results] == [expected] * 3
     assert on_disk == [[], FIXTURE_PROMPTS[:1], FIXTURE_PROMPTS[:2]]
+    assert [prompt_of(json.loads(line)) for line in path.read_text().splitlines()] == FIXTURE_PROMPTS
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -714,6 +724,10 @@ def test_endpoint_config_validation():
         LlmEndpointConfig(base_url="https://llm.example", model="m", max_retries=LlmEndpointConfig.MAX_RETRIES + 1)
     with pytest.raises(ValueError, match="^base_url must start with http:// or https://, got 'x'$"):
         LlmEndpointConfig(base_url="x", model="m")
+    # requests refuses a URL without a host before it connects, and it used to be retried as a transient failure
+    for base_url in ("http://", "https://:8000", "http:///x"):
+        with pytest.raises(ValueError, match=f"^base_url must name a host, got '{re.escape(base_url)}'$"):
+            LlmEndpointConfig(base_url=base_url, model="m")
     # requests reads the scheme without regard to case
     assert LlmEndpointConfig(base_url="HTTPS://llm.example", model="m").base_url == "HTTPS://llm.example"
 
