@@ -120,24 +120,18 @@ def _trajectory_lines(result):
     """
     import orjson
 
-    branches = []
-    for name, b in [("single", result)] if result.minus is None else [("plus", result), ("minus", result.minus)]:
-        fields = {"x_after": b.states[1:]}
-        if name != "minus":
-            fields.update(eps_pos=b.eps_pos, eps_neg=b.eps_neg, correction=b.correction)
-        branches.append((name, b.steps, fields))
-    # orjson writes the shortest decimal that reads back as the same float64, as repr does, in compact form
-    option = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
-
-    def lines():
-        for i, seed in enumerate(result.seeds):
-            for name, steps, fields in branches:
-                rows = {key: None if a is None else a[:, i].tolist() for key, a in fields.items()}
-                for j, t in enumerate(steps):
-                    record = {key: None if r is None else r[j] for key, r in rows.items()}
-                    yield orjson.dumps({"seed": seed, "branch": name, "t": t, **record}, option=option)
-
-    return lines()
+    # orjson writes each float64 of an array as the shortest decimal that reads back as the same float64, as repr
+    # does, in compact form; it refuses an array that is not C-contiguous, and each row here is a whole last axis
+    option = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
+    branches = [("single", result)] if result.minus is None else [("plus", result), ("minus", result.minus)]
+    for i, seed in enumerate(result.seeds):
+        for name, b in branches:
+            for j, t in enumerate(b.steps):
+                record = {"seed": seed, "branch": name, "t": t, "x_after": b.states[j + 1, i]}
+                if name != "minus":
+                    record.update(eps_pos=b.eps_pos[j, i], eps_neg=None if b.eps_neg is None else b.eps_neg[j, i],
+                                  correction=b.correction[j, i])
+                yield orjson.dumps(record, option=option)
 
 
 @_command("sample", "run the configured strategy over the seed sweep")

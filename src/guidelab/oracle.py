@@ -136,13 +136,11 @@ def _posterior(world: GmmWorld, conds: tuple, schedule: NoiseSchedule, x: np.nda
     keys = [tuple(idx.tolist()) for idx in idxs]
     posteriors = {}
     for key, idx in dict(zip(keys, idxs)).items():  # each distinct component set once
-        own_covs, own_diff, own_terms = (covs, diff, terms) if len(idx) == world.num_components else (
-            np.take(covs, idx, axis=0), np.take(diff, idx, axis=1), np.take(terms, idx, axis=1))
         weights = world.weights[idx]
-        log_comp = own_terms + np.log(weights / weights.sum())
+        log_comp = np.take(terms, idx, axis=1) + np.log(weights / weights.sum())
         m = log_comp.max(axis=1, keepdims=True)
         log_density = m + np.log(np.sum(np.exp(log_comp - m), axis=1, keepdims=True))
-        posteriors[key] = (own_covs, own_diff, np.exp(log_comp - log_density))
+        posteriors[key] = (np.take(covs, idx, axis=0), np.take(diff, idx, axis=1), np.exp(log_comp - log_density))
     return keys, posteriors
 
 

@@ -303,7 +303,6 @@ class MockTransport:
 
     def __init__(self, responses: dict):
         self.responses = dict(responses)
-        self.calls = 0
 
     @classmethod
     def from_dir(cls, path) -> "MockTransport":
@@ -323,7 +322,6 @@ class MockTransport:
         return cls(responses)
 
     def __call__(self, messages: list, cfg: LlmEndpointConfig) -> str:
-        self.calls += 1
         prompt = next((m["content"] for m in reversed(messages) if m["role"] == "user"), None)
         response = None if prompt is None else self.responses.get(prompt.strip())
         if response is None:
@@ -411,11 +409,8 @@ def _call_with_retries(cfg, user_prompt, transport, sleep, clock) -> Counterfact
             text = transport(messages, cfg)
             break
         except TransportError as exc:
-            if not exc.retryable:
+            if not exc.retryable or attempt == cfg.max_retries:
                 raise
-            last_exc = exc
-    else:
-        raise last_exc
     return parse_response(text, user_prompt=user_prompt, model_id=cfg.model, created_at=clock())
 
 

@@ -142,3 +142,15 @@ def test_only_config_builds_the_invalid_field_message():
             if re.match(r"field '[^']*' invalid: ", text):
                 found.append(path.stem)
     assert found == ["config"]
+
+
+def test_bench_tracer_methods_are_their_classes_own():
+    # bench/tracer.py wraps each method of its METHODS table through cls.__dict__[name], so a method that
+    # moves to a base class or is deleted stops every traced benchmark run with a KeyError.
+    tracer = Path(__file__).parent.parent / "bench" / "tracer.py"
+    table = next(ast.literal_eval(node.value) for node in ast.parse(tracer.read_text()).body
+                 if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["METHODS"])
+    missing = [f"{layer}.{cls_name}.{meth}" for layer, classes in table.items()
+               for cls_name, methods in classes.items() for meth in methods
+               if meth not in vars(getattr(importlib.import_module(f"guidelab.{layer}"), cls_name))]
+    assert table and missing == []

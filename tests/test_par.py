@@ -419,12 +419,23 @@ def test_generate_deterministic_with_fixed_clock(tmp_path):
     assert json.dumps(asdict(a), sort_keys=True) == json.dumps(asdict(b), sort_keys=True)
 
 
+def counted(transport):
+    """A wrapper that calls the transport, and a list that gains one entry per call of it."""
+    calls = []
+
+    def call(messages, cfg):
+        calls.append(1)
+        return transport(messages, cfg)
+
+    return call, calls
+
+
 def test_generate_does_not_retry_format_violations():
-    transport = MockTransport({"p": fixture_text("malformed_missing_section.txt")})
+    transport, calls = counted(MockTransport({"p": fixture_text("malformed_missing_section.txt")}))
     sleeps = []
     with pytest.raises(FormatViolation):
         generate(endpoint(max_retries=2), "p", transport, sleep=sleeps.append)
-    assert transport.calls == 1
+    assert len(calls) == 1
     assert sleeps == []
 
 
@@ -450,10 +461,11 @@ def test_generate_raises_after_exhausting_retries():
 
     def dead(messages, cfg):
         calls.append(1)
-        raise TransportError("still down")
+        raise TransportError(f"attempt {len(calls)} failed")
 
     sleeps = []
-    with pytest.raises(TransportError):
+    # the last attempt's error surfaces, not an earlier one's
+    with pytest.raises(TransportError, match="^attempt 3 failed$"):
         generate(endpoint(max_retries=2), "p", dead, sleep=sleeps.append)
     assert len(calls) == 3
     assert sleeps == [0.5, 1.0]
@@ -477,12 +489,12 @@ def test_retries_are_bounded():
 
 def test_generate_does_not_retry_unknown_mock_prompt():
     # A missing canned response is missing on every retry; it used to sleep 1.5 s of backoff.
-    transport = MockTransport({CONDENSATION_PROMPT: fixture_text("condensation.response.txt")})
+    transport, calls = counted(MockTransport({CONDENSATION_PROMPT: fixture_text("condensation.response.txt")}))
     sleeps = []
     with pytest.raises(TransportError) as exc:
         generate(endpoint(max_retries=2), "never seen", transport, sleep=sleeps.append)
     assert not exc.value.retryable
-    assert transport.calls == 1
+    assert len(calls) == 1
     assert sleeps == []
 
 
@@ -718,6 +730,10 @@ def test_mock_transport_from_dir_later_name_wins(tmp_path):
 def test_endpoint_config_validation():
     with pytest.raises(ValueError, match="timeout must be > 0"):
         LlmEndpointConfig(base_url="https://llm.example", model="m", timeout=0.0)
+    # read_config refuses NaN and Infinity in a file, so only a library caller reaches this check
+    for timeout in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=f"^timeout must be finite and > 0, got {timeout}$"):
+            LlmEndpointConfig(base_url="https://llm.example", model="m", timeout=timeout)
     with pytest.raises(ValueError, match="max_retries must be from 0 to 10, got -1"):
         LlmEndpointConfig(base_url="https://llm.example", model="m", max_retries=-1)
     with pytest.raises(ValueError, match="max_retries must be from 0 to 10, got 11"):
