@@ -176,8 +176,8 @@ def strategy_comparison(config: ExperimentConfig) -> dict:
     """Counterfactual-mode mass per strategy over the config's seeds.
 
     Returns {strategy: {"mass_mean", "mass_stderr", "seeds", "finals"}}.
-    All five strategies step the seeds as one lockstep batch. The
-    counterfactual label must be present in config.mass_labels.
+    All five strategies step the seeds as one lockstep batch that keeps
+    no per-step record, only the finals. The counterfactual label must be present in config.mass_labels.
     """
     if config.negative_condition is None:
         raise ConfigError("comparison runs need a 'negative' condition binding")
@@ -186,7 +186,7 @@ def strategy_comparison(config: ExperimentConfig) -> dict:
     table = {}
     cfgs = [replace(config.guidance, strategy=s) for s in STRATEGIES]
     batches = run_lockstep(config.world, config.positive_condition, config.negative_condition, config.schedule,
-                           cfgs, config.seeds, config.deterministic)
+                           cfgs, config.seeds, config.deterministic, record=False)
     for strategy, batch in zip(STRATEGIES, batches):
         per_seed = (assign_labels(config.world, batch.finals, config.mass_labels) == "counterfactual").astype(float)
         n = len(per_seed)

@@ -10,8 +10,8 @@ under SDN and SDG.
 
 One lockstep loop steps any set of strategies over the same seeds, all
 latents as rows of one array, with one oracle call per step; every
-result is a row slice of one set of records, checked once for non-finite
-values. Rows never mix, so a seed's path is bit for bit its path in a
+result is a row slice of one set of records, which a caller reading only
+the finals can skip. Rows never mix, so a seed's path is bit for bit its path in a
 one-strategy, one-seed run; run_single_batch and run_dual_batch name the
 loop's one-strategy call, whose TrajectoryBatch carries any minus branch.
 
@@ -45,7 +45,8 @@ class TrajectoryBatch:
 
     states has shape (T+1, N, dim), x_T first. The per-step arrays have
     shape (T, N, dim), and index i holds step t = T - i, whose result is
-    states[i + 1]. eps_neg is None under CFG and on a minus branch; minus
+    states[i + 1]. A run that records no steps holds the finals alone as
+    states, shape (1, N, dim), and per-step arrays of length 0. eps_neg is None under CFG and on a minus branch; minus
     is the minus branch's batch on a TDD_ONLY or SDG plus branch, else None.
     """
 
@@ -99,14 +100,17 @@ def run_lockstep(
     cfgs: list,
     seeds,
     deterministic: bool = True,
+    record: bool = True,
 ) -> list:
     """Step the strategies of cfgs over the same seeds as one stacked batch.
 
     Gives one TrajectoryBatch per config, in order; under TDD_ONLY/SDG it
     is the plus branch, with the minus branch as its minus. CFG ignores p_neg.
     One oracle call per step predicts the positive, null and any bound
-    negative condition on every row. A non-finite latent, then eps_pos,
-    eps_neg or correction, is a ValueError naming its strategies and first step t.
+    negative condition on every row. record=False keeps no step, only the
+    finals. Each step is checked as it is taken; after the last one a
+    non-finite latent, then eps_pos, eps_neg or correction, is a ValueError
+    naming its strategies and first step t, whether recorded or not.
     """
     for cfg in cfgs:
         if cfg.strategy != "CFG" and p_neg is None:
@@ -121,13 +125,20 @@ def run_lockstep(
     rows = [slice(j * n, (j + 1) * n) for j in range(len(blocks))]
     conditions = {"pos": p_plus, "null": Condition.null()} | ({} if p_neg is None else {"neg": p_neg})
     x = _draw(rngs, len(blocks), world.dim)
-    states = np.empty((T + 1,) + x.shape)
+    kept = T if record else 0
+    states = np.empty((kept + 1,) + x.shape)
     # each result records its rows of these; eps_neg's CFG and minus rows and a minus row's correction stay 0
-    eps_pos, eps_neg, correction = np.empty((T,) + x.shape), np.zeros((T,) + x.shape), np.zeros((T,) + x.shape)
+    eps_pos, eps_neg, correction = np.empty((kept,) + x.shape), np.zeros((kept,) + x.shape), np.zeros((kept,) + x.shape)
+    # each record key's error at its first non-finite step, in the order they are reported
+    errors = dict.fromkeys(("latents", "eps_pos", "eps_neg", "correction"))
     # an overflowing guidance scale surfaces as the named non-finite error below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for i, t in enumerate(range(T, 0, -1)):
-            states[i] = x
+            if record:
+                states[i] = x
+                e_pos, e_neg, corr = eps_pos[i], eps_neg[i], correction[i]
+            else:
+                e_pos, e_neg, corr = np.empty_like(x), np.zeros_like(x), np.zeros_like(x)
             a_t, b_t, sigma_t = ancestral_coeffs(schedule, t)
             eps = dict(zip(conditions, epsilon_oracle(world, tuple(conditions.values()), schedule, x, t)))
             step = np.empty_like(x)  # the prediction each row advances on
@@ -142,25 +153,25 @@ def run_lockstep(
                     if kind == "plus":  # each branch predicts by pushing away from the null
                         m = rows[j + 1]
                         pos = np_combine(pos, eps["null"][r], cfg.w)
-                        neg = step[m] = eps_pos[i, m] = np_combine(eps["neg"][m], eps["null"][m], cfg.w)
+                        neg = step[m] = e_pos[m] = np_combine(eps["neg"][m], eps["null"][m], cfg.w)
                     else:
                         neg = eps["neg"][r]
-                    base, eps_neg[i, r] = pos, neg
+                    base, e_neg[r] = pos, neg
                     step[r] = (sdn_combine(pos, neg, cfg.lambda_, cfg.eps_stab)
                                if cfg.strategy in ("SDN", "SDG") else np_combine(pos, neg, cfg.w))
-                eps_pos[i, r], correction[i, r] = pos, step[r] - base
+                e_pos[r], corr[r] = pos, step[r] - base
             x = a_t * x + b_t * step
             if not deterministic:
                 x = x + sigma_t * _draw(rngs, len(blocks), world.dim)
-    states[T] = x
-    # index i of each record is step t = T - i
-    for key, a in (("latents", states[1:]), ("eps_pos", eps_pos), ("eps_neg", eps_neg), ("correction", correction)):
-        bad = ~np.isfinite(a).all(axis=2)
-        if bad.any():
-            i = int(bad.any(axis=1).argmax())
-            names = ", ".join(dict.fromkeys(blocks[row // n][0].strategy for row in np.flatnonzero(bad[i])))
-            what = "went non-finite" if key == "latents" else f"recorded a non-finite {key}"
-            raise ValueError(f"sampling under {names} {what} at step t={T - i}")
+            for key, a in zip(errors, (x, e_pos, e_neg, corr)):
+                bad = ~np.isfinite(a).all(axis=1)
+                if errors[key] is None and bad.any():
+                    names = ", ".join(dict.fromkeys(blocks[row // n][0].strategy for row in np.flatnonzero(bad)))
+                    what = "went non-finite" if key == "latents" else f"recorded a non-finite {key}"
+                    errors[key] = f"sampling under {names} {what} at step t={t}"
+    states[-1] = x
+    for error in filter(None, errors.values()):
+        raise ValueError(error)
 
     def batch(j, minus=None):
         (cfg, kind), r = blocks[j], rows[j]

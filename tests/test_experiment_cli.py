@@ -3,6 +3,7 @@
 import hashlib
 import json
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -197,6 +198,24 @@ def test_strategy_comparison_batch_matches_per_seed():
         assert row["seeds"] == 3
 
 
+def test_strategy_comparison_memory_does_not_grow_with_steps():
+    # The comparison reads only the finals, so it keeps no per-step record: its allocation peak at
+    # T = 400 stays near the one at T = 50 (recording every step would make it about 8 times larger).
+    def peak(num_steps):
+        raw = default_config()
+        raw["schedule"]["num_steps"] = num_steps
+        cfg = parse_config(raw)
+        tracemalloc.start()
+        try:
+            strategy_comparison(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(50)  # warm up imports and caches, so neither measurement pays for them
+    assert peak(400) < 1.5 * peak(50)
+
+
 def test_cmd_sample_writes_artifacts(tmp_path):
     raw = small_config()
     raw["run"]["seeds"] = {"count": 2, "base": 0}
@@ -323,11 +342,13 @@ def test_trajectory_writer_round_trips_every_float64(tmp_path):
     assert "0.00001" in tokens and "1e16" in tokens and "-0.0" in tokens and "5e-324" in tokens
 
 
-def test_cmd_sample_refuses_non_finite_records(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["sample", "compare-guidance"])
+def test_cmd_sample_refuses_non_finite_records(tmp_path, capsys, monkeypatch, command):
     # The latents can stay finite while a recorded prediction does not: CFG
     # at w = 0 steps on the null prediction alone, so a non-finite positive
     # one reaches only eps_pos. Such a value must stop the run with its field
-    # and step, not reach trajectories.jsonl as NaN, Infinity or null.
+    # and step, not reach trajectories.jsonl as NaN, Infinity or null; and
+    # compare-guidance, which records no step, must stop on it all the same.
     real = sampler.epsilon_oracle
 
     def poisoned(world, conds, schedule, x, t):
@@ -342,9 +363,9 @@ def test_cmd_sample_refuses_non_finite_records(tmp_path, capsys, monkeypatch):
     raw = small_config()
     raw["guidance"].update(strategy="CFG", w=0.0)
     out = tmp_path / "out"
-    assert main(["sample", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
+    assert main([command, "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "sample: error: sampling under CFG recorded a non-finite eps_pos at step t=7"]
+        f"{command}: error: sampling under CFG recorded a non-finite eps_pos at step t=7"]
     assert not out.exists()
 
 

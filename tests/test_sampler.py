@@ -478,11 +478,14 @@ def test_lockstep_equals_solo_runs(world, plus, neg, seeds, deterministic):
     # All five strategies stepped as one stacked batch: every recorded
     # array of each strategy, both branches of the dual ones, must equal
     # that strategy's solo run bit for bit, and so must the finals that
-    # strategy_comparison reads (a dual strategy's plus branch).
+    # strategy_comparison reads (a dual strategy's plus branch). A run
+    # that records no step reaches the same finals on both branches and
+    # holds nothing else.
     s = make_linear_schedule(50, 0.03, 0.10)
     cfgs = [GuidanceConfig(strategy) for strategy in ("CFG", "NP", "SDN", "TDD_ONLY", "SDG")]
     together = run_lockstep(world, plus, neg, s, cfgs, seeds, deterministic=deterministic)
-    for cfg, batch in zip(cfgs, together):
+    unrecorded = run_lockstep(world, plus, neg, s, cfgs, seeds, deterministic=deterministic, record=False)
+    for cfg, batch, bare in zip(cfgs, together, unrecorded):
         if cfg.strategy in ("CFG", "NP", "SDN"):
             alone = run_single_batch(world, plus, neg, s, cfg, seeds, deterministic=deterministic)
             pairs = [(batch, alone)]
@@ -490,12 +493,15 @@ def test_lockstep_equals_solo_runs(world, plus, neg, seeds, deterministic):
             alone = run_dual_batch(world, plus, neg, s, cfg, seeds, deterministic=deterministic)
             pairs = [(batch, alone), (batch.minus, alone.minus)]
         assert batch.seeds == alone.seeds == tuple(seeds)
-        for got, want in pairs:
+        for (got, want), unkept in zip(pairs, (bare, bare.minus)):
             assert got.config == want.config == cfg
             for name in ("states", "eps_pos", "eps_neg", "delta", "correction"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert (a is None) == (b is None), (cfg.strategy, name)
                 assert a is None or np.array_equal(a, b), (cfg.strategy, name)
+            assert unkept.states.shape == (1, len(seeds), world.dim) and unkept.config == cfg
+            assert len(unkept.eps_pos) == len(unkept.correction) == 0 and list(unkept.steps) == []
+            assert unkept.finals.tobytes() == got.finals.tobytes(), cfg.strategy
         assert np.array_equal(batch.finals, alone.finals)
 
 
@@ -518,24 +524,47 @@ def test_lockstep_results_are_row_slices_of_one_record():
     assert not sdg.minus.correction.any() and sdg.correction.any()
 
 
-def test_lockstep_rejects_non_finite_latents():
+@pytest.mark.parametrize("record", [True, False], ids=["record", "no_record"])
+def test_lockstep_rejects_non_finite_latents(record):
     s = make_linear_schedule(5, 0.05, 0.2)
     cfgs = [GuidanceConfig("CFG"), GuidanceConfig("NP", w=1e300), GuidanceConfig("SDG")]
     # the overflow is reported by the non-finite check alone, with no numpy warning before it
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ValueError, match=r"^sampling under NP went non-finite at step t=4$"):
-            run_lockstep(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, cfgs, [0, 1])
+            run_lockstep(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, cfgs, [0, 1], record=record)
     assert caught == []
     with pytest.raises(ValueError, match="requires a negative condition"):
-        run_lockstep(TWO_WELL, Condition.subset([0]), None, s, cfgs, [0])
+        run_lockstep(TWO_WELL, Condition.subset([0]), None, s, cfgs, [0], record=record)
 
 
-@pytest.mark.parametrize("w, pos, null, message", [
-    (0.0, np.inf, 0.0, "sampling under CFG recorded a non-finite eps_pos at step t=1"),
-    (1.0, 1e308, -1e308, "sampling under CFG recorded a non-finite correction at step t=1"),
-], ids=["eps_pos", "correction"])
-def test_lockstep_rejects_a_non_finite_record_behind_finite_latents(monkeypatch, w, pos, null, message):
+@pytest.mark.parametrize("record", [True, False], ids=["record", "no_record"])
+def test_lockstep_reports_non_finite_latents_before_an_earlier_non_finite_record(monkeypatch, record):
+    # CFG at w = 0 records a non-finite eps_pos at t = 5 while stepping on the null alone, and NP at
+    # w = 1e300 overflows its latents only at t = 4: the latents are reported first all the same.
+    real = sampler.epsilon_oracle
+
+    def poisoned(world, conds, schedule, x, t):
+        eps = real(world, conds, schedule, x, t)
+        if t != 5:
+            return eps
+        pos = eps[0].copy()
+        pos[:2] = np.inf  # the CFG rows of seeds 0 and 1
+        return (pos,) + eps[1:]
+
+    monkeypatch.setattr(sampler, "epsilon_oracle", poisoned)
+    s = make_linear_schedule(5, 0.05, 0.2)
+    cfgs = [GuidanceConfig("CFG", w=0.0), GuidanceConfig("NP", w=1e300)]
+    with pytest.raises(ValueError, match=r"^sampling under NP went non-finite at step t=4$"):
+        run_lockstep(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, cfgs, [0, 1], record=record)
+
+
+@pytest.mark.parametrize("w, pos, null, message, record", [
+    pytest.param(*case, record, id=name if record else f"{name}-no_record")
+    for record in (True, False) for name, case in (
+        ("eps_pos", (0.0, np.inf, 0.0, "sampling under CFG recorded a non-finite eps_pos at step t=1")),
+        ("correction", (1.0, 1e308, -1e308, "sampling under CFG recorded a non-finite correction at step t=1")))])
+def test_lockstep_rejects_a_non_finite_record_behind_finite_latents(monkeypatch, w, pos, null, message, record):
     # CFG at w = 0 steps on the null alone, and at w = 1 on the positive alone, whose
     # correction 1e308 - (-1e308) overflows: the latents stay finite, the record does not.
     real = sampler.epsilon_oracle
@@ -549,7 +578,8 @@ def test_lockstep_rejects_a_non_finite_record_behind_finite_latents(monkeypatch,
     monkeypatch.setattr(sampler, "epsilon_oracle", poisoned)
     s = make_linear_schedule(5, 0.05, 0.2)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        run_lockstep(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, [GuidanceConfig("CFG", w=w)], [0, 1])
+        run_lockstep(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s, [GuidanceConfig("CFG", w=w)], [0, 1],
+                     record=record)
 
 
 @pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "stochastic"])
