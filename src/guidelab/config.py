@@ -10,10 +10,9 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import MISSING
 from pathlib import Path
 
-__all__ = ["ConfigError", "field", "built", "read_text", "read_config", "output_dir", "config_hash"]
+__all__ = ["ConfigError", "MISSING", "field", "built", "read_text", "read_config", "output_dir", "config_hash"]
 
 _KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list",
           dict: "a mapping"}
@@ -21,6 +20,9 @@ _KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a s
 
 class ConfigError(ValueError):
     """Config parsing/validation error; the message names the offending field."""
+
+
+MISSING = object()  # the default of a field that has none: its absence is an error
 
 
 def field(section, key, name: str, kind, default=MISSING, length=None, keys=None):
@@ -32,9 +34,8 @@ def field(section, key, name: str, kind, default=MISSING, length=None, keys=None
     float range, and an int must be integral (3 or 3.0, not 3.7); a nan or
     inf, which read_config refuses in a file, is left to the object built
     from the value. An absent key reads as default, and is an error
-    without one (a default of dataclasses.MISSING, as a dataclass field
-    without a default has); a field whose default is None reads a null
-    as None too.
+    without one (a default of MISSING); a field whose default is None
+    reads a null as None too.
     A mapping read with keys holds no other key, so a misspelled field
     fails instead of leaving its default in force.
     """

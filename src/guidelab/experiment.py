@@ -10,9 +10,7 @@ artifact files are byte-reproducible.
 """
 
 import json
-from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Optional
+from collections import namedtuple
 
 import numpy as np
 
@@ -20,7 +18,7 @@ from guidelab.config import ConfigError, built, field, output_dir, read_config
 from guidelab.guidance import DEFAULT_EPS_STAB, DEFAULT_LAMBDA, DEFAULT_W, STRATEGIES, GuidanceConfig
 from guidelab.oracle import Condition, GmmWorld, assign_labels
 from guidelab.sampler import run_lockstep
-from guidelab.schedule import NoiseSchedule, make_linear_schedule
+from guidelab.schedule import make_linear_schedule
 
 __all__ = [
     "ExperimentConfig",
@@ -65,20 +63,9 @@ def default_config() -> dict:
     return json.loads(json.dumps(DEFAULT_CONFIG))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved experiment: live objects plus the raw dict they came from."""
-
-    world: GmmWorld
-    positive_condition: Condition
-    negative_condition: Optional[Condition]
-    schedule: NoiseSchedule
-    guidance: GuidanceConfig
-    seeds: tuple
-    deterministic: bool
-    mass_labels: dict
-    out_dir: Path
-    raw: dict
+# The resolved experiment: live objects plus the raw dict they came from.
+ExperimentConfig = namedtuple("ExperimentConfig", "world positive_condition negative_condition schedule guidance seeds "
+                                                  "deterministic mass_labels out_dir raw")
 
 
 def parse_config(raw: dict, out_dir=None, seed_base=None) -> ExperimentConfig:
@@ -184,7 +171,7 @@ def strategy_comparison(config: ExperimentConfig) -> dict:
     if "counterfactual" not in config.mass_labels:
         raise ConfigError("field 'mass_labels' must define a 'counterfactual' label for comparison runs")
     table = {}
-    cfgs = [replace(config.guidance, strategy=s) for s in STRATEGIES]
+    cfgs = [config.guidance._replace(strategy=s) for s in STRATEGIES]
     batches = run_lockstep(config.world, config.positive_condition, config.negative_condition, config.schedule,
                            cfgs, config.seeds, config.deterministic, record=False)
     for strategy, batch in zip(STRATEGIES, batches):

@@ -11,7 +11,7 @@ rules to predictions from two separately evolved trajectories: SDG the
 normalized one, the decoupling-only ablation (TDD_ONLY) the raw one.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -33,8 +33,8 @@ DEFAULT_LAMBDA = 30.0
 DEFAULT_EPS_STAB = 1e-8
 
 
-@dataclass(frozen=True)
-class GuidanceConfig:
+class GuidanceConfig(namedtuple("GuidanceConfig", "strategy w lambda_ eps_stab",
+                                defaults=(DEFAULT_W, DEFAULT_LAMBDA, DEFAULT_EPS_STAB))):
     """Strategy name plus the scalar knobs every combination rule reads.
 
     w is the CFG/NP strength, lambda_ the fixed correction scale of the
@@ -42,12 +42,10 @@ class GuidanceConfig:
     denominator.
     """
 
-    strategy: str
-    w: float = DEFAULT_W
-    lambda_: float = DEFAULT_LAMBDA
-    eps_stab: float = DEFAULT_EPS_STAB
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
         if not np.isfinite(self.w) or self.w < 0:
@@ -56,6 +54,9 @@ class GuidanceConfig:
             raise ValueError(f"lambda must be finite and >= 0, got {self.lambda_}")
         if not np.isfinite(self.eps_stab) or self.eps_stab <= 0:
             raise ValueError(f"eps_stab must be finite and > 0, got {self.eps_stab}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks its result too
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple:

@@ -9,8 +9,7 @@ the null condition is the full mixture, matching the unconditional
 branch semantics of classifier-free guidance.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 import numpy as np
 
@@ -25,8 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GmmWorld:
+class GmmWorld(namedtuple("GmmWorld", "means cov_diags weights")):
     """A Gaussian mixture data world with diagonal covariances.
 
     means and cov_diags have shape (K, dim); weights is a length-K
@@ -34,17 +32,12 @@ class GmmWorld:
     finite.
     """
 
-    means: np.ndarray
-    cov_diags: np.ndarray
-    weights: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
-        covs = np.atleast_2d(np.asarray(self.cov_diags, dtype=np.float64))
-        weights = np.asarray(self.weights, dtype=np.float64).ravel()
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "cov_diags", covs)
-        object.__setattr__(self, "weights", weights)
+    def __new__(cls, means, cov_diags, weights):
+        means = np.atleast_2d(np.asarray(means, dtype=np.float64))
+        covs = np.atleast_2d(np.asarray(cov_diags, dtype=np.float64))
+        weights = np.asarray(weights, dtype=np.float64).ravel()
         if means.shape != covs.shape:
             raise ValueError(f"means shape {means.shape} != cov_diags shape {covs.shape}")
         if len(weights) != means.shape[0]:
@@ -58,6 +51,9 @@ class GmmWorld:
             raise ValueError(f"weights sum to {weights.sum()}, expected 1 within 1e-12")
         if np.any(covs <= 0):
             raise ValueError("cov_diag entries must be strictly positive")
+        return super().__new__(cls, means, covs, weights)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace normalises and checks its result too
 
     @property
     def num_components(self) -> int:
@@ -68,18 +64,19 @@ class GmmWorld:
         return self.means.shape[1]
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(namedtuple("Condition", "indices")):
     """Component-subset conditioning. indices=None means the null condition."""
 
-    indices: Optional[tuple] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.indices is not None:
-            idx = tuple(sorted(set(int(i) for i in self.indices)))
-            if len(idx) == 0:
+    def __new__(cls, indices=None):
+        if indices is not None:
+            indices = tuple(sorted(set(int(i) for i in indices)))
+            if len(indices) == 0:
                 raise ValueError("condition subset must be non-empty")
-            object.__setattr__(self, "indices", idx)
+        return super().__new__(cls, indices)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace normalises and checks its result too
 
     @classmethod
     def null(cls) -> "Condition":

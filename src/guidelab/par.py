@@ -15,13 +15,13 @@ import math
 import os
 import time
 import urllib.parse
+from collections import namedtuple
 from contextlib import ExitStack
-from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import partial
-from typing import Callable, ClassVar
+from typing import Callable
 
-from guidelab.config import ConfigError, built, field, read_text
+from guidelab.config import MISSING, ConfigError, built, field, read_text
 
 __all__ = [
     "ANALYSIS_MARKER",
@@ -99,36 +99,21 @@ class ValidationFailure(RuntimeError):
         super().__init__("validation failed: " + "; ".join(self.reasons))
 
 
-@dataclass(frozen=True)
-class Analysis:
-    """The four structured reasoning subfields extracted from a response."""
+# The four structured reasoning subfields extracted from a response.
+Analysis = namedtuple("Analysis", "entities environment interactions temporal_evolution")
 
-    entities: str
-    environment: str
-    interactions: str
-    temporal_evolution: str
+CounterfactualRecord = namedtuple("CounterfactualRecord", "user_prompt analysis counterfactual model_id created_at",
+                                  defaults=("", ""))
 
 
-@dataclass(frozen=True)
-class CounterfactualRecord:
-    user_prompt: str
-    analysis: Analysis
-    counterfactual: str
-    model_id: str = ""
-    created_at: str = ""
-
-
-@dataclass(frozen=True)
-class LlmEndpointConfig:
-    base_url: str
-    model: str
-    api_key_env: str = "GUIDELAB_API_KEY"
-    timeout: float = 60.0
-    max_retries: int = 2
+class LlmEndpointConfig(namedtuple("LlmEndpointConfig", "base_url model api_key_env timeout max_retries",
+                                   defaults=("GUIDELAB_API_KEY", 60.0, 2))):
+    __slots__ = ()
     # retry k waits 0.5 * 2**(k - 1) s first, so at this bound the last wait is 256 s and all of them 511.5 s
-    MAX_RETRIES: ClassVar[int] = 10
+    MAX_RETRIES = 10
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.base_url.lower().startswith(("http://", "https://")):
             raise ValueError(f"base_url must start with http:// or https://, got {self.base_url!r}")
         if urllib.parse.urlsplit(self.base_url).hostname is None:
@@ -139,21 +124,26 @@ class LlmEndpointConfig:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
         if not 0 <= self.max_retries <= self.MAX_RETRIES:
             raise ValueError(f"max_retries must be from 0 to {self.MAX_RETRIES}, got {self.max_retries}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks its result too
 
 
 def endpoint_config(raw: dict, mock: bool) -> LlmEndpointConfig:
-    """The endpoint settings in a config's 'par' section, whose keys, kinds and defaults are LlmEndpointConfig's fields.
+    """The endpoint settings in a config's 'par' section, whose keys and defaults are LlmEndpointConfig's fields.
 
-    Without mock 'par' is required, with each field that has no default.
+    A field's kind is its default's type; base_url and model, which have
+    no default, are strings. Without mock 'par' is required, with each
+    field that has no default.
     """
-    schema = fields(LlmEndpointConfig)
-    par = field(raw, "par", "par", dict, None, keys=tuple(f.name for f in schema))
+    names, defaults = LlmEndpointConfig._fields, LlmEndpointConfig._field_defaults
+    par = field(raw, "par", "par", dict, None, keys=names)
     if par is None and not mock:
         raise ConfigError("field 'par' (endpoint settings) is required without --mock")
     # under mock, base_url and model default to an endpoint that is never called
     par = {"base_url": "http://localhost:0", "model": "mock-model", **(par or {})} if mock else par
-    return built("par", LlmEndpointConfig, **{f.name: field(par, f.name, f"par.{f.name}", f.type, f.default)
-                                              for f in schema})
+    return built("par", LlmEndpointConfig, **{name: field(par, name, f"par.{name}", type(defaults.get(name, "")),
+                                                          defaults.get(name, MISSING)) for name in names})
 
 
 def render_record(rec: CounterfactualRecord) -> str:
@@ -162,7 +152,7 @@ def render_record(rec: CounterfactualRecord) -> str:
     parse_response of the rendered text reproduces the record exactly
     (round-trip identity for valid records).
     """
-    subfields = (f"{label} {value}" for label, value in zip(SUBFIELD_LABELS, vars(rec.analysis).values()))
+    subfields = (f"{label} {value}" for label, value in zip(SUBFIELD_LABELS, rec.analysis))
     return "\n".join((ANALYSIS_MARKER, *subfields, COUNTERFACTUAL_MARKER, rec.counterfactual))
 
 
@@ -417,8 +407,7 @@ def _call_with_retries(cfg, user_prompt, transport, sleep, clock) -> Counterfact
 def _persist(rec: CounterfactualRecord, to_corpus, to_quarantine) -> CounterfactualRecord:
     """Validate a record, then append it to the corpus, or to the quarantine and raise ValidationFailure."""
     reasons = validate_record(rec)
-    # the dict dataclasses.asdict gives, without its deep copy
-    row = {**vars(rec), "analysis": vars(rec.analysis)}
+    row = {**rec._asdict(), "analysis": rec.analysis._asdict()}
     if reasons:
         to_quarantine({"record": row, "reasons": reasons})
         raise ValidationFailure(reasons)

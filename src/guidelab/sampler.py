@@ -22,7 +22,7 @@ seed's own generator, and every strategy and branch gets that same draw
 (synchronized noise).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 import numpy as np
@@ -39,8 +39,8 @@ __all__ = [
     "run_dual_batch",
 ]
 
-@dataclass(frozen=True)
-class TrajectoryBatch:
+class TrajectoryBatch(namedtuple("TrajectoryBatch", "seeds config states eps_pos eps_neg correction minus",
+                                 defaults=(None,))):
     """The reverse paths of N seeds' latents, as arrays indexed [step, seed, dim].
 
     states has shape (T+1, N, dim), x_T first. The per-step arrays have
@@ -50,13 +50,7 @@ class TrajectoryBatch:
     is the minus branch's batch on a TDD_ONLY or SDG plus branch, else None.
     """
 
-    seeds: tuple
-    config: GuidanceConfig
-    states: np.ndarray
-    eps_pos: np.ndarray
-    eps_neg: Optional[np.ndarray]
-    correction: np.ndarray
-    minus: Optional["TrajectoryBatch"] = None
+    __slots__ = ()
 
     @property
     def delta(self) -> Optional[np.ndarray]:

@@ -5,24 +5,21 @@ are stored with index t-1, and the alpha_bar_0 = 1 convention is applied
 implicitly wherever a step needs the previous cumulative product.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 __all__ = ["NoiseSchedule", "make_linear_schedule"]
 
 
-@dataclass(frozen=True)
-class NoiseSchedule:
+class NoiseSchedule(namedtuple("NoiseSchedule", "num_steps betas alpha_bars")):
     """Per-step variances beta_t and cumulative products alpha_bar_t.
 
     betas[t-1] is the variance added at step t; alpha_bars[t-1] is the
     running product of (1 - beta_s) for s <= t.
     """
 
-    num_steps: int
-    betas: np.ndarray
-    alpha_bars: np.ndarray
+    __slots__ = ()
 
     def beta(self, t: int) -> float:
         self._check_t(t)

@@ -5,7 +5,6 @@ import json
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -190,7 +189,7 @@ def test_strategy_comparison_batch_matches_per_seed():
     table = strategy_comparison(cfg)
     assert tuple(table) == STRATEGIES
     for strategy, row in table.items():
-        solo = replace(cfg.guidance, strategy=strategy)
+        solo = cfg.guidance._replace(strategy=strategy)
         for seed, final in zip(cfg.seeds, row["finals"]):
             alone = run_single_batch(cfg.world, cfg.positive_condition, cfg.negative_condition, cfg.schedule, solo,
                                      [seed], cfg.deterministic)

@@ -22,7 +22,7 @@ SRC = Path(guidelab.__file__).parents[1]
 SUBMODULES = sorted(f"guidelab.{m.name}" for m in pkgutil.iter_modules(guidelab.__path__))
 
 # The modules whose load LOADED reports, beside guidelab's own.
-PROBED = ("numpy", "numpy.ma", "orjson", "inspect", "csv")
+PROBED = ("numpy", "numpy.ma", "orjson", "inspect", "dataclasses", "csv")
 # Prints which guidelab modules and which PROBED modules were loaded, as the last line of stdout.
 LOADED = f"import json, sys; print(json.dumps({{**{{m: m in sys.modules for m in {PROBED!r}}}, " \
          "'guidelab': sorted(m for m in sys.modules if m.startswith('guidelab'))}))"
@@ -46,6 +46,9 @@ def test_cli_import_loads_only_config():
     assert not loaded["orjson"]
     # only the commands that write a CSV file load the csv module
     assert not loaded["csv"]
+    # records are named tuples, so no module loads dataclasses, and with it inspect
+    assert not loaded["dataclasses"]
+    assert not loaded["inspect"]
     assert loaded["guidelab"] == ["guidelab", "guidelab.cli", "guidelab.config"]
 
 
@@ -58,6 +61,8 @@ def test_par_generate_leaves_numpy_unloaded(tmp_path):
     assert not loaded["numpy"]
     assert not loaded["orjson"]
     assert not loaded["csv"]
+    assert not loaded["dataclasses"]
+    assert not loaded["inspect"]
     assert (tmp_path / "out" / "corpus.jsonl").exists()
 
 
@@ -72,6 +77,8 @@ def test_sampling_commands_leave_par_and_diagnostics_unloaded(tmp_path, command)
     assert loaded["orjson"] == (command == "sample")
     # numpy's set operations (np.unique and kin) import numpy.ma, a start-up cost no sampling command needs
     assert not loaded["numpy.ma"]
+    # inspect is not probed here: numpy imports it itself
+    assert not loaded["dataclasses"]
 
 
 def test_diagnose_lag_leaves_orjson_unloaded(tmp_path):
@@ -81,6 +88,15 @@ def test_diagnose_lag_leaves_orjson_unloaded(tmp_path):
     assert "guidelab.diagnostics" in loaded["guidelab"]
     assert not loaded["orjson"]
     assert not loaded["numpy.ma"]
+    assert not loaded["dataclasses"]  # inspect is loaded, by numpy itself
+
+
+def test_package_loads_a_submodule_on_first_access():
+    assert loaded_after("import guidelab")["guidelab"] == ["guidelab"]
+    loaded = loaded_after("import guidelab\nassert guidelab.oracle.__name__ == 'guidelab.oracle'")
+    assert loaded["guidelab"] == ["guidelab", "guidelab.oracle", "guidelab.schedule"]
+    with pytest.raises(AttributeError, match="^module 'guidelab' has no attribute 'nope'$"):
+        guidelab.nope
 
 
 @pytest.mark.parametrize("module", SUBMODULES)
