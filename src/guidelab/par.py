@@ -323,31 +323,31 @@ class HttpTransport:
     """Live chat-completions client: POST {base_url}/v1/chat/completions."""
 
     def __call__(self, messages: list, cfg: LlmEndpointConfig) -> str:
-        # imported here: requests takes about as long to import as the rest of the CLI,
-        # and only live par runs need it
-        import requests
+        import http.client  # imported here: only live par runs need the HTTP stack, which is slow to import
+        import urllib.request
 
         token = os.environ.get(cfg.api_key_env)
         if not token:
             raise TransportError(f"environment variable {cfg.api_key_env} is not set", retryable=False)
         url = cfg.base_url.rstrip("/") + "/v1/chat/completions"
-        body = {"model": cfg.model, "messages": messages, "temperature": 0.2}
+        body = json.dumps({"model": cfg.model, "messages": messages, "temperature": 0.2}).encode()
+        headers = {"Authorization": f"Bearer {token}", "Content-Type": "application/json"}
         try:
-            resp = requests.post(
-                url,
-                json=body,
-                headers={"Authorization": f"Bearer {token}"},
-                timeout=cfg.timeout,
-            )
-        except requests.RequestException as exc:
+            try:
+                resp = urllib.request.urlopen(urllib.request.Request(url, body, headers), timeout=cfg.timeout)
+            except urllib.request.HTTPError as exc:  # a 4xx or 5xx reply, read and closed like any other
+                resp = exc
+            with resp:
+                status, text = resp.status, resp.read()
+        except (OSError, ValueError, http.client.HTTPException) as exc:  # refused, timed out, cut short, unsendable
             raise TransportError(f"request to {url} failed: {exc}") from exc
-        if resp.status_code != 200:
+        if status != 200:  # urlopen returns any 2xx without raising
             # a client error other than a timeout or a rate limit fails the same way on every retry
-            client_error = 400 <= resp.status_code < 500 and resp.status_code not in (408, 429)
-            raise TransportError(f"endpoint returned status {resp.status_code}: {resp.text[:200]}",
+            client_error = 400 <= status < 500 and status not in (408, 429)
+            raise TransportError(f"endpoint returned status {status}: {text.decode(errors='replace')[:200]}",
                                  retryable=not client_error)
         try:
-            content = resp.json()["choices"][0]["message"]["content"]
+            content = json.loads(text)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed completion payload: {exc}") from exc
         if not isinstance(content, str):

@@ -117,14 +117,20 @@ def run_lockstep(
     # block j (rows j*n to (j+1)*n) holds one strategy's latents, or one branch of a dual strategy
     blocks = [(cfg, kind) for cfg in cfgs for kind in (("plus", "minus") if cfg.strategy in DUAL else (cfg.strategy,))]
     rows = [slice(j * n, (j + 1) * n) for j in range(len(blocks))]
+    # eps_neg holds the rows of only the blocks whose result keeps it, in block order: neither CFG nor a minus branch
+    neg_blocks = [j for j, (_, kind) in enumerate(blocks) if kind not in ("CFG", "minus")]
+    neg_rows = {j: slice(i * n, (i + 1) * n) for i, j in enumerate(neg_blocks)}
     conditions = {"pos": p_plus, "null": Condition.null()} | ({} if p_neg is None else {"neg": p_neg})
     x = _draw(rngs, len(blocks), world.dim)
     kept = T if record else 0
     states = np.empty((kept + 1,) + x.shape)
-    # each result records its rows of these; eps_neg's CFG and minus rows and a minus row's correction stay 0
-    eps_pos, eps_neg, correction = np.empty((kept,) + x.shape), np.zeros((kept,) + x.shape), np.zeros((kept,) + x.shape)
+    # each result records its rows of these; a minus row's correction stays 0
+    eps_pos, correction = np.empty((kept,) + x.shape), np.zeros((kept,) + x.shape)
+    eps_neg = np.empty((kept, len(neg_blocks) * n, world.dim))
     # each record key's error at its first non-finite step, in the order they are reported
     errors = dict.fromkeys(("latents", "eps_pos", "eps_neg", "correction"))
+    # per record key, the block that each n rows of its array belong to
+    owners = dict(zip(errors, (blocks, blocks, [blocks[j] for j in neg_blocks], blocks)))
     # an overflowing guidance scale surfaces as the named non-finite error below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for i, t in enumerate(range(T, 0, -1)):
@@ -132,7 +138,7 @@ def run_lockstep(
                 states[i] = x
                 e_pos, e_neg, corr = eps_pos[i], eps_neg[i], correction[i]
             else:
-                e_pos, e_neg, corr = np.empty_like(x), np.zeros_like(x), np.zeros_like(x)
+                e_pos, e_neg, corr = np.empty_like(x), np.empty(eps_neg.shape[1:]), np.zeros_like(x)
             a_t, b_t, sigma_t = ancestral_coeffs(schedule, t)
             eps = dict(zip(conditions, epsilon_oracle(world, tuple(conditions.values()), schedule, x, t)))
             step = np.empty_like(x)  # the prediction each row advances on
@@ -150,7 +156,7 @@ def run_lockstep(
                         neg = step[m] = e_pos[m] = np_combine(eps["neg"][m], eps["null"][m], cfg.w)
                     else:
                         neg = eps["neg"][r]
-                    base, e_neg[r] = pos, neg
+                    base, e_neg[neg_rows[j]] = pos, neg
                     step[r] = (sdn_combine(pos, neg, cfg.lambda_, cfg.eps_stab)
                                if cfg.strategy in ("SDN", "SDG") else np_combine(pos, neg, cfg.w))
                 e_pos[r], corr[r] = pos, step[r] - base
@@ -160,7 +166,7 @@ def run_lockstep(
             for key, a in zip(errors, (x, e_pos, e_neg, corr)):
                 bad = ~np.isfinite(a).all(axis=1)
                 if errors[key] is None and bad.any():
-                    names = ", ".join(dict.fromkeys(blocks[row // n][0].strategy for row in np.flatnonzero(bad)))
+                    names = ", ".join(dict.fromkeys(owners[key][row // n][0].strategy for row in np.flatnonzero(bad)))
                     what = "went non-finite" if key == "latents" else f"recorded a non-finite {key}"
                     errors[key] = f"sampling under {names} {what} at step t={t}"
     states[-1] = x
@@ -170,7 +176,7 @@ def run_lockstep(
     def batch(j, minus=None):
         (cfg, kind), r = blocks[j], rows[j]
         return TrajectoryBatch(seeds, cfg, states[:, r], eps_pos[:, r],
-                               None if kind in ("CFG", "minus") else eps_neg[:, r], correction[:, r], minus)
+                               eps_neg[:, neg_rows[j]] if j in neg_rows else None, correction[:, r], minus)
 
     return [batch(j, batch(j + 1) if kind == "plus" else None) for j, (_, kind) in enumerate(blocks) if kind != "minus"]
 

@@ -984,7 +984,7 @@ def test_cmd_par_generate_rejects_a_non_finite_timeout(tmp_path, capsys, literal
 @pytest.mark.parametrize("mock", [False, True], ids=["live", "mock"])
 @pytest.mark.parametrize("base_url", ["", "localhost:8000", "ftp://x", "http://", "https://:8000", "http:///x"])
 def test_cmd_par_generate_rejects_a_base_url_without_an_http_scheme(tmp_path, capsys, monkeypatch, base_url, mock):
-    # requests refuses such a URL, or one with a scheme but no host, before it connects, and each attempt was
+    # the HTTP client refuses such a URL, or one with a scheme but no host, before it connects, and each attempt was
     # retried as a transient failure: every prompt slept through its backoff, ended as transport_error, and the
     # run exited 1.
     scheme = base_url.startswith(("http://", "https://"))

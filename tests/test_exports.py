@@ -4,6 +4,7 @@ import ast
 import importlib
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,25 @@ def test_no_unused_imports(path):
     module = importlib.import_module("guidelab" if path.stem == "__init__" else f"guidelab.{path.stem}")
     exported = set(getattr(module, "__all__", ()))
     assert sorted(imported - used - exported) == []
+
+
+def test_imports_are_stdlib_or_declared_dependencies():
+    # Every top-level module imported anywhere in the package, in a function too, is stdlib, guidelab or named in
+    # pyproject.toml's dependencies, and every dependency is imported: a dropped one cannot come back unlisted, and
+    # a listed one cannot stay on unused.
+    tomllib = pytest.importorskip("tomllib")  # stdlib from python 3.11
+    pyproject = Path(guidelab.__file__).parents[2] / "pyproject.toml"
+    declared = {re.match(r"[\w.-]+", spec).group().lower().replace("-", "_")
+                for spec in tomllib.loads(pyproject.read_text())["project"]["dependencies"]}
+    imported = set()
+    for path in Path(guidelab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert sorted(imported - sys.stdlib_module_names - {"guidelab"} - declared) == []
+    assert sorted(declared - imported) == []
 
 
 def test_private_names_are_used():

@@ -21,8 +21,10 @@ from test_par import FIXTURES
 SRC = Path(guidelab.__file__).parents[1]
 SUBMODULES = sorted(f"guidelab.{m.name}" for m in pkgutil.iter_modules(guidelab.__path__))
 
+# The HTTP stack, which only a live par-generate call needs; requests is no dependency, and stays unloaded too.
+HTTP_STACK = ("urllib.request", "http.client", "requests")
 # The modules whose load LOADED reports, beside guidelab's own.
-PROBED = ("numpy", "numpy.ma", "orjson", "inspect", "dataclasses", "csv")
+PROBED = ("numpy", "numpy.ma", "orjson", "inspect", "dataclasses", "csv") + HTTP_STACK
 # Prints which guidelab modules and which PROBED modules were loaded, as the last line of stdout.
 LOADED = f"import json, sys; print(json.dumps({{**{{m: m in sys.modules for m in {PROBED!r}}}, " \
          "'guidelab': sorted(m for m in sys.modules if m.startswith('guidelab'))}))"
@@ -49,6 +51,8 @@ def test_cli_import_loads_only_config():
     # records are named tuples, so no module loads dataclasses, and with it inspect
     assert not loaded["dataclasses"]
     assert not loaded["inspect"]
+    # only a live HttpTransport call loads the HTTP stack; every other command skips its import cost
+    assert [m for m in HTTP_STACK if loaded[m]] == []
     assert loaded["guidelab"] == ["guidelab", "guidelab.cli", "guidelab.config"]
 
 
@@ -63,6 +67,7 @@ def test_par_generate_leaves_numpy_unloaded(tmp_path):
     assert not loaded["csv"]
     assert not loaded["dataclasses"]
     assert not loaded["inspect"]
+    assert [m for m in HTTP_STACK if loaded[m]] == []
     assert (tmp_path / "out" / "corpus.jsonl").exists()
 
 

@@ -1,8 +1,8 @@
 """Counterfactual prompt pipeline: instruction, parsing, validation, transports.
 
 Everything runs offline. The fixture files under fixtures/par hold
-canned endpoint responses; the HTTP client is exercised against a
-monkeypatched requests.post, never a live socket.
+canned endpoint responses; the HTTP client talks to a scripted endpoint
+on a loopback socket, served from a thread of the test process.
 """
 
 import hashlib
@@ -10,13 +10,16 @@ import json
 import os
 import random
 import re
-import subprocess
-import sys
+import shutil
+import socket
+import threading
+import urllib.request
+from collections import namedtuple
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
 import pytest
-import requests
 
 from guidelab import par
 from guidelab.par import (
@@ -740,126 +743,259 @@ def test_endpoint_config_validation():
         LlmEndpointConfig(base_url="https://llm.example", model="m", max_retries=LlmEndpointConfig.MAX_RETRIES + 1)
     with pytest.raises(ValueError, match="^base_url must start with http:// or https://, got 'x'$"):
         LlmEndpointConfig(base_url="x", model="m")
-    # requests refuses a URL without a host before it connects, and it used to be retried as a transient failure
+    # the HTTP client refuses a URL without a host before it connects, and it used to be retried as a transient failure
     for base_url in ("http://", "https://:8000", "http:///x"):
         with pytest.raises(ValueError, match=f"^base_url must name a host, got '{re.escape(base_url)}'$"):
             LlmEndpointConfig(base_url=base_url, model="m")
-    # requests reads the scheme without regard to case
+    # the HTTP client reads the scheme without regard to case
     assert LlmEndpointConfig(base_url="HTTPS://llm.example", model="m").base_url == "HTTPS://llm.example"
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("not json")
-        return self._payload
+# A request the loopback endpoint received: its path, its headers (looked up without regard to case), its JSON body.
+Posted = namedtuple("Posted", "path headers body")
 
 
-def test_http_transport_request_shape(monkeypatch):
-    seen = {}
+def completion(content) -> bytes:
+    """A chat-completions reply body whose one choice holds content."""
+    return json.dumps({"choices": [{"message": {"content": content}}]}).encode()
 
-    def fake_post(url, json=None, headers=None, timeout=None):
-        seen.update(url=url, body=json, headers=headers, timeout=timeout)
-        return FakeResponse(payload={"choices": [{"message": {"content": "reply text"}}]})
 
-    monkeypatch.setattr(requests, "post", fake_post)
+class LoopbackEndpoint:
+    """A chat-completions endpoint on 127.0.0.1, served from a thread of the test process.
+
+    It records each POST in posted and answers it with answer(body): by default the next
+    (status, body bytes) pair of replies, the last of which repeats. A status of None holds the
+    reply back until close, long past any client timeout. close stops the server and joins its
+    handler threads.
+    """
+
+    def __init__(self):
+        self.posted, self.replies, self.released = [], [], threading.Event()
+        endpoint = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                endpoint.posted.append(Posted(self.path, self.headers, body))
+                status, payload = endpoint.answer(body)
+                if status is None:
+                    assert endpoint.released.wait(timeout=10)
+                    status = 200
+                try:
+                    self.send_response(status)
+                    self.send_header("Content-Length", str(len(payload)))
+                    self.end_headers()
+                    self.wfile.write(payload)
+                except ConnectionError:  # a late reply to a client that timed out and closed its socket
+                    pass
+
+            def log_message(self, *args):  # no access log on stderr
+                pass
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
+        # a 10 ms poll, so that shutdown returns at once, not after the default 0.5 s
+        self.thread = threading.Thread(target=self.server.serve_forever, args=(0.01,))
+        self.thread.start()
+
+    def answer(self, body):
+        return self.replies.pop(0) if len(self.replies) > 1 else self.replies[0]
+
+    def config(self, **options) -> LlmEndpointConfig:
+        return LlmEndpointConfig(base_url=self.url, model="test-model", **options)
+
+    def close(self):
+        self.released.set()
+        self.server.shutdown()
+        self.server.server_close()  # joins every handler thread
+        self.thread.join(timeout=10)
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """A LoopbackEndpoint, with GUIDELAB_API_KEY set and no proxy variable, closed at teardown."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    monkeypatch.setenv("GUIDELAB_API_KEY", "k")
+    endpoint = LoopbackEndpoint()
+    yield endpoint
+    endpoint.close()
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The timeout of each urlopen call, in call order: one entry per attempt, a refused one included."""
+    timeouts, urlopen = [], urllib.request.urlopen
+
+    def spy(*args, **kwargs):
+        timeouts.append(kwargs.get("timeout"))
+        return urlopen(*args, **kwargs)
+
+    monkeypatch.setattr(urllib.request, "urlopen", spy)
+    return timeouts
+
+
+def closed_port_url() -> str:
+    """An http URL on 127.0.0.1 whose port was bound a moment ago and is closed now, so a connection is refused."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
+
+
+def test_http_transport_request_shape(loopback, opened, monkeypatch):
     monkeypatch.setenv("GUIDELAB_API_KEY", "sekret")
-    cfg = LlmEndpointConfig(base_url="https://llm.example/", model="test-model", timeout=12.5)
+    loopback.replies.append((200, completion("reply text")))
+    cfg = loopback.config(timeout=12.5)._replace(base_url=loopback.url + "/")
     msgs = build_instruction("a prompt")
-    out = HttpTransport()(msgs, cfg)
-    assert out == "reply text"
-    assert seen["url"] == "https://llm.example/v1/chat/completions"
-    assert seen["headers"] == {"Authorization": "Bearer sekret"}
-    assert seen["timeout"] == 12.5
-    assert seen["body"] == {"model": "test-model", "messages": msgs, "temperature": 0.2}
+    assert HttpTransport()(msgs, cfg) == "reply text"
+    [posted] = loopback.posted
+    assert posted.path == "/v1/chat/completions"
+    assert posted.headers["Authorization"] == "Bearer sekret"
+    assert posted.headers["Content-Type"] == "application/json"
+    assert posted.body == {"model": "test-model", "messages": msgs, "temperature": 0.2}
+    assert opened == [12.5]
 
 
-def test_http_transport_error_paths(monkeypatch):
-    cfg = LlmEndpointConfig(base_url="https://llm.example", model="m")
+def test_http_transport_error_paths(loopback, monkeypatch):
+    cfg = loopback.config()
     msgs = [{"role": "user", "content": "p"}]
 
-    monkeypatch.delenv("GUIDELAB_API_KEY", raising=False)
-    with pytest.raises(TransportError):
+    monkeypatch.delenv("GUIDELAB_API_KEY")
+    with pytest.raises(TransportError, match="^environment variable GUIDELAB_API_KEY is not set$"):
         HttpTransport()(msgs, cfg)
 
     monkeypatch.setenv("GUIDELAB_API_KEY", "k")
-    monkeypatch.setattr(requests, "post", lambda *a, **kw: FakeResponse(status_code=503, text="busy"))
-    with pytest.raises(TransportError):
+    loopback.replies.append((503, b"busy"))
+    with pytest.raises(TransportError, match="^endpoint returned status 503: busy$"):
         HttpTransport()(msgs, cfg)
 
-    def boom(*a, **kw):
-        raise requests.ConnectionError("refused")
+    url = closed_port_url()
+    with pytest.raises(TransportError, match=f"^request to {re.escape(url)}/v1/chat/completions failed: "):
+        HttpTransport()(msgs, cfg._replace(base_url=url))
 
-    monkeypatch.setattr(requests, "post", boom)
-    with pytest.raises(TransportError):
-        HttpTransport()(msgs, cfg)
-
-    monkeypatch.setattr(requests, "post", lambda *a, **kw: FakeResponse(payload={"nope": []}))
-    with pytest.raises(TransportError):
+    loopback.replies[:] = [(200, b'{"nope": []}')]
+    with pytest.raises(TransportError, match="^malformed completion payload: 'choices'$"):
         HttpTransport()(msgs, cfg)
 
 
-def http_generate_failure(monkeypatch, respond):
-    """Run generate through HttpTransport against a fake requests.post; give (posts made, sleeps)."""
-    posts, sleeps = [], []
+def test_http_transport_returns_after_a_retried_server_error(loopback, opened):
+    loopback.replies[:] = [(503, b"busy"), (200, completion(fixture_text("condensation.response.txt")))]
+    sleeps = []
+    results = generate_batch(loopback.config(), [CONDENSATION_PROMPT], HttpTransport(), sleep=sleeps.append)
+    assert results == [(CONDENSATION_PROMPT, "ok", CONDENSATION_COUNTERFACTUAL)]
+    assert (len(opened), sleeps) == (2, [0.5])
 
-    def fake_post(*args, **kwargs):
-        posts.append(args)
-        return respond()
 
-    monkeypatch.setattr(requests, "post", fake_post)
+def http_generate_failure(cfg, opened):
+    """Run generate through HttpTransport under max_retries=2, sleeps stubbed; give (urlopen calls, sleeps)."""
+    sleeps = []
     with pytest.raises(TransportError):
-        generate(endpoint(max_retries=2), "p", HttpTransport(), sleep=sleeps.append)
-    return len(posts), sleeps
+        generate(cfg._replace(max_retries=2), "p", HttpTransport(), sleep=sleeps.append)
+    return len(opened), sleeps
 
 
 @pytest.mark.parametrize("status", [400, 401, 404])
-def test_http_client_errors_are_not_retried(monkeypatch, status):
-    monkeypatch.setenv("GUIDELAB_API_KEY", "k")
-    assert http_generate_failure(monkeypatch, lambda: FakeResponse(status_code=status)) == (1, [])
+def test_http_client_errors_are_not_retried(loopback, opened, status):
+    loopback.replies.append((status, b""))
+    assert http_generate_failure(loopback.config(), opened) == (1, [])
+    assert len(loopback.posted) == 1
 
 
 @pytest.mark.parametrize("status", [408, 429, 500, 503])
-def test_http_timeouts_rate_limits_and_server_errors_are_retried(monkeypatch, status):
-    monkeypatch.setenv("GUIDELAB_API_KEY", "k")
-    assert http_generate_failure(monkeypatch, lambda: FakeResponse(status_code=status)) == (3, [0.5, 1.0])
+def test_http_timeouts_rate_limits_and_server_errors_are_retried(loopback, opened, status):
+    loopback.replies.append((status, b""))
+    assert http_generate_failure(loopback.config(), opened) == (3, [0.5, 1.0])
+    assert len(loopback.posted) == 3
 
 
-def test_http_connection_errors_are_retried(monkeypatch):
-    def refuse():
-        raise requests.ConnectionError("refused")
-
-    monkeypatch.setenv("GUIDELAB_API_KEY", "k")
-    assert http_generate_failure(monkeypatch, refuse) == (3, [0.5, 1.0])
+def test_http_connection_errors_are_retried(loopback, opened):
+    assert http_generate_failure(loopback.config()._replace(base_url=closed_port_url()), opened) == (3, [0.5, 1.0])
 
 
-def test_http_missing_api_key_is_not_retried(monkeypatch):
-    monkeypatch.delenv("GUIDELAB_API_KEY", raising=False)
-    assert http_generate_failure(monkeypatch, FakeResponse) == (0, [])
+def test_http_a_reply_slower_than_the_timeout_is_retried(loopback, opened, capfd):
+    loopback.replies.append((None, completion("too late")))
+    assert http_generate_failure(loopback.config(timeout=0.1), opened) == (3, [0.5, 1.0])
+    assert opened == [0.1] * 3
+    loopback.close()  # each handler now writes its reply to a client that has gone, and prints nothing
+    assert capfd.readouterr() == ("", "")
+
+
+def test_http_an_api_key_that_is_no_header_value_is_retried(loopback, opened, monkeypatch):
+    # The client refuses the header with a ValueError before it connects: a failed request, retried like any other.
+    monkeypatch.setenv("GUIDELAB_API_KEY", "two\nlines")
+    assert http_generate_failure(loopback.config(), opened) == (3, [0.5, 1.0])
+    assert loopback.posted == []
+    with pytest.raises(TransportError, match="^request to .* failed: Invalid header value"):
+        HttpTransport()([{"role": "user", "content": "p"}], loopback.config())
+
+
+def test_http_missing_api_key_is_not_retried(loopback, opened, monkeypatch):
+    monkeypatch.delenv("GUIDELAB_API_KEY")
+    assert http_generate_failure(loopback.config(), opened) == (0, [])
+    assert loopback.posted == []
 
 
 @pytest.mark.parametrize("content", [None, 5])
-def test_http_non_string_content_is_retried_as_malformed(monkeypatch, content):
+def test_http_non_string_content_is_retried_as_malformed(loopback, opened, content):
     # A null or numeric content used to reach parse_response and end the batch in an AttributeError.
-    monkeypatch.setenv("GUIDELAB_API_KEY", "k")
-    reply = {"choices": [{"message": {"content": content}}]}
-    assert http_generate_failure(monkeypatch, lambda: FakeResponse(payload=reply)) == (3, [0.5, 1.0])
-    results = generate_batch(endpoint(), ["p"], HttpTransport(), sleep=lambda s: None)
+    loopback.replies.append((200, completion(content)))
+    assert http_generate_failure(loopback.config(), opened) == (3, [0.5, 1.0])
+    results = generate_batch(loopback.config(), ["p"], HttpTransport(), sleep=lambda s: None)
     assert [status for _, status, _ in results] == ["transport_error"]
-    assert "malformed completion payload" in results[0][2]
+    assert results[0][2] == f"malformed completion payload: content is {type(content).__name__}, not a string"
 
 
-def test_cli_import_leaves_requests_unloaded():
-    # Only a live HttpTransport call needs requests; every other command
-    # skips its import cost.
-    import guidelab
+def test_http_a_body_that_is_not_json_is_retried_as_malformed(loopback, opened):
+    loopback.replies.append((200, b"<html>not json</html>"))
+    assert http_generate_failure(loopback.config(), opened) == (3, [0.5, 1.0])
+    with pytest.raises(TransportError, match="^malformed completion payload: Expecting value: line 1 column 1"):
+        HttpTransport()([{"role": "user", "content": "p"}], loopback.config())
 
-    code = "import sys, guidelab.cli; print('requests' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(Path(guidelab.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+
+def test_par_generate_live_writes_what_mock_writes(loopback, tmp_path, capsys):
+    # The live path over a socket and the mock transport on the same replies give the same records, stdout
+    # and exit code; a prompt the endpoint does not know (404) fails at once, as one without a fixture does.
+    from guidelab.cli import main
+
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, fixtures)
+    restated = "A kettle of water boils on a stove"
+    (fixtures / "restated.prompt.txt").write_text(restated + "\n")
+    (fixtures / "restated.response.txt").write_text(render_record(CounterfactualRecord(
+        restated, Analysis("a kettle", "a stove", "heat flows into the water", "the water boils"), restated)))
+    (fixtures / "malformed.prompt.txt").write_text("A ball rolls down a ramp\n")
+    (fixtures / "malformed.response.txt").write_text(fixture_text("malformed_missing_section.txt"))
+    responses = MockTransport.from_dir(fixtures).responses
+
+    def answer(body):
+        assert body["model"] == "test-model"
+        content = responses.get(body["messages"][-1]["content"].strip())
+        return (404, b"unknown prompt") if content is None else (200, completion(content))
+
+    loopback.answer = answer
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("\n".join([*responses, "A pendulum swings in a vacuum chamber"]) + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"par": {"base_url": loopback.url, "model": "test-model"},
+                                  "output": {"directory": str(tmp_path / "unused")}}))
+    runs = {}
+    for name, mock in (("live", []), ("mock", ["--mock", str(fixtures)])):
+        out = tmp_path / name
+        code = main(["par-generate", "--config", str(config), str(prompts), "--out", str(out), *mock])
+        files = {}
+        for path in sorted(out.glob("*.jsonl")):
+            rows = [json.loads(line) for line in path.read_text().splitlines()]
+            for row in rows:
+                row.get("record", row)["created_at"] = ""
+            files[path.name] = rows
+        runs[name] = (code, capsys.readouterr().out, files)
+    assert runs["live"] == runs["mock"]
+    code, stdout, files = runs["live"]
+    assert code == 1
+    assert [line.split()[0] for line in stdout.splitlines()] == [
+        "ok", "ok", "ok", "format_violation", "validation_failure", "transport_error"]
+    assert [len(files[name]) for name in ("corpus.jsonl", "quarantine.jsonl")] == [3, 1]
+    assert len(loopback.posted) == len(responses) + 1

@@ -7,13 +7,14 @@ draw order, not just approximate agreement.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from guidelab import sampler
-from guidelab.experiment import default_config, parse_config
+from guidelab.experiment import default_config, parse_config, strategy_comparison
 from guidelab.guidance import STRATEGIES, GuidanceConfig, cfg_combine, np_combine, sdn_combine
 from guidelab.oracle import Condition, GmmWorld, epsilon_oracle
 from guidelab.sampler import TrajectoryBatch, ancestral_coeffs, run_dual_batch, run_lockstep, run_single_batch
@@ -353,6 +354,60 @@ def test_dual_runs_on_random_worlds():
             assert np.linalg.norm(correction) == pytest.approx(30.0 * dn / (dn + 1e-8), abs=1e-10)
 
 
+# Relabelling a world's components changes nothing but the order of every sum over components, each of which
+# is then off by at most (K - 1) u relative, u = 2**-53. A linear rule (CFG, NP, TDD_ONLY) scales a prediction's
+# error by at most 1 + 2w per step, and T steps add up: T (K - 1) u (1 + 2w) = 2.2e-13 at T = 50, K = 4, w = 6;
+# ten times that covers the log-sum-exp and each latent's feedback into its next prediction.
+RELABEL_RTOL_LINEAR = 10 * 50 * 3 * 2.0**-53 * (1 + 2 * 6.0)
+# A normalised push (SDN, SDG) divides delta by ||delta|| + eps_stab, so it takes delta's rounding error times
+# lambda / (||delta|| + eps_stab): unbounded short of lambda / eps_stab = 3e9, where one step alone may err by
+# 3e9 * (K - 1) u (1 + 2w) = 1.3e-5, and compounding from step to step as delta shrinks. The tolerance sits
+# between that one-step bound and the worst of 60 relabelled runs (worlds 0-29, both modes), 1.2e-8 for SDG.
+RELABEL_RTOL_NORMALISED = 1e-6
+
+
+def relabelled_comparisons(world_seed, deterministic):
+    """strategy_comparison on a random K = 4, D = 3 world, and on the same world with its components permuted."""
+    rng = np.random.default_rng(world_seed)
+    world = random_world(rng, dim=3, num_components=4)
+    perm = rng.permutation(4).tolist()  # component i of the relabelled world is component perm[i]
+    negative = [int(rng.integers(4))]
+    positive = [k for k in range(4) if k not in negative or rng.random() < 0.5]
+    tables = []
+    for order in (range(4), perm):
+        index = {k: i for i, k in enumerate(order)}  # a component's index in this labelling
+
+        def relabel(components):
+            return sorted(index[k] for k in components)
+
+        raw = default_config()
+        raw["world"] = {"components": [{"mean": world.means[k].tolist(), "cov_diag": world.cov_diags[k].tolist()}
+                                       for k in order], "weights": [float(world.weights[k]) for k in order]}
+        raw["conditions"] = {"positive": {"components": relabel(positive)},
+                             "negative": {"components": relabel(negative)}}
+        raw["positive"], raw["negative"] = "positive", "negative"
+        raw["mass_labels"] = {"counterfactual": relabel(negative),
+                              "plausible": relabel(k for k in range(4) if k not in negative)}
+        raw["run"]["deterministic"] = deterministic
+        tables.append(strategy_comparison(parse_config(raw)))
+    return tables
+
+
+# world 17 gives the largest discrepancy of worlds 0-29
+@pytest.mark.parametrize("world_seed", [0, 1, 2, 17])
+@pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "stochastic"])
+def test_relabelling_the_components_changes_no_mass_and_finals_only_by_rounding(world_seed, deterministic):
+    # A metamorphic check that needs no reference implementation: the same world, conditions and mass labels
+    # under other component indices, 64 seeds, w = 6 and lambda = 30.
+    table, relabelled = relabelled_comparisons(world_seed, deterministic)
+    for strategy in STRATEGIES:
+        assert relabelled[strategy]["mass_mean"] == table[strategy]["mass_mean"], strategy
+        assert relabelled[strategy]["mass_stderr"] == table[strategy]["mass_stderr"], strategy
+        finals, other = table[strategy]["finals"], relabelled[strategy]["finals"]
+        rtol = RELABEL_RTOL_NORMALISED if strategy in ("SDN", "SDG") else RELABEL_RTOL_LINEAR
+        assert np.max(np.abs(other - finals)) <= rtol * np.max(np.abs(finals)), strategy
+
+
 @pytest.mark.parametrize("strategy", ["TDD_ONLY", "SDG"])
 @pytest.mark.parametrize("deterministic", [True, False])
 def test_dual_branch_predictions_match_fresh_oracle_calls(strategy, deterministic):
@@ -519,9 +574,53 @@ def test_lockstep_results_are_row_slices_of_one_record():
             assert getattr(batch, name).base is record
             assert np.shares_memory(getattr(batch, name), record[:, 3 * j:3 * (j + 1)])
     assert sdn.eps_neg.base is sdg.eps_neg.base
+    # eps_neg holds the rows of the blocks that keep it alone: SDN's and SDG's plus branch
+    assert sdn.eps_neg.base.shape[1] == 2 * 3
     assert cfg_run.eps_neg is None and sdg.minus.eps_neg is None
     assert sdg.minus.eps_pos.tobytes() == sdg.eps_neg.tobytes()
     assert not sdg.minus.correction.any() and sdg.correction.any()
+
+
+def test_recording_lockstep_allocates_no_eps_neg_for_cfg():
+    # CFG keeps no eps_neg, so a CFG-only recording run allocates none: its allocation peak beyond the
+    # arrays it returns stays below 3/4 of one (T, rows, dim) array. An eps_neg over every row, which
+    # every CFG batch threw away, made the peak exceed that by a whole array.
+    world = GmmWorld(means=np.stack([np.full(16, -3.0), np.full(16, 3.0)]), cov_diags=np.ones((2, 16)),
+                     weights=np.array([0.5, 0.5]))
+    s = make_linear_schedule(50, 0.03, 0.10)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            [batch] = run_lockstep(world, Condition.subset([0]), None, s, [GuidanceConfig("CFG")], range(64))
+            return tracemalloc.get_traced_memory()[1], batch
+        finally:
+            tracemalloc.stop()
+
+    peak()  # warm up numpy's caches, so the measurement does not pay for them
+    allocated, batch = peak()
+    assert batch.eps_neg is None
+    kept = batch.states.nbytes + batch.eps_pos.nbytes + batch.correction.nbytes
+    assert allocated - kept < 0.75 * batch.eps_pos.nbytes
+
+
+@pytest.mark.parametrize("record", [True, False], ids=["record", "no_record"])
+def test_lockstep_names_the_strategy_of_a_non_finite_eps_neg(monkeypatch, record):
+    # eps_neg holds only the blocks that keep it, so its row 0 is SDN's first seed, not CFG's: a non-finite
+    # negative prediction behind finite latents is reported under SDN. SDN's push is stubbed to step on the
+    # positive alone, which keeps the latents, eps_pos and correction finite.
+    real = sampler.epsilon_oracle
+
+    def poisoned(world, conds, schedule, x, t):
+        eps = real(world, conds, schedule, x, t)
+        return eps if t != 1 else eps[:2] + (np.full_like(eps[2], np.inf),)
+
+    monkeypatch.setattr(sampler, "epsilon_oracle", poisoned)
+    monkeypatch.setattr(sampler, "sdn_combine", lambda pos, neg, lambda_, eps_stab: pos)
+    s = make_linear_schedule(5, 0.05, 0.2)
+    with pytest.raises(ValueError, match=r"^sampling under SDN recorded a non-finite eps_neg at step t=1$"):
+        run_lockstep(TWO_WELL, Condition.subset([0]), Condition.subset([1]), s,
+                     [GuidanceConfig("CFG"), GuidanceConfig("SDN")], [0, 1], record=record)
 
 
 @pytest.mark.parametrize("record", [True, False], ids=["record", "no_record"])
